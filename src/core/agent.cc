@@ -17,16 +17,12 @@ void Agent::manage(cluster::Container& container) {
   const std::uint32_t slot = index_.intern(container.id(), &created);
   if (slot >= containers_.size()) {
     containers_.resize(index_.capacity(), nullptr);
-    cpu_seq_.resize(index_.capacity(), 0);
-    mem_seq_.resize(index_.capacity(), 0);
-    bw_seq_.resize(index_.capacity(), 0);
+    seq_.resize(index_.capacity() * kResources, 0);
   }
   if (created) {
     // Fresh tenancy (first manage, or slot reuse after an unmanage): the
     // sequence state starts clean for the new container.
-    cpu_seq_[slot] = 0;
-    mem_seq_[slot] = 0;
-    bw_seq_[slot] = 0;
+    std::fill_n(seq_.begin() + slot * kResources, kResources, 0);
   }
   containers_[slot] = &container;
 }
@@ -48,72 +44,63 @@ void Agent::record_dup(cluster::ContainerId id, double before, double offered,
   obs_->record(ev);
 }
 
-Agent::Apply Agent::apply_cpu_limit(cluster::ContainerId id, double cores,
-                                    std::uint64_t seq) {
+double Agent::read_limit(cluster::ContainerId id, cluster::Container& c,
+                         Resource resource) const {
+  switch (resource) {
+    case Resource::kCpu:
+      return c.cpu_cgroup().limit_cores();
+    case Resource::kMem:
+      return static_cast<double>(c.mem_cgroup().limit());
+    case Resource::kBw:
+      return bw_shaper_->node_of(id) == bw::ClusterShaper::kNoNode
+                 ? 0.0
+                 : bw_shaper_->container_rate(id);
+  }
+  return 0.0;
+}
+
+void Agent::write_limit(cluster::ContainerId id, cluster::Container& c,
+                        Resource resource, double value) {
+  switch (resource) {
+    case Resource::kCpu:
+      c.cpu_cgroup().set_limit_cores(value);
+      break;
+    case Resource::kMem:
+      c.mem_cgroup().set_limit(static_cast<memcg::Bytes>(value));
+      break;
+    case Resource::kBw:
+      // Attach on first write: after a takeover or re-adoption the
+      // controller's registration-time attach may not have happened on this
+      // seat.
+      if (bw_shaper_->node_of(id) == bw::ClusterShaper::kNoNode) {
+        bw_shaper_->attach(id, node_.id());
+      }
+      bw_shaper_->set_container_rate(id, value);
+      break;
+  }
+}
+
+Agent::Apply Agent::apply_limit(cluster::ContainerId id, Resource resource,
+                                double value, std::uint64_t seq) {
   if (crashed_) return Apply::kRejected;
+  if (resource == Resource::kBw && bw_shaper_ == nullptr) {
+    return Apply::kRejected;
+  }
   const std::uint32_t slot = index_.find(id);
   if (slot == ContainerIndex::kInvalid) return Apply::kRejected;
   cluster::Container& c = *containers_[slot];
+  std::uint64_t& newest =
+      seq_[slot * kResources + static_cast<std::size_t>(resource)];
   if (seq != 0 && update_seq_epoch(seq) < fenced_epoch_) {
-    record_fenced(id, c.cpu_cgroup().limit_cores(), cores, seq);
+    record_fenced(id, read_limit(id, c, resource), value, seq);
     return Apply::kFenced;
   }
-  if (seq != 0 && seq <= cpu_seq_[slot]) {
-    record_dup(id, c.cpu_cgroup().limit_cores(), cores, seq);
+  if (seq != 0 && seq <= newest) {
+    record_dup(id, read_limit(id, c, resource), value, seq);
     return Apply::kStale;
   }
-  c.cpu_cgroup().set_limit_cores(cores);
-  if (seq != 0) cpu_seq_[slot] = seq;
-  if (obs_ != nullptr) obs_->h.agent_limit_applies->inc();
-  return Apply::kApplied;
-}
-
-Agent::Apply Agent::apply_mem_limit(cluster::ContainerId id,
-                                    memcg::Bytes limit, std::uint64_t seq) {
-  if (crashed_) return Apply::kRejected;
-  const std::uint32_t slot = index_.find(id);
-  if (slot == ContainerIndex::kInvalid) return Apply::kRejected;
-  cluster::Container& c = *containers_[slot];
-  if (seq != 0 && update_seq_epoch(seq) < fenced_epoch_) {
-    record_fenced(id, static_cast<double>(c.mem_cgroup().limit()),
-                  static_cast<double>(limit), seq);
-    return Apply::kFenced;
-  }
-  if (seq != 0 && seq <= mem_seq_[slot]) {
-    record_dup(id, static_cast<double>(c.mem_cgroup().limit()),
-               static_cast<double>(limit), seq);
-    return Apply::kStale;
-  }
-  c.mem_cgroup().set_limit(limit);
-  if (seq != 0) mem_seq_[slot] = seq;
-  if (obs_ != nullptr) obs_->h.agent_limit_applies->inc();
-  return Apply::kApplied;
-}
-
-Agent::Apply Agent::apply_bw_limit(cluster::ContainerId id, double rate_bps,
-                                   std::uint64_t seq) {
-  if (crashed_) return Apply::kRejected;
-  if (bw_shaper_ == nullptr) return Apply::kRejected;
-  const std::uint32_t slot = index_.find(id);
-  if (slot == ContainerIndex::kInvalid) return Apply::kRejected;
-  const double before = bw_shaper_->node_of(id) == bw::ClusterShaper::kNoNode
-                            ? 0.0
-                            : bw_shaper_->container_rate(id);
-  if (seq != 0 && update_seq_epoch(seq) < fenced_epoch_) {
-    record_fenced(id, before, rate_bps, seq);
-    return Apply::kFenced;
-  }
-  if (seq != 0 && seq <= bw_seq_[slot]) {
-    record_dup(id, before, rate_bps, seq);
-    return Apply::kStale;
-  }
-  // Attach on first write: after a takeover or re-adoption the controller's
-  // registration-time attach may not have happened on this seat.
-  if (bw_shaper_->node_of(id) == bw::ClusterShaper::kNoNode) {
-    bw_shaper_->attach(id, node_.id());
-  }
-  bw_shaper_->set_container_rate(id, rate_bps);
-  if (seq != 0) bw_seq_[slot] = seq;
+  write_limit(id, c, resource, value);
+  if (seq != 0) newest = seq;
   if (obs_ != nullptr) obs_->h.agent_limit_applies->inc();
   return Apply::kApplied;
 }
@@ -171,9 +158,7 @@ void Agent::crash() {
   // Soft state dies with the process; cgroups persist in the kernel. The
   // epoch fence goes with it — the current leader's resync re-fences.
   fenced_epoch_ = 0;
-  std::fill(cpu_seq_.begin(), cpu_seq_.end(), 0);
-  std::fill(mem_seq_.begin(), mem_seq_.end(), 0);
-  std::fill(bw_seq_.begin(), bw_seq_.end(), 0);
+  std::fill(seq_.begin(), seq_.end(), 0);
 }
 
 void Agent::restart() {

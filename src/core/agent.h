@@ -26,6 +26,7 @@
 #include "cluster/container.h"
 #include "cluster/node.h"
 #include "core/container_index.h"
+#include "core/messages.h"
 #include "memcg/mem_cgroup.h"
 #include "net/network.h"
 #include "sim/event_queue.h"
@@ -58,24 +59,15 @@ class Agent {
     kRejected,  // agent crashed or container unmanaged: no response at all
     kFenced,    // update from a fenced (deposed) controller epoch: discarded
   };
-  // Sequenced applies: `seq` must exceed the newest applied sequence for the
-  // (container, resource) pair or the update is discarded as stale. seq 0
-  // bypasses the check (unsequenced local/test path).
-  Apply apply_cpu_limit(cluster::ContainerId id, double cores,
-                        std::uint64_t seq);
-  Apply apply_mem_limit(cluster::ContainerId id, memcg::Bytes limit,
-                        std::uint64_t seq);
-  // Writes a bandwidth rate limit into the node's shaper (the tc/HTB
-  // analogue of a cgroup write). Rejected when no shaper is wired.
-  Apply apply_bw_limit(cluster::ContainerId id, double rate_bps,
-                       std::uint64_t seq);
-  // Unsequenced compatibility overloads; false if not managed here.
-  bool apply_cpu_limit(cluster::ContainerId id, double cores) {
-    return apply_cpu_limit(id, cores, 0) == Apply::kApplied;
-  }
-  bool apply_mem_limit(cluster::ContainerId id, memcg::Bytes limit) {
-    return apply_mem_limit(id, limit, 0) == Apply::kApplied;
-  }
+  // Sequenced apply of one limit. `value` is in the resource's unit: cores
+  // (CPU), bytes (memory; integral, exact in a double below 2^53) or
+  // bytes/s (bandwidth, written into the node's shaper — the tc/HTB
+  // analogue of a cgroup write — and rejected when no shaper is wired).
+  // `seq` must exceed the newest applied sequence for the (container,
+  // resource) pair or the update is discarded as stale; seq 0 bypasses the
+  // check (unsequenced local/test path).
+  Apply apply_limit(cluster::ContainerId id, Resource resource, double value,
+                    std::uint64_t seq = 0);
 
   // --- memory reclamation (Section IV-C) ---
   struct Resize {
@@ -163,6 +155,12 @@ class Agent {
                   std::uint64_t seq);
   void record_fenced(cluster::ContainerId id, double before, double offered,
                      std::uint64_t seq);
+  // The only per-resource code on the apply path: read the applied limit,
+  // and write a new one into the cgroup or shaper lane.
+  double read_limit(cluster::ContainerId id, cluster::Container& c,
+                    Resource resource) const;
+  void write_limit(cluster::ContainerId id, cluster::Container& c,
+                   Resource resource, double value);
 
   cluster::Node& node_;
   // Managed containers interned to dense slots; the hot per-container state
@@ -171,9 +169,7 @@ class Agent {
   // load, and the reclaim sweep walks containers densely.
   ContainerIndex index_;
   std::vector<cluster::Container*> containers_;
-  std::vector<std::uint64_t> cpu_seq_;
-  std::vector<std::uint64_t> mem_seq_;
-  std::vector<std::uint64_t> bw_seq_;
+  std::vector<std::uint64_t> seq_;  // slot * kResources + resource
   obs::Observer* obs_ = nullptr;
   bw::ClusterShaper* bw_shaper_ = nullptr;
 

@@ -104,46 +104,60 @@ class ResourceAllocator {
   // --- introspection ---
   DistributedContainer& app() { return app_; }
   const EscraConfig& config() const { return config_; }
-  std::uint64_t cpu_scale_ups() const { return scale_ups_; }
-  std::uint64_t cpu_scale_downs() const { return scale_downs_; }
+  std::uint64_t cpu_scale_ups() const { return cpu_.ups; }
+  std::uint64_t cpu_scale_downs() const { return cpu_.downs; }
   std::uint64_t mem_grants() const { return mem_grants_; }
   std::uint64_t mem_denies() const { return mem_denies_; }
-  std::uint64_t bw_scale_ups() const { return bw_scale_ups_; }
-  std::uint64_t bw_scale_downs() const { return bw_scale_downs_; }
+  std::uint64_t bw_scale_ups() const { return bw_.ups; }
+  std::uint64_t bw_scale_downs() const { return bw_.downs; }
 
  private:
-  // Per-container sliding statistics; `unused` is in cores for the CPU
-  // windows and bytes/s for the bandwidth windows.
+  // Per-container sliding statistics; `unused` is in the arm's unit (cores
+  // for CPU, bytes/s for bandwidth).
   struct Windows {
     sim::SlidingWindow throttles;
     sim::SlidingWindow unused;
     explicit Windows(std::size_t n) : throttles(n), unused(n) {}
   };
+  // One windowed scale arm (Section IV-D1's rule, shared by CPU and
+  // bandwidth): its tunables, pool setter, per-slot windows and RT floors,
+  // decision counters, and observer handles. A new windowed resource is one
+  // more of these.
+  struct Arm {
+    double upsilon = 0.0;
+    double gamma = 0.0;
+    double kappa = 0.0;
+    double min = 0.0;  // global floor of one member's limit
+    double eps = 0.0;  // smallest change worth an RPC
+    double (DistributedContainer::*set)(std::uint32_t, double) = nullptr;
+    obs::Counter* obs::Observer::Handles::*grants = nullptr;
+    obs::Counter* obs::Observer::Handles::*shrinks = nullptr;
+    std::vector<Windows> windows{};
+    std::vector<double> rt_floor{};  // 0 = best-effort
+    std::uint64_t ups = 0;
+    std::uint64_t downs = 0;
+  };
+
+  // Feeds one period's sample into `arm` at `slot` and returns the new
+  // shadow limit (already committed against the pool), if any. `unused` and
+  // `used_last` are in the arm's unit; a grant never lifts the limit past
+  // `ceiling`.
+  std::optional<double> scale(Arm& arm, std::uint32_t slot, std::uint32_t id,
+                              double current, bool throttled, double unused,
+                              double used_last, double unallocated,
+                              double ceiling);
 
   EscraConfig config_;
   DistributedContainer& app_;
   obs::Observer* obs_ = nullptr;
   const CreditLedger* credits_ = nullptr;
-  // Registered containers interned to dense slots; the window SoA vectors
-  // below are indexed by slot. Both resource arms share one index — a
-  // container's CPU and bandwidth statistics live at the same slot.
+  // Registered containers interned to dense slots; every arm's rows are
+  // indexed by the same slot.
   ContainerIndex index_;
-  std::vector<Windows> windows_;
-  // Bandwidth windows, lazily armed (bw_live_[slot]) on the first sample
-  // for a shaped container (samples only arrive when shaping is enabled,
-  // so pre-bw runs never touch these rows beyond the flag).
-  std::vector<Windows> bw_windows_;
-  std::vector<std::uint8_t> bw_live_;
-  // Per-slot RT reservation floors (0 = best-effort). Dense SoA rows like
-  // the windows: the scale-down hot paths read them with no map lookup.
-  std::vector<double> rt_floor_;
-  std::vector<double> rt_bw_floor_;
-  std::uint64_t scale_ups_ = 0;
-  std::uint64_t scale_downs_ = 0;
+  Arm cpu_;
+  Arm bw_;
   std::uint64_t mem_grants_ = 0;
   std::uint64_t mem_denies_ = 0;
-  std::uint64_t bw_scale_ups_ = 0;
-  std::uint64_t bw_scale_downs_ = 0;
 };
 
 }  // namespace escra::core

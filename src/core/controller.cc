@@ -153,8 +153,8 @@ void Controller::register_impl(cluster::Container& container,
     const std::uint32_t slot = index_.intern(container.id());
     if (slot >= registry_.size()) {
       registry_.resize(index_.capacity());
-      pending_.resize(static_cast<std::size_t>(index_.capacity()) * 3);
-      pending_open_.resize(static_cast<std::size_t>(index_.capacity()) * 3, 0);
+      pending_.resize(index_.capacity() * kResources);
+      pending_open_.resize(index_.capacity() * kResources, 0);
     }
     registry_[slot] = Entry{&container, &agent};
   }
@@ -532,7 +532,7 @@ void Controller::admit_bw(cluster::Container& container, cluster::Node& node,
     // Recovery: the shaper keeps the node's fail-static truth; the
     // correction travels as a normal sequenced update.
     LoopCtx ctx;
-    push_bw_limit(id, committed, ctx);
+    push_limit(id, Resource::kBw, committed, ctx);
   }
 }
 
@@ -625,7 +625,7 @@ void Controller::ingest_bw_stats(const bw::BwSample& sample) {
     ctx.cause = obs_->record(ev);
   }
   if (std::abs(target - before) > kBwRateEpsilon) {
-    push_bw_limit(sample.container, target, ctx);
+    push_limit(sample.container, Resource::kBw, target, ctx);
   }
 }
 
@@ -678,7 +678,7 @@ void Controller::ingest_cpu_stats(const CpuStatsMsg& stats, obs::EventId cause,
     ev.cause = cause;
     ctx.cause = obs_->record(ev);
   }
-  push_cpu_limit(stats.cgroup, *decision, ctx);
+  push_limit(stats.cgroup, Resource::kCpu, *decision, ctx);
 }
 
 void Controller::apply_cpu_decision(cluster::ContainerId id, double before,
@@ -701,18 +701,18 @@ void Controller::apply_cpu_decision(cluster::ContainerId id, double before,
     ev.after = cores;
     ctx.cause = obs_->record(ev);
   }
-  push_cpu_limit(id, cores, ctx);
+  push_limit(id, Resource::kCpu, cores, ctx);
 }
 
-void Controller::push_cpu_limit(cluster::ContainerId id, double cores,
-                                LoopCtx ctx) {
+void Controller::push_limit(cluster::ContainerId id, Resource resource,
+                            double value, LoopCtx ctx) {
   if (crashed_) return;
   const std::uint32_t slot = index_.find(id);
   if (slot == ContainerIndex::kInvalid) return;
   Entry& entry = registry_[slot];
   ++limit_updates_;
-  const std::uint64_t key = update_key(id, Resource::kCpu);
-  const std::size_t idx = static_cast<std::size_t>(slot) * 3;
+  const std::size_t idx = static_cast<std::size_t>(slot) * kResources +
+                          static_cast<std::size_t>(resource);
   Pending& p = pending_[idx];
   if (pending_open_[idx] == 0) {
     p = Pending{};  // closed row may hold a prior tenant's stale fields
@@ -722,8 +722,8 @@ void Controller::push_cpu_limit(cluster::ContainerId id, double cores,
     sim_.cancel(p.timer);  // superseded: newest wins
   }
   p.seq = next_seq();
-  p.resource = Resource::kCpu;
-  p.cores = cores;
+  p.resource = resource;
+  p.value = value;
   p.attempts = 0;
   p.backoff = config_.rpc_retry_timeout;
   p.ctx = ctx;
@@ -735,8 +735,8 @@ void Controller::push_cpu_limit(cluster::ContainerId id, double cores,
     ev.kind = obs::EventKind::kRpcIssued;
     ev.container = id;
     ev.node = node_tag(entry);
-    ev.before = 0.0;  // resource flag: 0 = CPU
-    ev.after = cores;
+    ev.before = static_cast<double>(resource);  // resource flag
+    ev.after = value;
     ev.cause = ctx.cause;
     // Logical (unbatched-equivalent) RPC size; the batched path's actual
     // wire accounting lands in the net.* counters and controller.batched_*.
@@ -744,115 +744,19 @@ void Controller::push_cpu_limit(cluster::ContainerId id, double cores,
     p.rpc_event = obs_->record(ev);
   }
   {
+    using Kind = ReplicationEvent::Kind;
     ReplicationEvent rev;
-    rev.kind = ReplicationEvent::Kind::kCpuSlot;
+    rev.kind = resource == Resource::kCpu   ? Kind::kCpuSlot
+               : resource == Resource::kMem ? Kind::kMemSlot
+                                            : Kind::kBwSlot;
     rev.container = id;
     rev.node = entry.agent->node().id();
     rev.seq = p.seq;
-    rev.cores = cores;
+    rev.resource = resource;
+    rev.set_slot_value(value);
     emit_repl(rev);
   }
-  dispatch_update(key, entry.agent->node().id());
-}
-
-void Controller::push_mem_limit(cluster::ContainerId id, memcg::Bytes limit,
-                                LoopCtx ctx) {
-  if (crashed_) return;
-  const std::uint32_t slot = index_.find(id);
-  if (slot == ContainerIndex::kInvalid) return;
-  Entry& entry = registry_[slot];
-  ++limit_updates_;
-  const std::uint64_t key = update_key(id, Resource::kMem);
-  const std::size_t idx = static_cast<std::size_t>(slot) * 3 + 1;
-  Pending& p = pending_[idx];
-  if (pending_open_[idx] == 0) {
-    p = Pending{};
-    pending_open_[idx] = 1;
-    ++open_pending_;
-  } else if (p.timer.valid()) {
-    sim_.cancel(p.timer);
-  }
-  p.seq = next_seq();
-  p.resource = Resource::kMem;
-  p.mem = limit;
-  p.attempts = 0;
-  p.backoff = config_.rpc_retry_timeout;
-  p.ctx = ctx;
-  p.rpc_event = 0;
-  if (obs_ != nullptr) {
-    obs_->h.rpcs_issued->inc();
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kRpcIssued;
-    ev.container = id;
-    ev.node = node_tag(entry);
-    ev.before = 1.0;  // resource flag: 1 = memory
-    ev.after = static_cast<double>(limit);
-    ev.cause = ctx.cause;
-    ev.detail = static_cast<std::int64_t>(kLimitUpdateRpcBytes);
-    p.rpc_event = obs_->record(ev);
-  }
-  {
-    ReplicationEvent rev;
-    rev.kind = ReplicationEvent::Kind::kMemSlot;
-    rev.container = id;
-    rev.node = entry.agent->node().id();
-    rev.seq = p.seq;
-    rev.is_mem = true;
-    rev.mem = limit;
-    emit_repl(rev);
-  }
-  dispatch_update(key, entry.agent->node().id());
-}
-
-void Controller::push_bw_limit(cluster::ContainerId id, double rate_bps,
-                               LoopCtx ctx) {
-  if (crashed_) return;
-  const std::uint32_t slot = index_.find(id);
-  if (slot == ContainerIndex::kInvalid) return;
-  Entry& entry = registry_[slot];
-  ++limit_updates_;
-  const std::uint64_t key = update_key(id, Resource::kBw);
-  const std::size_t idx = static_cast<std::size_t>(slot) * 3 + 2;
-  Pending& p = pending_[idx];
-  if (pending_open_[idx] == 0) {
-    p = Pending{};
-    pending_open_[idx] = 1;
-    ++open_pending_;
-  } else if (p.timer.valid()) {
-    sim_.cancel(p.timer);
-  }
-  p.seq = next_seq();
-  p.resource = Resource::kBw;
-  p.bw_bps = rate_bps;
-  p.attempts = 0;
-  p.backoff = config_.rpc_retry_timeout;
-  p.ctx = ctx;
-  p.rpc_event = 0;
-  if (obs_ != nullptr) {
-    obs_->h.rpcs_issued->inc();
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kRpcIssued;
-    ev.container = id;
-    ev.node = node_tag(entry);
-    ev.before = 2.0;  // resource flag: 2 = bandwidth
-    ev.after = rate_bps;
-    ev.cause = ctx.cause;
-    ev.detail = static_cast<std::int64_t>(kLimitUpdateRpcBytes);
-    p.rpc_event = obs_->record(ev);
-  }
-  {
-    ReplicationEvent rev;
-    rev.kind = ReplicationEvent::Kind::kBwSlot;
-    rev.container = id;
-    rev.node = entry.agent->node().id();
-    rev.seq = p.seq;
-    rev.resource = Resource::kBw;
-    rev.bw_bps = rate_bps;
-    emit_repl(rev);
-  }
-  dispatch_update(key, entry.agent->node().id());
+  dispatch_update(update_key(id, resource), entry.agent->node().id());
 }
 
 void Controller::dispatch_update(std::uint64_t key, cluster::NodeId node) {
@@ -886,21 +790,6 @@ void Controller::flush_node_batch(cluster::NodeId node) {
   batch.keys.clear();
   if (crashed_ || keys.empty()) return;
 
-  // Snapshot of one batch entry, fixed at flush time (exactly what legacy
-  // send_pending captures per RPC). A slot superseded after the flush keeps
-  // its own newer state; the in-flight entry acks or times out on this seq.
-  struct WireEntry {
-    std::uint64_t key = 0;
-    cluster::ContainerId id = 0;
-    std::uint64_t seq = 0;
-    Resource resource = Resource::kCpu;
-    double cores = 0.0;
-    memcg::Bytes mem = 0;
-    double bw_bps = 0.0;
-    obs::EventId rpc_event = 0;
-    LoopCtx ctx;
-    std::uint32_t node_tag = 0;
-  };
   std::vector<WireEntry> entries;
   entries.reserve(keys.size());
   Agent* agent = nullptr;
@@ -921,18 +810,9 @@ void Controller::flush_node_batch(cluster::NodeId node) {
     }
     p->queued = false;
     agent = entry->agent;
-    WireEntry w;
-    w.key = key;
-    w.id = static_cast<cluster::ContainerId>(key >> 2);
-    w.seq = p->seq;
-    w.resource = p->resource;
-    w.cores = p->cores;
-    w.mem = p->mem;
-    w.bw_bps = p->bw_bps;
-    w.rpc_event = p->rpc_event;
-    w.ctx = p->ctx;
-    w.node_tag = node_tag(*entry);
-    entries.push_back(w);
+    entries.push_back({key, static_cast<cluster::ContainerId>(key >> 2),
+                       p->seq, p->resource, p->value, p->rpc_event, p->ctx,
+                       node_tag(*entry)});
   }
   if (entries.empty() || agent == nullptr) return;
 
@@ -958,51 +838,10 @@ void Controller::flush_node_batch(cluster::NodeId node) {
       // entry landed there is no response at all.
       [this, agent, entries, acks]() -> bool {
         acks->clear();
-        bool any = false;
         for (const WireEntry& w : entries) {
-          Agent::Apply result = Agent::Apply::kRejected;
-          double applied_value = 0.0;
-          switch (w.resource) {
-            case Resource::kCpu:
-              result = agent->apply_cpu_limit(w.id, w.cores, w.seq);
-              applied_value = w.cores;
-              break;
-            case Resource::kMem:
-              result = agent->apply_mem_limit(w.id, w.mem, w.seq);
-              applied_value = static_cast<double>(w.mem);
-              break;
-            case Resource::kBw:
-              result = agent->apply_bw_limit(w.id, w.bw_bps, w.seq);
-              applied_value = w.bw_bps;
-              break;
-          }
-          if (result == Agent::Apply::kRejected) continue;
-          if (result == Agent::Apply::kFenced) continue;
-          if (!any) {
-            any = true;
-            agent->note_controller_contact();  // delivery renews the lease
-          }
-          acks->emplace_back(w.key, w.seq);
-          if (result == Agent::Apply::kApplied && obs_ != nullptr) {
-            const sim::TimePoint apply = sim_.now();
-            obs_->h.rpcs_applied->inc();
-            obs::TraceEvent ev;
-            ev.time = apply;
-            ev.kind = obs::EventKind::kRpcApplied;
-            ev.container = w.id;
-            ev.node = w.node_tag;
-            ev.before = static_cast<double>(w.resource);
-            ev.after = applied_value;
-            ev.cause = w.rpc_event;
-            ev.detail = static_cast<std::int64_t>(w.seq);
-            obs_->record(ev);
-            if (w.ctx.profile) {
-              obs_->profiler().record_loop(w.ctx.fire, w.ctx.ingest,
-                                           w.ctx.decide, apply);
-            }
-          }
+          if (apply_at_agent(*agent, w)) acks->emplace_back(w.key, w.seq);
         }
-        return any;
+        return !acks->empty();
       },
       // Response: per-entry acks. Unacked entries stay pending and
       // retransmit individually — partial-batch loss never re-sends what
@@ -1022,21 +861,15 @@ void Controller::flush_node_batch(cluster::NodeId node) {
 }
 
 void Controller::send_pending(std::uint64_t key) {
-  Pending* pp = find_pending(key);
-  if (pp == nullptr) return;
-  Pending& p = *pp;
+  Pending* p = find_pending(key);
+  if (p == nullptr) return;
   const auto id = static_cast<cluster::ContainerId>(key >> 2);
   Entry* entry = find_entry(id);
   Agent* agent = entry->agent;
   const cluster::NodeId node_id = agent->node().id();
-  const std::uint32_t node = node_tag(*entry);
-  const std::uint64_t seq = p.seq;
-  const Resource resource = p.resource;
-  const double cores = p.cores;
-  const memcg::Bytes mem = p.mem;
-  const double bw_bps = p.bw_bps;
-  const obs::EventId rpc_event = p.rpc_event;
-  const LoopCtx ctx = p.ctx;
+  const std::uint64_t seq = p->seq;
+  const WireEntry w{key,          id,     seq, p->resource, p->value,
+                    p->rpc_event, p->ctx, node_tag(*entry)};
 
   net_.rpc_to(
       net::kControllerEndpoint, ep(node_id), kLimitUpdateRpcBytes,
@@ -1044,58 +877,45 @@ void Controller::send_pending(std::uint64_t key) {
       // Request delivered at the Agent. Returning false (crashed agent)
       // kills the response leg: the Controller's timeout takes it from
       // there.
-      [this, agent, id, seq, resource, cores, mem, bw_bps, rpc_event, ctx,
-       node]() -> bool {
-        Agent::Apply result = Agent::Apply::kRejected;
-        double applied_value = 0.0;
-        switch (resource) {
-          case Resource::kCpu:
-            result = agent->apply_cpu_limit(id, cores, seq);
-            applied_value = cores;
-            break;
-          case Resource::kMem:
-            result = agent->apply_mem_limit(id, mem, seq);
-            applied_value = static_cast<double>(mem);
-            break;
-          case Resource::kBw:
-            result = agent->apply_bw_limit(id, bw_bps, seq);
-            applied_value = bw_bps;
-            break;
-        }
-        if (result == Agent::Apply::kRejected) return false;
-        // A fenced update means this epoch has been deposed: the Agent will
-        // not act on it and must not treat it as live-controller contact —
-        // no ack, the slot dies with the old epoch.
-        if (result == Agent::Apply::kFenced) return false;
-        agent->note_controller_contact();  // a delivered RPC renews the lease
-        if (result == Agent::Apply::kApplied && obs_ != nullptr) {
-          const sim::TimePoint apply = sim_.now();
-          obs_->h.rpcs_applied->inc();
-          obs::TraceEvent ev;
-          ev.time = apply;
-          ev.kind = obs::EventKind::kRpcApplied;
-          ev.container = id;
-          ev.node = node;
-          ev.before = static_cast<double>(resource);
-          ev.after = applied_value;
-          ev.cause = rpc_event;  // the original issue, across retransmits
-          // The applied sequence (epoch in the high 16 bits): the invariant
-          // checker derives the no-split-brain rule — per-(container,
-          // resource) applied sequences strictly increase — from this.
-          ev.detail = static_cast<std::int64_t>(seq);
-          obs_->record(ev);
-          if (ctx.profile) {
-            obs_->profiler().record_loop(ctx.fire, ctx.ingest, ctx.decide,
-                                         apply);
-          }
-        }
-        return true;  // ack (duplicate deliveries ack too: idempotent)
-      },
+      [this, agent, w]() -> bool { return apply_at_agent(*agent, w); },
       // Response (ack) back at the Controller.
       [this, key, seq, node_id] { on_update_ack(key, seq, node_id); });
 
-  p.timer = sim_.schedule_after(
-      p.backoff, [this, key, seq] { on_update_timeout(key, seq); });
+  p->timer = sim_.schedule_after(
+      p->backoff, [this, key, seq] { on_update_timeout(key, seq); });
+}
+
+bool Controller::apply_at_agent(Agent& agent, const WireEntry& w) {
+  const Agent::Apply result =
+      agent.apply_limit(w.id, w.resource, w.value, w.seq);
+  if (result == Agent::Apply::kRejected) return false;
+  // A fenced update means this epoch has been deposed: the Agent will not
+  // act on it and must not treat it as live-controller contact — no ack,
+  // the slot dies with the old epoch.
+  if (result == Agent::Apply::kFenced) return false;
+  agent.note_controller_contact();  // a delivered update renews the lease
+  if (result == Agent::Apply::kApplied && obs_ != nullptr) {
+    const sim::TimePoint apply = sim_.now();
+    obs_->h.rpcs_applied->inc();
+    obs::TraceEvent ev;
+    ev.time = apply;
+    ev.kind = obs::EventKind::kRpcApplied;
+    ev.container = w.id;
+    ev.node = w.node_tag;
+    ev.before = static_cast<double>(w.resource);
+    ev.after = w.value;
+    ev.cause = w.rpc_event;  // the original issue, across retransmits
+    // The applied sequence (epoch in the high 16 bits): the invariant
+    // checker derives the no-split-brain rule — per-(container, resource)
+    // applied sequences strictly increase — from this.
+    ev.detail = static_cast<std::int64_t>(w.seq);
+    obs_->record(ev);
+    if (w.ctx.profile) {
+      obs_->profiler().record_loop(w.ctx.fire, w.ctx.ingest, w.ctx.decide,
+                                   apply);
+    }
+  }
+  return true;  // ack (duplicate deliveries ack too: idempotent)
 }
 
 void Controller::on_update_ack(std::uint64_t key, std::uint64_t seq,
@@ -1113,12 +933,11 @@ void Controller::on_update_ack(std::uint64_t key, std::uint64_t seq,
     rev.node = node;
     rev.seq = seq;
     rev.resource = p->resource;
-    rev.is_mem = p->resource == Resource::kMem;
     emit_repl(rev);
   }
   const std::uint32_t slot =
       index_.find(static_cast<cluster::ContainerId>(key >> 2));
-  pending_open_[static_cast<std::size_t>(slot) * 3 + (key & 3)] = 0;
+  pending_open_[static_cast<std::size_t>(slot) * kResources + (key & 3)] = 0;
   --open_pending_;
 }
 
@@ -1139,17 +958,7 @@ void Controller::on_update_timeout(std::uint64_t key, std::uint64_t seq) {
     const Entry* rit = find_entry(id);
     ev.node = rit != nullptr ? node_tag(*rit) : 0;
     ev.before = static_cast<double>(p.resource);
-    switch (p.resource) {
-      case Resource::kCpu:
-        ev.after = p.cores;
-        break;
-      case Resource::kMem:
-        ev.after = static_cast<double>(p.mem);
-        break;
-      case Resource::kBw:
-        ev.after = p.bw_bps;
-        break;
-    }
+    ev.after = p.value;
     ev.cause = p.rpc_event;
     ev.detail = p.attempts;
     obs_->record(ev);
@@ -1166,8 +975,8 @@ void Controller::on_update_timeout(std::uint64_t key, std::uint64_t seq) {
 void Controller::cancel_pending_for(cluster::ContainerId id) {
   const std::uint32_t slot = index_.find(id);
   if (slot == ContainerIndex::kInvalid) return;
-  for (int r = 0; r < 3; ++r) {
-    const std::size_t idx = static_cast<std::size_t>(slot) * 3 + r;
+  for (std::size_t r = 0; r < kResources; ++r) {
+    const std::size_t idx = static_cast<std::size_t>(slot) * kResources + r;
     if (pending_open_[idx] == 0) continue;
     sim_.cancel(pending_[idx].timer);
     pending_open_[idx] = 0;
@@ -1337,16 +1146,12 @@ void Controller::apply_resync(cluster::NodeId node, Agent& agent,
     // Corrective update where the node diverges from the intent. Memory
     // is left to the periodic reclamation loop (shrinking a memory limit
     // below live usage would manufacture OOMs).
+    LoopCtx ctx;
+    ctx.cause = resync_ev;
     if (std::abs(want_cores - s.cpu_cores) > eps) {
-      LoopCtx ctx;
-      ctx.cause = resync_ev;
-      push_cpu_limit(s.id, want_cores, ctx);
+      push_limit(s.id, Resource::kCpu, want_cores, ctx);
     }
-    if (push_bw) {
-      LoopCtx ctx;
-      ctx.cause = resync_ev;
-      push_bw_limit(s.id, want_bw, ctx);
-    }
+    if (push_bw) push_limit(s.id, Resource::kBw, want_bw, ctx);
   }
 }
 
@@ -1451,7 +1256,8 @@ bool Controller::handle_oom(cluster::Container& container, memcg::Bytes charge,
   // once, never doubled by the replay.
   LoopCtx ctx;
   ctx.cause = grant_ev;
-  push_mem_limit(container.id(), decision.new_limit, ctx);
+  push_limit(container.id(), Resource::kMem,
+             static_cast<double>(decision.new_limit), ctx);
 
   // Karma coupling for memory: an OOM grant that lifts the member above its
   // fair share of the global memory limit spends the same credit currency
@@ -1524,19 +1330,11 @@ std::vector<Controller::TakeoverSlot> Controller::pending_slots() const {
   std::vector<TakeoverSlot> out;
   out.reserve(open_pending_);
   index_.for_each([&](std::uint32_t slot, cluster::ContainerId id) {
-    for (int r = 0; r < 3; ++r) {
-      const std::size_t idx = static_cast<std::size_t>(slot) * 3 + r;
+    for (std::size_t r = 0; r < kResources; ++r) {
+      const std::size_t idx = static_cast<std::size_t>(slot) * kResources + r;
       if (pending_open_[idx] == 0) continue;
       const Pending& p = pending_[idx];
-      TakeoverSlot s;
-      s.id = id;
-      s.resource = p.resource;
-      s.is_mem = p.resource == Resource::kMem;
-      s.cores = p.cores;
-      s.mem = p.mem;
-      s.bw_bps = p.bw_bps;
-      s.seq = p.seq;
-      out.push_back(s);
+      out.push_back(TakeoverSlot{id, p.resource, p.value, p.seq});
     }
   });
   std::sort(out.begin(), out.end(),
@@ -1624,23 +1422,13 @@ void Controller::takeover(std::uint64_t epoch,
   // unacked RPCs left divergent, and their acks close the slots normally.
   std::vector<cluster::ContainerId> cpu_slotted;
   std::vector<cluster::ContainerId> bw_slotted;
+  LoopCtx ctx;
+  ctx.cause = cause;
   for (const TakeoverSlot& s : slots) {
     if (!index_.contains(s.id)) continue;
-    LoopCtx ctx;
-    ctx.cause = cause;
-    switch (s.resource) {
-      case Resource::kCpu:
-        cpu_slotted.push_back(s.id);
-        push_cpu_limit(s.id, s.cores, ctx);
-        break;
-      case Resource::kMem:
-        push_mem_limit(s.id, s.mem, ctx);
-        break;
-      case Resource::kBw:
-        bw_slotted.push_back(s.id);
-        push_bw_limit(s.id, s.bw_bps, ctx);
-        break;
-    }
+    if (s.resource == Resource::kCpu) cpu_slotted.push_back(s.id);
+    if (s.resource == Resource::kBw) bw_slotted.push_back(s.id);
+    push_limit(s.id, s.resource, s.value, ctx);
   }
 
   // A node's applied limit may sit above the book this seat just rebuilt:
@@ -1659,9 +1447,7 @@ void Controller::takeover(std::uint64_t epoch,
   std::sort(registered_ids.begin(), registered_ids.end());
   for (const cluster::ContainerId id : registered_ids) {
     if (!std::binary_search(cpu_slotted.begin(), cpu_slotted.end(), id)) {
-      LoopCtx ctx;
-      ctx.cause = cause;
-      push_cpu_limit(id, allocator_.app().member_cores(id), ctx);
+      push_limit(id, Resource::kCpu, allocator_.app().member_cores(id), ctx);
     }
     // Same convergence sweep for bandwidth: a bandwidth slot lost in the
     // WAL tail would otherwise leave the node's applied rate divergent
@@ -1674,9 +1460,7 @@ void Controller::takeover(std::uint64_t epoch,
           bw_shaper_->node_of(id) != bw::ClusterShaper::kNoNode;
       const double applied = attached ? bw_shaper_->container_rate(id) : 0.0;
       if (book > 0.0 || applied > 0.0) {
-        LoopCtx ctx;
-        ctx.cause = cause;
-        push_bw_limit(id, book, ctx);
+        push_limit(id, Resource::kBw, book, ctx);
       }
     }
   }
@@ -2100,7 +1884,7 @@ void Controller::raise_to_rt_floor(cluster::ContainerId id, double floor) {
     ev.after = applied;
     ctx.cause = obs_->record(ev);
   }
-  push_cpu_limit(id, applied, ctx);
+  push_limit(id, Resource::kCpu, applied, ctx);
 }
 
 void Controller::shed_best_effort(double need) {
@@ -2147,7 +1931,7 @@ void Controller::shed_best_effort(double need) {
         ev.after = applied;
         ctx.cause = obs_->record(ev);
       }
-      push_cpu_limit(id, applied, ctx);
+      push_limit(id, Resource::kCpu, applied, ctx);
     }
   }
 }
@@ -2270,7 +2054,7 @@ void Controller::settle_credits() {
             ev.detail = streak;
             ctx.cause = obs_->record(ev);
           }
-          push_cpu_limit(id, applied, ctx);
+          push_limit(id, Resource::kCpu, applied, ctx);
         }
       }
     } else {

@@ -86,7 +86,8 @@ class Controller {
   // a sequence-numbered WAL shipped to the standbys; core stays ignorant of
   // the transport.
   struct ReplicationEvent {
-    enum class Kind {
+    enum class Kind : std::uint8_t {
+      kEpochStart,  // new leadership epoch (written by src/ha, not by core)
       kRegister,    // container joined: committed cores/mem/bw
       kDeregister,  // container left (deregistered or quarantine-reclaimed)
       kCpuSlot,     // desired-state CPU slot opened/superseded (seq, cores)
@@ -102,14 +103,36 @@ class Controller {
     cluster::ContainerId container = 0;
     cluster::NodeId node = 0;
     std::uint64_t seq = 0;  // slot sequence number (k*Slot/kAckSlot)
-    // Resource of the slot being acked (kAckSlot). `is_mem` predates the
-    // three-resource slot space and stays in sync with `resource` for
-    // CPU/memory consumers.
-    bool is_mem = false;
-    Resource resource = Resource::kCpu;
+    Resource resource = Resource::kCpu;  // slot resource (k*Slot/kAckSlot)
     double cores = 0.0;
     memcg::Bytes mem = 0;
     double bw_bps = 0.0;                  // kRegister / kBwSlot
+    // A slot record keeps its value in its resource's own field (cores, mem
+    // or bw_bps), so every record kind shares one layout.
+    double slot_value() const {
+      switch (resource) {
+        case Resource::kCpu:
+          return cores;
+        case Resource::kMem:
+          return static_cast<double>(mem);
+        case Resource::kBw:
+          return bw_bps;
+      }
+      return 0.0;
+    }
+    void set_slot_value(double value) {
+      switch (resource) {
+        case Resource::kCpu:
+          cores = value;
+          break;
+        case Resource::kMem:
+          mem = static_cast<memcg::Bytes>(value);
+          break;
+        case Resource::kBw:
+          bw_bps = value;
+          break;
+      }
+    }
     std::uint64_t agent_incarnation = 0;  // kNodeHealth
     bool node_dead = false;               // kNodeHealth
     // kCredit: the account's absolute balance plus the ledger's running
@@ -159,11 +182,8 @@ class Controller {
   };
   struct TakeoverSlot {
     cluster::ContainerId id = 0;
-    bool is_mem = false;  // kept in sync with `resource` for CPU/memory
     Resource resource = Resource::kCpu;
-    double cores = 0.0;
-    memcg::Bytes mem = 0;
-    double bw_bps = 0.0;
+    double value = 0.0;  // cores, bytes or bytes/s, per `resource`
     // The slot's current sequence number. Informational for takeover()
     // (replay always stamps fresh new-epoch sequences); used by src/ha to
     // seed its book and to model a deposed leader's in-flight retransmits.
@@ -364,15 +384,26 @@ class Controller {
   struct Pending {
     std::uint64_t seq = 0;
     Resource resource = Resource::kCpu;
-    double cores = 0.0;
-    memcg::Bytes mem = 0;
-    double bw_bps = 0.0;
+    double value = 0.0;  // cores, bytes or bytes/s, per `resource`
     int attempts = 0;
     sim::Duration backoff = 0;
     sim::EventHandle timer;
     obs::EventId rpc_event = 0;  // original kRpcIssued (causal anchor)
     LoopCtx ctx;
     bool queued = false;  // sitting in a NodeBatch awaiting flush
+  };
+  // One limit update on the wire, fixed when its RPC is sent: a slot
+  // superseded afterwards keeps its own newer state, and the in-flight entry
+  // acks or times out on this seq.
+  struct WireEntry {
+    std::uint64_t key = 0;
+    cluster::ContainerId id = 0;
+    std::uint64_t seq = 0;
+    Resource resource = Resource::kCpu;
+    double value = 0.0;
+    obs::EventId rpc_event = 0;
+    LoopCtx ctx;
+    std::uint32_t node_tag = 0;
   };
   // Per-node coalescing buffer (config_.batch_limit_updates): every limit
   // push within one tick bound for the same node rides a single batched RPC
@@ -404,10 +435,11 @@ class Controller {
                      double rt_bw = 0.0);
   void ingest_cpu_stats(const CpuStatsMsg& stats, obs::EventId cause,
                         sim::TimePoint fire_time);
-  void push_cpu_limit(cluster::ContainerId id, double cores, LoopCtx ctx);
-  void push_mem_limit(cluster::ContainerId id, memcg::Bytes limit,
-                      LoopCtx ctx);
-  void push_bw_limit(cluster::ContainerId id, double rate_bps, LoopCtx ctx);
+  // Opens (or supersedes) the container's desired-state slot for `resource`
+  // with `value`: fresh sequence, kRpcIssued trace, slot replication, and
+  // dispatch to the wire.
+  void push_limit(cluster::ContainerId id, Resource resource, double value,
+                  LoopCtx ctx);
   void ingest_bw_stats(const bw::BwSample& sample);
   // NIC headroom left on a node for one container's rate: nic_bps minus
   // every *other* attached container's rate, counting for each the larger
@@ -498,7 +530,8 @@ class Controller {
     const std::uint32_t slot =
         index_.find(static_cast<cluster::ContainerId>(key >> 2));
     if (slot == ContainerIndex::kInvalid) return nullptr;
-    const std::size_t idx = static_cast<std::size_t>(slot) * 3 + (key & 3);
+    const std::size_t idx =
+        static_cast<std::size_t>(slot) * kResources + (key & 3);
     return pending_open_[idx] != 0 ? &pending_[idx] : nullptr;
   }
   // Routes an opened slot to the wire: directly (legacy one-RPC-per-update)
@@ -506,6 +539,10 @@ class Controller {
   void dispatch_update(std::uint64_t key, cluster::NodeId node);
   void flush_node_batch(cluster::NodeId node);
   void send_pending(std::uint64_t key);
+  // The request leg of both wire paths, run at the Agent for one entry: the
+  // sequenced apply, lease renewal, the kRpcApplied trace and the loop
+  // profile. Returns whether the entry earns an ack.
+  bool apply_at_agent(Agent& agent, const WireEntry& w);
   void on_update_timeout(std::uint64_t key, std::uint64_t seq);
   void on_update_ack(std::uint64_t key, std::uint64_t seq,
                      cluster::NodeId node);

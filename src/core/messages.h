@@ -25,6 +25,9 @@ enum class Resource : std::uint8_t {
   kMem = 1,
   kBw = 2,
 };
+// Number of Resource values: per-container slot rows are indexed
+// `slot * kResources + resource`.
+inline constexpr std::size_t kResources = 3;
 
 // UDP telemetry datagram: 14B eth + 20B IP + 8B UDP + payload
 // (4B cgroup tag, 8B quota, 8B unused runtime, 1B flags, padding).

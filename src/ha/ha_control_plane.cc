@@ -43,7 +43,7 @@ HaControlPlane::HaControlPlane(core::EscraSystem& escra, net::Network& net,
   }
   for (const auto& s : controller.pending_slots()) {
     book_.slots[ReplicaState::slot_key(s.id, s.resource)] =
-        ReplicaState::SlotState{s.seq, s.cores, s.mem, s.bw_bps};
+        ReplicaState::SlotState{s.seq, s.resource, s.value};
   }
 
   // Log origin: the current epoch's start. Standbys never replay across
@@ -118,60 +118,7 @@ int HaControlPlane::rank_of(const Standby& standby) const {
 
 void HaControlPlane::on_repl_event(
     const core::Controller::ReplicationEvent& ev) {
-  using Kind = core::Controller::ReplicationEvent::Kind;
-  WalRecord r;
-  switch (ev.kind) {
-    case Kind::kRegister:
-      r.kind = WalKind::kRegister;
-      break;
-    case Kind::kDeregister:
-      r.kind = WalKind::kDeregister;
-      break;
-    case Kind::kCpuSlot:
-      r.kind = WalKind::kCpuSlot;
-      break;
-    case Kind::kMemSlot:
-      r.kind = WalKind::kMemSlot;
-      break;
-    case Kind::kAckSlot:
-      r.kind = WalKind::kAckSlot;
-      break;
-    case Kind::kMemShadow:
-      r.kind = WalKind::kMemShadow;
-      break;
-    case Kind::kNodeHealth:
-      r.kind = WalKind::kNodeHealth;
-      break;
-    case Kind::kBwSlot:
-      r.kind = WalKind::kBwSlot;
-      break;
-    case Kind::kCredit:
-      r.kind = WalKind::kCredit;
-      break;
-    case Kind::kRt:
-      r.kind = WalKind::kRt;
-      break;
-  }
-  r.epoch = escra_.controller().epoch();
-  r.container = ev.container;
-  r.node = ev.node;
-  r.seq = ev.seq;
-  r.is_mem = ev.is_mem;
-  r.resource = ev.resource;
-  r.cores = ev.cores;
-  r.mem = ev.mem;
-  r.bw_bps = ev.bw_bps;
-  r.agent_incarnation = ev.agent_incarnation;
-  r.node_dead = ev.node_dead;
-  r.credit_micro = ev.credit_micro;
-  r.credit_minted = ev.credit_minted;
-  r.credit_burned = ev.credit_burned;
-  r.credit_removed = ev.credit_removed;
-  r.rt_runtime = ev.rt_runtime;
-  r.rt_deadline = ev.rt_deadline;
-  r.rt_period = ev.rt_period;
-  r.rt_removed = ev.rt_removed;
-  append_and_stream(r);
+  append_and_stream(WalRecord{ev, escra_.controller().epoch()});
 }
 
 void HaControlPlane::append_and_stream(WalRecord record) {
@@ -469,15 +416,9 @@ void HaControlPlane::promote(Standby& standby) {
   std::vector<core::Controller::TakeoverSlot> slots;
   slots.reserve(s.replica.slots.size());
   for (const auto& [key, sl] : s.replica.slots) {
-    core::Controller::TakeoverSlot slot;
-    slot.id = static_cast<cluster::ContainerId>(key / 4);
-    slot.resource = static_cast<core::Resource>(key % 4);
-    slot.is_mem = slot.resource == core::Resource::kMem;
-    slot.cores = sl.cores;
-    slot.mem = sl.mem;
-    slot.bw_bps = sl.bw_bps;
-    slot.seq = sl.seq;
-    slots.push_back(slot);
+    slots.push_back(core::Controller::TakeoverSlot{
+        static_cast<cluster::ContainerId>(key / 4), sl.resource, sl.value,
+        sl.seq});
   }
   std::vector<core::Controller::TakeoverNode> nodes;
   nodes.reserve(s.replica.nodes.size());
@@ -525,17 +466,11 @@ void HaControlPlane::spawn_ghost() {
   ghost->abdicate_at = sim_.now() + config_.ghost_abdicate;
   ghost->slots.reserve(book_.slots.size());
   for (const auto& [key, sl] : book_.slots) {
-    GhostSlot g;
-    g.id = static_cast<cluster::ContainerId>(key / 4);
-    g.resource = static_cast<core::Resource>(key % 4);
-    g.cores = sl.cores;
-    g.mem = sl.mem;
-    g.bw_bps = sl.bw_bps;
-    g.seq = sl.seq;
-    const auto it = book_.containers.find(g.id);
+    const auto id = static_cast<cluster::ContainerId>(key / 4);
+    const auto it = book_.containers.find(id);
     if (it == book_.containers.end()) continue;
-    g.node = it->second.node;
-    ghost->slots.push_back(g);
+    ghost->slots.push_back(
+        GhostSlot{id, it->second.node, sl.resource, sl.value, sl.seq});
   }
   Ghost* g = ghost.get();
   ghost->timer =
@@ -561,31 +496,15 @@ void HaControlPlane::ghost_tick(Ghost& ghost) {
   for (const GhostSlot& slot : ghost.slots) {
     core::Agent* agent = controller.agent_at(slot.node);
     if (agent == nullptr || agent->crashed()) continue;
-    const cluster::ContainerId id = slot.id;
-    const core::Resource resource = slot.resource;
-    const double cores = slot.cores;
-    const memcg::Bytes mem = slot.mem;
-    const double bw_bps = slot.bw_bps;
-    const std::uint64_t seq = slot.seq;
     net_.rpc_to(
         net::kControllerEndpoint, node_ep(slot.node),
         core::kLimitUpdateRpcBytes, core::kLimitUpdateRespBytes,
-        [agent, id, resource, cores, mem, bw_bps, seq]() -> bool {
+        [agent, slot]() -> bool {
           // The ghost re-sends with its *original* old-epoch sequences:
           // before the fence lands these are stale duplicates at worst
           // (idempotent); after it they bounce off Apply::kFenced.
-          core::Agent::Apply result = core::Agent::Apply::kRejected;
-          switch (resource) {
-            case core::Resource::kCpu:
-              result = agent->apply_cpu_limit(id, cores, seq);
-              break;
-            case core::Resource::kMem:
-              result = agent->apply_mem_limit(id, mem, seq);
-              break;
-            case core::Resource::kBw:
-              result = agent->apply_bw_limit(id, bw_bps, seq);
-              break;
-          }
+          const core::Agent::Apply result =
+              agent->apply_limit(slot.id, slot.resource, slot.value, slot.seq);
           return result == core::Agent::Apply::kApplied ||
                  result == core::Agent::Apply::kStale;
         },

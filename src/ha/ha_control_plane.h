@@ -124,9 +124,7 @@ class HaControlPlane {
     cluster::ContainerId id = 0;
     cluster::NodeId node = 0;
     core::Resource resource = core::Resource::kCpu;
-    double cores = 0.0;
-    memcg::Bytes mem = 0;
-    double bw_bps = 0.0;
+    double value = 0.0;  // cores, bytes or bytes/s, per `resource`
     std::uint64_t seq = 0;
   };
   struct Ghost {

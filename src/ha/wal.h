@@ -16,54 +16,19 @@
 
 #include "cluster/container.h"
 #include "cluster/node.h"
+#include "core/controller.h"
 #include "core/messages.h"
 #include "memcg/mem_cgroup.h"
 
 namespace escra::ha {
 
-enum class WalKind : std::uint8_t {
-  kEpochStart,  // new leadership epoch: replica state resets, then rebuilds
-  kRegister,    // container joined: committed cores/mem/bw on a node
-  kDeregister,  // container left (deregistered or quarantine-reclaimed)
-  kCpuSlot,     // desired-state CPU slot opened/superseded (seq, cores)
-  kMemSlot,     // desired-state memory slot opened/superseded (seq, bytes)
-  kAckSlot,     // slot closed by the Agent's ack (seq identifies it)
-  kMemShadow,   // shadow memory limit moved without a slot (reclaim sweep)
-  kNodeHealth,  // node liveness / agent-incarnation transition
-  kBwSlot,      // desired-state bandwidth slot opened/superseded (seq, bw)
-  kCredit,      // credit-ledger account moved (balance + mint/burn totals)
-  kRt,          // RT reservation admitted (absolute image) or revoked
-};
+using WalKind = core::Controller::ReplicationEvent::Kind;
 
-struct WalRecord {
-  WalKind kind = WalKind::kEpochStart;
+// One log record: the Controller's replication event, stamped with the
+// leader epoch that wrote it and its position in the log.
+struct WalRecord : core::Controller::ReplicationEvent {
   std::uint64_t epoch = 0;  // leader epoch that wrote the record
   std::uint64_t index = 0;  // position in the log (assigned by append)
-  cluster::ContainerId container = 0;
-  cluster::NodeId node = 0;
-  std::uint64_t seq = 0;  // slot sequence (k*Slot/kAckSlot)
-  // Resource of the slot being acked (kAckSlot). `is_mem` predates the
-  // three-resource slot space and stays in sync for CPU/memory consumers.
-  bool is_mem = false;
-  core::Resource resource = core::Resource::kCpu;
-  double cores = 0.0;
-  memcg::Bytes mem = 0;
-  double bw_bps = 0.0;                  // kRegister / kBwSlot
-  std::uint64_t agent_incarnation = 0;  // kNodeHealth
-  bool node_dead = false;               // kNodeHealth
-  // kCredit: absolute balance image plus the ledger's running mint/burn
-  // totals as of this record, so a replayed prefix always satisfies the
-  // conservation law (minted == burned + sum of balances) exactly.
-  std::int64_t credit_micro = 0;
-  std::int64_t credit_minted = 0;
-  std::int64_t credit_burned = 0;
-  bool credit_removed = false;  // account closed (balance burned)
-  // kRt: absolute reservation image (`cores` carries the admitted floor,
-  // `bw_bps` the bandwidth reservation alongside the triple).
-  sim::Duration rt_runtime = 0;
-  sim::Duration rt_deadline = 0;
-  sim::Duration rt_period = 0;
-  bool rt_removed = false;  // reservation revoked (kRtEvicted decision)
 };
 
 // The leader's in-memory log. Indices never reset (standby cursors stay
@@ -119,9 +84,8 @@ struct ReplicaState {
   };
   struct SlotState {
     std::uint64_t seq = 0;
-    double cores = 0.0;
-    memcg::Bytes mem = 0;
-    double bw_bps = 0.0;
+    core::Resource resource = core::Resource::kCpu;
+    double value = 0.0;  // cores, bytes or bytes/s, per `resource`
   };
   struct NodeState {
     std::uint64_t agent_incarnation = 0;
@@ -177,25 +141,25 @@ struct ReplicaState {
         slots.erase(slot_key(r.container, core::Resource::kBw));
         rt.erase(r.container);
         break;
-      case WalKind::kCpuSlot: {
-        slots[slot_key(r.container, core::Resource::kCpu)] =
-            SlotState{r.seq, r.cores, 0, 0.0};
-        const auto it = containers.find(r.container);
-        if (it != containers.end()) it->second.cores = r.cores;
-        break;
-      }
-      case WalKind::kMemSlot: {
-        slots[slot_key(r.container, core::Resource::kMem)] =
-            SlotState{r.seq, 0.0, r.mem, 0.0};
-        const auto it = containers.find(r.container);
-        if (it != containers.end()) it->second.mem = r.mem;
-        break;
-      }
+      case WalKind::kCpuSlot:
+      case WalKind::kMemSlot:
       case WalKind::kBwSlot: {
-        slots[slot_key(r.container, core::Resource::kBw)] =
-            SlotState{r.seq, 0.0, 0, r.bw_bps};
+        slots[slot_key(r.container, r.resource)] =
+            SlotState{r.seq, r.resource, r.slot_value()};
+        // The slot's value is the container's new shadow limit.
         const auto it = containers.find(r.container);
-        if (it != containers.end()) it->second.bw_bps = r.bw_bps;
+        if (it == containers.end()) break;
+        switch (r.resource) {
+          case core::Resource::kCpu:
+            it->second.cores = r.cores;
+            break;
+          case core::Resource::kMem:
+            it->second.mem = r.mem;
+            break;
+          case core::Resource::kBw:
+            it->second.bw_bps = r.bw_bps;
+            break;
+        }
         break;
       }
       case WalKind::kAckSlot: {

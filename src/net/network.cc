@@ -48,11 +48,9 @@ void Network::account(Channel channel, EndpointId from, std::size_t bytes) {
   s.bytes += bytes;
   lifetime_bytes_ += bytes;
   ++lifetime_messages_;
-  if (from != kUnroutedEndpoint) {
-    auto& ep = endpoint_slot_ref(from);
-    ++ep.tx_messages;
-    ep.tx_bytes += bytes;
-  }
+  auto& ep = endpoint_slot_ref(from);
+  ++ep.tx_messages;
+  ep.tx_bytes += bytes;
   if (obs_bytes_[static_cast<int>(channel)] != nullptr) {
     obs_bytes_[static_cast<int>(channel)]->inc(bytes);
     obs_messages_[static_cast<int>(channel)]->inc();
@@ -160,8 +158,7 @@ Network::Route Network::route(Channel channel, EndpointId from, EndpointId to,
   const int ch = static_cast<int>(channel);
   // Partition check first: a severed link consumes no fault-rng draws, so a
   // partition window does not perturb the fault schedule elsewhere.
-  if (from != kUnroutedEndpoint && to != kUnroutedEndpoint &&
-      !link_up(from, to)) {
+  if (!link_up(from, to)) {
     count_drop(bytes);
     return r;
   }
@@ -181,11 +178,9 @@ Network::Route Network::route(Channel channel, EndpointId from, EndpointId to,
   // Ingress accounted at the delivery decision, once per message (a
   // duplicate delivery re-runs the callback, not the wire).
   ingress_bytes_ += bytes;
-  if (to != kUnroutedEndpoint) {
-    auto& ep = endpoint_slot_ref(to);
-    ++ep.rx_messages;
-    ep.rx_bytes += bytes;
-  }
+  auto& ep = endpoint_slot_ref(to);
+  ++ep.rx_messages;
+  ep.rx_bytes += bytes;
   if (obs_ingress_bytes_ != nullptr) obs_ingress_bytes_->inc(bytes);
   if (dup_rate_[ch] > 0.0 && fault_rng_.has_value() &&
       fault_rng_->chance(dup_rate_[ch])) {
@@ -200,12 +195,6 @@ Network::Route Network::route(Channel channel, EndpointId from, EndpointId to,
   }
   r.delay += jitter();
   return r;
-}
-
-void Network::send(Channel channel, std::size_t bytes,
-                   std::function<void()> on_deliver) {
-  send_to(channel, kUnroutedEndpoint, kUnroutedEndpoint, bytes,
-          std::move(on_deliver));
 }
 
 void Network::send_to(Channel channel, EndpointId from, EndpointId to,
@@ -252,18 +241,6 @@ void Network::send_flow(Channel channel, EndpointId from, EndpointId to,
     return;  // queued behind the sender's egress bucket
   }
   wire();
-}
-
-void Network::rpc(std::size_t request_bytes, std::size_t response_bytes,
-                  std::function<void()> on_request_delivered,
-                  std::function<void()> on_response_delivered) {
-  rpc_to(
-      kUnroutedEndpoint, kUnroutedEndpoint, request_bytes, response_bytes,
-      [req = std::move(on_request_delivered)]() mutable {
-        req();
-        return true;
-      },
-      std::move(on_response_delivered));
 }
 
 void Network::rpc_to(EndpointId from, EndpointId to, std::size_t request_bytes,

@@ -51,13 +51,11 @@ inline constexpr Channel kAllChannels[kChannelCount] = {
 
 const char* channel_name(Channel c);
 
-// Network endpoints, for addressed (partitionable) traffic. Worker nodes use
-// their zero-based NodeId; the Controller has a reserved address. Traffic
-// sent through the legacy unaddressed `send`/`rpc` entry points never
-// crosses a partition boundary and is only subject to channel-level faults.
+// Network endpoints: every message travels a directed (partitionable) link
+// between two of them. Worker nodes use their zero-based NodeId; the
+// Controller has a reserved address.
 using EndpointId = std::int32_t;
 inline constexpr EndpointId kControllerEndpoint = -1;
-inline constexpr EndpointId kUnroutedEndpoint = -2;
 // Warm-standby controller replicas: standby k (by creation order) answers at
 // kStandbyEndpointBase - k, keeping the whole negative standby range clear of
 // node ids (>= 0) and the reserved addresses above. Sharded control planes
@@ -133,13 +131,10 @@ class Network {
   explicit Network(sim::Simulation& sim) : Network(sim, Config{}) {}
   Network(sim::Simulation& sim, Config config);
 
-  // Sends `bytes` on `channel`; `on_deliver` runs after the channel latency.
-  // Unaddressed: never partitioned (see send_to).
-  void send(Channel channel, std::size_t bytes, std::function<void()> on_deliver);
-
-  // Addressed variant: the message travels the directed link `from -> to`
-  // and is lost (silently, after byte accounting — the NIC transmitted it)
-  // when that link is partitioned or the channel's drop fault fires.
+  // Sends `bytes` on `channel` over the directed link `from -> to`;
+  // `on_deliver` runs after the channel latency. The message is lost
+  // (silently, after byte accounting — the NIC transmitted it) when that
+  // link is partitioned or the channel's drop fault fires.
   void send_to(Channel channel, EndpointId from, EndpointId to,
                std::size_t bytes, std::function<void()> on_deliver);
 
@@ -160,23 +155,17 @@ class Network {
   void set_shaper(Shaper* shaper) { shaper_ = shaper; }
   Shaper* shaper() const { return shaper_; }
 
-  // Models a synchronous Controller->Agent RPC with fixed request/response
-  // sizes. `request_bytes` are accounted at issue time; after the one-way
-  // latency `on_request_delivered` runs at the receiver, then
-  // `response_bytes` are accounted and `on_response_delivered` runs at the
-  // caller after the return leg — a full round trip end to end. Unaddressed:
-  // the round trip is infallible (callers relying on this must not need
-  // partition semantics).
-  void rpc(std::size_t request_bytes, std::size_t response_bytes,
-           std::function<void()> on_request_delivered,
-           std::function<void()> on_response_delivered);
-
-  // Addressed, fallible RPC. Each leg independently traverses the directed
-  // link (`from -> to` for the request, `to -> from` for the response) and
-  // can be lost to a partition or a drop fault — the caller sees silence and
-  // must retransmit. `on_request_delivered` returns false to model a dead
-  // receiver (process gone: no response is ever generated). A duplicated
-  // request leg delivers the request twice, exercising receiver idempotency.
+  // Models a Controller->Agent RPC with fixed request/response sizes.
+  // `request_bytes` are accounted at issue time; after the one-way latency
+  // `on_request_delivered` runs at the receiver, then `response_bytes` are
+  // accounted and `on_response_delivered` runs at the caller after the
+  // return leg — a full round trip end to end. Each leg independently
+  // traverses the directed link (`from -> to` for the request, `to -> from`
+  // for the response) and can be lost to a partition or a drop fault — the
+  // caller sees silence and must retransmit. `on_request_delivered` returns
+  // false to model a dead receiver (process gone: no response is ever
+  // generated). A duplicated request leg delivers the request twice,
+  // exercising receiver idempotency.
   void rpc_to(EndpointId from, EndpointId to, std::size_t request_bytes,
               std::size_t response_bytes,
               std::function<bool()> on_request_delivered,
@@ -194,8 +183,7 @@ class Network {
   std::uint64_t ingress_bytes() const { return ingress_bytes_; }
   std::uint64_t dropped_bytes() const { return dropped_bytes_; }
 
-  // Per-endpoint tx/rx counters for addressed traffic (send_to / rpc_to /
-  // send_flow). Unaddressed sends are aggregate-only.
+  // Per-endpoint tx/rx counters (send_to / rpc_to / send_flow).
   const EndpointStats& endpoint_stats(EndpointId endpoint) const;
 
   // Observability: registers per-channel byte/message counters (plus

@@ -39,8 +39,10 @@ TEST(AgentTest, ApplyLimitsHitCgroupsDirectly) {
   Rig rig;
   cluster::Container& c = rig.make("a", 1.0, 256 * kMiB);
   rig.agent.manage(c);
-  EXPECT_TRUE(rig.agent.apply_cpu_limit(c.id(), 2.5));
-  EXPECT_TRUE(rig.agent.apply_mem_limit(c.id(), 300 * kMiB));
+  EXPECT_EQ(rig.agent.apply_limit(c.id(), Resource::kCpu, 2.5),
+            Agent::Apply::kApplied);
+  EXPECT_EQ(rig.agent.apply_limit(c.id(), Resource::kMem, 300.0 * kMiB),
+            Agent::Apply::kApplied);
   EXPECT_DOUBLE_EQ(c.cpu_cgroup().limit_cores(), 2.5);
   EXPECT_EQ(c.mem_cgroup().limit(), 300 * kMiB);
 }
@@ -48,8 +50,10 @@ TEST(AgentTest, ApplyLimitsHitCgroupsDirectly) {
 TEST(AgentTest, ApplyToUnmanagedFails) {
   Rig rig;
   cluster::Container& c = rig.make("a", 1.0, 256 * kMiB);
-  EXPECT_FALSE(rig.agent.apply_cpu_limit(c.id(), 2.0));
-  EXPECT_FALSE(rig.agent.apply_mem_limit(c.id(), kMiB));
+  EXPECT_EQ(rig.agent.apply_limit(c.id(), Resource::kCpu, 2.0),
+            Agent::Apply::kRejected);
+  EXPECT_EQ(rig.agent.apply_limit(c.id(), Resource::kMem, 1.0 * kMiB),
+            Agent::Apply::kRejected);
 }
 
 TEST(AgentTest, ReclaimShrinksToUsagePlusDelta) {

@@ -17,12 +17,15 @@
 //     back onto the wire.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "bw/shaper.h"
 #include "cluster/cluster.h"
 #include "core/config.h"
 #include "core/controller.h"
@@ -47,6 +50,7 @@ struct SlotModel {
   std::map<std::uint64_t, std::set<std::uint64_t>> offered;
   std::map<std::uint64_t, std::uint64_t> last_applied;
   std::uint64_t issues = 0, applies = 0, retransmits = 0;
+  std::uint64_t issues_by_resource[core::kResources] = {};
   std::vector<std::string> violations;
 
   static std::uint64_t key_of(const obs::TraceEvent& e) {
@@ -76,6 +80,7 @@ struct SlotModel {
     switch (e.kind) {
       case obs::EventKind::kRpcIssued: {
         ++issues;
+        ++issues_by_resource[static_cast<std::size_t>(e.before)];
         const std::uint64_t key = key_of(e);
         const std::uint64_t seq = open_seq(key);
         if (seq == 0) {
@@ -128,14 +133,23 @@ struct SlotModel {
 
 struct RunStats {
   std::uint64_t issues = 0, applies = 0, retransmits = 0;
+  std::uint64_t issues_by_resource[core::kResources] = {};
   std::uint64_t batched = 0, entries = 0, dups = 0;
 };
 
 RunStats run_interleaving(std::uint64_t seed, bool batched) {
+  constexpr double kNicBps = 12.5e6;
   sim::Simulation sim;
   net::Network net(sim);
   cluster::Cluster k8s(sim);
-  for (int n = 0; n < 4; ++n) k8s.add_node({.cores = 8.0});
+  // Bandwidth shaping on, so bandwidth slots share the batches, drops and
+  // retransmits with the CPU slots.
+  bw::ClusterShaper shaper(sim);
+  for (int n = 0; n < 4; ++n) {
+    k8s.add_node({.cores = 8.0, .nic_bps = kNicBps});
+    shaper.add_node(static_cast<cluster::NodeId>(n), kNicBps);
+  }
+  net.set_shaper(&shaper);
 
   std::vector<cluster::Container*> containers;
   for (int i = 0; i < 12; ++i) {
@@ -148,9 +162,11 @@ RunStats run_interleaving(std::uint64_t seed, bool batched) {
 
   core::EscraConfig cfg;
   cfg.batch_limit_updates = batched;
+  cfg.bw_gamma = 1.0e6;  // reclaim at the MB/s scale of this small pool
   core::EscraSystem escra(sim, net, k8s, 24.0, 8 * kGiB, cfg);
   obs::Observer observer;
   escra.attach_observer(observer);
+  escra.enable_bandwidth(shaper, /*global_bw_bps=*/24.0e6);
   escra.manage({containers.begin(), containers.begin() + 8});
   escra.start();
 
@@ -165,7 +181,8 @@ RunStats run_interleaving(std::uint64_t seed, bool batched) {
   net.set_drop_rate(net::Channel::kControlRpc, 0.15);
   net.set_duplicate_rate(net::Channel::kControlRpc, 0.05);
 
-  // Rng-scripted interleaving: oscillating load provokes grants and
+  // Rng-scripted interleaving: oscillating load (CPU work plus attributed
+  // egress above the container's bandwidth share) provokes grants and
   // shrinks every period; the tail containers adopt/release on a churn
   // timer, interleaving register/deregister with in-flight updates.
   sim::Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
@@ -174,9 +191,11 @@ RunStats run_interleaving(std::uint64_t seed, bool batched) {
     sim::Rng stream = rng.fork();
     const int phase = static_cast<int>(i);
     sim::Simulation* simp = &sim;
+    net::Network* netp = &net;
+    const auto from = static_cast<net::EndpointId>(k8s.node_of(c->id())->id());
     sim.schedule_every(
         milliseconds(1 + static_cast<sim::Duration>(i)), milliseconds(25),
-        [c, simp, phase, stream]() mutable {
+        [c, simp, netp, from, phase, stream]() mutable {
           const bool on =
               ((simp->now() / milliseconds(400)) + phase) % 2 == 0;
           if (!on) return;
@@ -184,6 +203,8 @@ RunStats run_interleaving(std::uint64_t seed, bool batched) {
             c->submit(milliseconds(1 + stream.uniform_int(0, 14)),
                       memcg::kMiB, [](bool) {});
           }
+          netp->send_flow(net::Channel::kAppData, from, (from + 1) % 4,
+                          c->id(), 0, 120'000, [] {});
         });
   }
   sim::Rng churn = rng.fork();
@@ -214,6 +235,9 @@ RunStats run_interleaving(std::uint64_t seed, bool batched) {
   stats.issues = model.issues;
   stats.applies = model.applies;
   stats.retransmits = model.retransmits;
+  std::copy(std::begin(model.issues_by_resource),
+            std::end(model.issues_by_resource),
+            std::begin(stats.issues_by_resource));
   stats.batched = observer.h.batched_rpcs->value();
   stats.entries = observer.h.batch_entries->value();
   stats.dups = observer.h.dup_suppressed->value();
@@ -228,6 +252,12 @@ TEST(BatchPropertyTest, RandomInterleavingsHoldSlotInvariantsWhenBatched) {
     EXPECT_GT(s.issues, 100u);
     EXPECT_GT(s.applies, 100u);
     EXPECT_GT(s.retransmits, 0u) << "15% drop must force retransmits";
+    // CPU and bandwidth slots open every period (memory slots only on OOM
+    // grants, which this load does not provoke).
+    for (const core::Resource r : {core::Resource::kCpu, core::Resource::kBw}) {
+      EXPECT_GT(s.issues_by_resource[static_cast<std::size_t>(r)], 0u)
+          << "no slot opened, resource " << static_cast<int>(r);
+    }
     EXPECT_GT(s.batched, 0u);
     EXPECT_GT(s.entries, s.batched)
         << "same-node updates in one tick must coalesce (entries > RPCs)";

@@ -67,9 +67,17 @@ TEST(FaultInjectionTest, LossDropsOnlyTelemetry) {
   net.set_loss(0.5, sim::Rng(2));
   int telemetry = 0, rpc = 0, mem_events = 0;
   for (int i = 0; i < 400; ++i) {
-    net.send(net::Channel::kCpuTelemetry, 64, [&] { ++telemetry; });
-    net.send(net::Channel::kMemoryEvent, 64, [&] { ++mem_events; });
-    net.rpc(64, 64, [&] { ++rpc; }, [] {});
+    net.send_to(net::Channel::kCpuTelemetry, 0, net::kControllerEndpoint, 64,
+                [&] { ++telemetry; });
+    net.send_to(net::Channel::kMemoryEvent, 0, net::kControllerEndpoint, 64,
+                [&] { ++mem_events; });
+    net.rpc_to(
+        net::kControllerEndpoint, 0, 64, 64,
+        [&] {
+          ++rpc;
+          return true;
+        },
+        [] {});
   }
   sim.run_all();
   EXPECT_NEAR(telemetry, 200, 50);

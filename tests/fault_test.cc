@@ -36,29 +36,105 @@ cluster::Container& make_container(cluster::Cluster& k8s,
 // --- Agent: sequenced applies and crash/restart -------------------------
 
 TEST(FaultTest, SequencedApplyIsIdempotent) {
+  using Apply = core::Agent::Apply;
+  using core::Resource;
   sim::Simulation sim;
   cluster::Cluster k8s(sim);
   cluster::Node& node = k8s.add_node({});
   cluster::Container& c = make_container(k8s, "a");
+  bw::ClusterShaper shaper(sim);
+  shaper.add_node(node.id(), 1.0e9);
   core::Agent agent(node);
+  agent.set_bw_shaper(&shaper);
   agent.manage(c);
 
-  EXPECT_EQ(agent.apply_cpu_limit(c.id(), 2.0, 5), core::Agent::Apply::kApplied);
-  EXPECT_DOUBLE_EQ(c.cpu_cgroup().limit_cores(), 2.0);
+  const Resource resources[] = {Resource::kCpu, Resource::kMem,
+                                Resource::kBw};
+  // One step of each resource's own unit, and its applied limit.
+  const auto unit = [](Resource r) {
+    return r == Resource::kCpu   ? 1.0
+           : r == Resource::kMem ? static_cast<double>(128 * kMiB)
+                                 : 1.0e6;
+  };
+  const auto limit = [&](Resource r) {
+    return r == Resource::kCpu   ? c.cpu_cgroup().limit_cores()
+           : r == Resource::kMem ? static_cast<double>(c.mem_cgroup().limit())
+                                 : shaper.container_rate(c.id());
+  };
 
-  // The same sequence again, and an older one: both discarded, limit intact.
-  EXPECT_EQ(agent.apply_cpu_limit(c.id(), 3.0, 5), core::Agent::Apply::kStale);
-  EXPECT_EQ(agent.apply_cpu_limit(c.id(), 3.0, 4), core::Agent::Apply::kStale);
-  EXPECT_DOUBLE_EQ(c.cpu_cgroup().limit_cores(), 2.0);
+  // Sequences are tracked per resource: each one starts fresh at seq 5.
+  for (const Resource r : resources) {
+    SCOPED_TRACE("resource " + std::to_string(static_cast<int>(r)));
+    EXPECT_EQ(agent.apply_limit(c.id(), r, 2 * unit(r), 5), Apply::kApplied);
+    EXPECT_DOUBLE_EQ(limit(r), 2 * unit(r));
+    // The same sequence again, and an older one: both discarded, limit
+    // intact.
+    EXPECT_EQ(agent.apply_limit(c.id(), r, 3 * unit(r), 5), Apply::kStale);
+    EXPECT_EQ(agent.apply_limit(c.id(), r, 3 * unit(r), 4), Apply::kStale);
+    EXPECT_DOUBLE_EQ(limit(r), 2 * unit(r));
+    // A newer sequence supersedes.
+    EXPECT_EQ(agent.apply_limit(c.id(), r, 3 * unit(r), 6), Apply::kApplied);
+    EXPECT_DOUBLE_EQ(limit(r), 3 * unit(r));
+  }
 
-  // A newer sequence supersedes.
-  EXPECT_EQ(agent.apply_cpu_limit(c.id(), 3.0, 6), core::Agent::Apply::kApplied);
-  EXPECT_DOUBLE_EQ(c.cpu_cgroup().limit_cores(), 3.0);
+  // A fenced epoch is discarded even with a sequence that would beat the
+  // stale check; the fencing leader's own epoch applies.
+  agent.fence_epoch(1);
+  for (const Resource r : resources) {
+    SCOPED_TRACE("resource " + std::to_string(static_cast<int>(r)));
+    EXPECT_EQ(agent.apply_limit(c.id(), r, 4 * unit(r), 7), Apply::kFenced);
+    EXPECT_DOUBLE_EQ(limit(r), 3 * unit(r));
+    EXPECT_EQ(agent.apply_limit(c.id(), r, 4 * unit(r),
+                                core::pack_update_seq(1, 1)),
+              Apply::kApplied);
+    EXPECT_DOUBLE_EQ(limit(r), 4 * unit(r));
+  }
 
-  // Sequences are tracked per resource: memory starts fresh.
-  EXPECT_EQ(agent.apply_mem_limit(c.id(), 256 * kMiB, 5),
-            core::Agent::Apply::kApplied);
-  EXPECT_EQ(c.mem_cgroup().limit(), 256 * kMiB);
+  // A crashed Agent rejects everything and the limits fail static.
+  agent.crash();
+  for (const Resource r : resources) {
+    SCOPED_TRACE("resource " + std::to_string(static_cast<int>(r)));
+    EXPECT_EQ(agent.apply_limit(c.id(), r, 5 * unit(r),
+                                core::pack_update_seq(1, 2)),
+              Apply::kRejected);
+    EXPECT_DOUBLE_EQ(limit(r), 4 * unit(r));
+  }
+}
+
+TEST(FaultTest, OddByteMemoryLimitLandsExactlyThroughBatchedPush) {
+  // A desired-state slot carries its limit as one double; memory limits are
+  // integral bytes, exact in a double below 2^53. An odd byte count opened
+  // as a slot (here by takeover replay) must ride the batched wire path and
+  // land byte-exact in the memcg.
+  sim::Simulation sim;
+  net::Network net(sim);
+  cluster::Cluster k8s(sim);
+  cluster::Node& node = k8s.add_node({});
+  core::EscraSystem escra(sim, net, k8s, 16.0, 8 * kGiB);
+  cluster::Container& c = make_container(k8s, "a");
+  escra.manage({&c});
+  escra.start();
+  sim.run_until(milliseconds(500));
+
+  core::Controller& controller = escra.controller();
+  ASSERT_TRUE(escra.config().batch_limit_updates);
+  std::vector<core::Controller::TakeoverContainer> containers =
+      controller.registry_snapshot();
+  for (core::Controller::TakeoverContainer& tc : containers) {
+    tc.container = &c;
+    tc.node = &node;
+  }
+  const auto nodes = controller.health_snapshot();
+  const memcg::Bytes odd = 256 * kGiB + 4097;
+  controller.crash();
+  controller.takeover(
+      controller.epoch() + 1, containers,
+      {core::Controller::TakeoverSlot{c.id(), core::Resource::kMem,
+                                      static_cast<double>(odd), 0}},
+      nodes);
+  sim.run_until(milliseconds(600));
+  EXPECT_EQ(controller.pending_updates(), 0u) << "the push was acked";
+  EXPECT_EQ(c.mem_cgroup().limit(), odd);
 }
 
 TEST(FaultTest, AgentCrashLosesSoftStateButCgroupsPersist) {
@@ -68,7 +144,8 @@ TEST(FaultTest, AgentCrashLosesSoftStateButCgroupsPersist) {
   cluster::Container& c = make_container(k8s, "a");
   core::Agent agent(node);
   agent.manage(c);
-  ASSERT_EQ(agent.apply_cpu_limit(c.id(), 2.0, 9), core::Agent::Apply::kApplied);
+  ASSERT_EQ(agent.apply_limit(c.id(), core::Resource::kCpu, 2.0, 9),
+            core::Agent::Apply::kApplied);
   const std::uint64_t inc_before = agent.incarnation();
 
   agent.crash();
@@ -76,7 +153,7 @@ TEST(FaultTest, AgentCrashLosesSoftStateButCgroupsPersist) {
   // The node fails static: the cgroup keeps the last applied limit...
   EXPECT_DOUBLE_EQ(c.cpu_cgroup().limit_cores(), 2.0);
   // ...and RPCs to the dead process get no response at all.
-  EXPECT_EQ(agent.apply_cpu_limit(c.id(), 4.0, 10),
+  EXPECT_EQ(agent.apply_limit(c.id(), core::Resource::kCpu, 4.0, 10),
             core::Agent::Apply::kRejected);
   EXPECT_DOUBLE_EQ(c.cpu_cgroup().limit_cores(), 2.0);
 
@@ -85,7 +162,8 @@ TEST(FaultTest, AgentCrashLosesSoftStateButCgroupsPersist) {
   EXPECT_GT(agent.incarnation(), inc_before);
   // The sequence table died with the process: an "old" sequence applies
   // again (the Controller resync makes this safe by pushing fresh state).
-  EXPECT_EQ(agent.apply_cpu_limit(c.id(), 1.5, 1), core::Agent::Apply::kApplied);
+  EXPECT_EQ(agent.apply_limit(c.id(), core::Resource::kCpu, 1.5, 1),
+            core::Agent::Apply::kApplied);
   EXPECT_DOUBLE_EQ(c.cpu_cgroup().limit_cores(), 1.5);
 }
 

@@ -140,7 +140,6 @@ TEST(HaTest, DeterministicReplayIsAPureFoldOfTheLog) {
     r.epoch = 3;
     r.container = 7;
     r.seq = core::pack_update_seq(3, 41);
-    r.is_mem = false;
     records.push_back(r);
   }
   for (const auto& r : records) log.append(r);
@@ -258,8 +257,8 @@ TEST(HaTest, DeposedLeaderIsFencedAndCanNeverMoveACgroup) {
   ASSERT_NE(home, nullptr);
   core::Agent* agent = rig.escra.controller().agent_at(home->id());
   const double limit_before = victim->cpu_cgroup().limit_cores();
-  EXPECT_EQ(agent->apply_cpu_limit(
-                victim->id(), 99.0,
+  EXPECT_EQ(agent->apply_limit(
+                victim->id(), core::Resource::kCpu, 99.0,
                 core::pack_update_seq(old_epoch, core::kUpdateSeqMask - 1)),
             core::Agent::Apply::kFenced);
   EXPECT_DOUBLE_EQ(victim->cpu_cgroup().limit_cores(), limit_before);

@@ -15,8 +15,10 @@ TEST(NetworkTest, SendDeliversAfterChannelLatency) {
   Network net(sim, {.telemetry_latency = microseconds(80),
                     .rpc_latency = microseconds(150)});
   sim::TimePoint telemetry_at = -1, rpc_at = -1;
-  net.send(Channel::kCpuTelemetry, 64, [&] { telemetry_at = sim.now(); });
-  net.send(Channel::kControlRpc, 128, [&] { rpc_at = sim.now(); });
+  net.send_to(Channel::kCpuTelemetry, 0, kControllerEndpoint, 64,
+              [&] { telemetry_at = sim.now(); });
+  net.send_to(Channel::kControlRpc, kControllerEndpoint, 0, 128,
+              [&] { rpc_at = sim.now(); });
   sim.run_all();
   EXPECT_EQ(telemetry_at, microseconds(80));
   EXPECT_EQ(rpc_at, microseconds(150));
@@ -25,9 +27,9 @@ TEST(NetworkTest, SendDeliversAfterChannelLatency) {
 TEST(NetworkTest, PerChannelAccounting) {
   sim::Simulation sim;
   Network net(sim);
-  net.send(Channel::kCpuTelemetry, 100, [] {});
-  net.send(Channel::kCpuTelemetry, 100, [] {});
-  net.send(Channel::kMemoryEvent, 50, [] {});
+  net.send_to(Channel::kCpuTelemetry, 0, kControllerEndpoint, 100, [] {});
+  net.send_to(Channel::kCpuTelemetry, 0, kControllerEndpoint, 100, [] {});
+  net.send_to(Channel::kMemoryEvent, 0, kControllerEndpoint, 50, [] {});
   sim.run_all();
   EXPECT_EQ(net.stats(Channel::kCpuTelemetry).messages, 2u);
   EXPECT_EQ(net.stats(Channel::kCpuTelemetry).bytes, 200u);
@@ -41,8 +43,12 @@ TEST(NetworkTest, RpcRoundTripOrdering) {
   sim::Simulation sim;
   Network net(sim, {.rpc_latency = microseconds(100)});
   sim::TimePoint request_at = -1, response_at = -1;
-  net.rpc(
-      200, 80, [&] { request_at = sim.now(); },
+  net.rpc_to(
+      kControllerEndpoint, 0, 200, 80,
+      [&] {
+        request_at = sim.now();
+        return true;
+      },
       [&] { response_at = sim.now(); });
   sim.run_all();
   EXPECT_EQ(request_at, microseconds(100));
@@ -57,8 +63,14 @@ TEST(NetworkTest, SubSecondControlLoopIsFeasible) {
   sim::Simulation sim;
   Network net(sim);
   sim::TimePoint done = -1;
-  net.send(Channel::kCpuTelemetry, 66, [&] {
-    net.rpc(280, 120, [&] { done = sim.now(); }, [] {});
+  net.send_to(Channel::kCpuTelemetry, 0, kControllerEndpoint, 66, [&] {
+    net.rpc_to(
+        kControllerEndpoint, 0, 280, 120,
+        [&] {
+          done = sim.now();
+          return true;
+        },
+        [] {});
   });
   sim.run_all();
   EXPECT_LT(done, milliseconds(1));
@@ -70,10 +82,14 @@ TEST(NetworkTest, PeakBandwidthOverWindow) {
   // 10 KB in the first window, 1 KB later.
   for (int i = 0; i < 10; ++i) {
     sim.schedule_at(i * milliseconds(5),
-                    [&] { net.send(Channel::kCpuTelemetry, 1024, [] {}); });
+                    [&] {
+      net.send_to(Channel::kCpuTelemetry, 0, kControllerEndpoint, 1024, [] {});
+    });
   }
   sim.schedule_at(milliseconds(500),
-                  [&] { net.send(Channel::kCpuTelemetry, 1024, [] {}); });
+                  [&] {
+      net.send_to(Channel::kCpuTelemetry, 0, kControllerEndpoint, 1024, [] {});
+    });
   sim.run_all();
   // Peak window saw 10 KiB -> 10*1024*8 bits / 0.1 s = 819.2 kbps.
   EXPECT_NEAR(net.peak_mbps(), 0.8192, 1e-6);
@@ -82,7 +98,8 @@ TEST(NetworkTest, PeakBandwidthOverWindow) {
 TEST(NetworkTest, MeanBandwidthOverRun) {
   sim::Simulation sim;
   Network net(sim);
-  net.send(Channel::kCpuTelemetry, 125000, [] {});  // 1 Mbit
+  net.send_to(Channel::kCpuTelemetry, 0, kControllerEndpoint, 125000,
+              [] {});  // 1 Mbit
   sim.run_all();
   sim.run_until(sim::seconds(1));
   EXPECT_NEAR(net.mean_mbps(), 1.0, 1e-6);
@@ -102,7 +119,8 @@ TEST(NetworkTest, JitterWorksWithoutLoss) {
   net.set_jitter(milliseconds(5));
   std::vector<sim::TimePoint> deliveries;
   for (int i = 0; i < 50; ++i) {
-    net.send(Channel::kCpuTelemetry, 64, [&] { deliveries.push_back(sim.now()); });
+    net.send_to(Channel::kCpuTelemetry, 0, kControllerEndpoint, 64,
+                [&] { deliveries.push_back(sim.now()); });
   }
   sim.run_all();
   ASSERT_EQ(deliveries.size(), 50u);
@@ -119,19 +137,17 @@ TEST(NetworkTest, PartitionDropsAddressedTrafficBothWays) {
   sim::Simulation sim;
   Network net(sim);
   net.partition(0, kControllerEndpoint);
-  int to_node = 0, to_controller = 0, unaddressed = 0, other_node = 0;
+  int to_node = 0, to_controller = 0, other_node = 0;
   net.send_to(Channel::kControlRpc, kControllerEndpoint, 0, 64,
               [&] { ++to_node; });
   net.send_to(Channel::kCpuTelemetry, 0, kControllerEndpoint, 64,
               [&] { ++to_controller; });
   net.send_to(Channel::kCpuTelemetry, 1, kControllerEndpoint, 64,
               [&] { ++other_node; });
-  net.send(Channel::kCpuTelemetry, 64, [&] { ++unaddressed; });
   sim.run_all();
   EXPECT_EQ(to_node, 0);
   EXPECT_EQ(to_controller, 0);
   EXPECT_EQ(other_node, 1) << "only the partitioned node is cut off";
-  EXPECT_EQ(unaddressed, 1) << "unaddressed traffic never partitions";
   EXPECT_EQ(net.dropped_messages(), 2u);
   // Bytes were accounted before the drop (the NIC transmitted them).
   EXPECT_EQ(net.stats(Channel::kControlRpc).bytes, 64u);
