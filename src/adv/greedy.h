@@ -103,7 +103,6 @@ class GreedyTenant {
   std::uint64_t phantom_grants() const { return phantom_grants_; }
 
  private:
-  void install_mutators();
   void remove_mutators();
   void forge(cluster::Container& container, cfs::PeriodStats& stats);
   void fire_phantom_oom();

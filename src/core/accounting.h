@@ -76,7 +76,6 @@ class UsageAccountant {
   bool tracking(cluster::ContainerId id) const {
     return index_.contains(id);
   }
-  std::size_t tracked_count() const { return index_.size(); }
 
   // The accumulated bill for a tenant (zero-valued if unknown).
   const UsageBill& bill(const std::string& tenant) const;

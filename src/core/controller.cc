@@ -91,10 +91,19 @@ void Controller::set_observer(obs::Observer* observer) {
   }
 }
 
-std::uint32_t Controller::node_tag(const Entry& entry) const {
-  // Trace events store node + 1 so that 0 stays "unknown" (node ids are
-  // zero-based).
-  return entry.agent != nullptr ? entry.agent->node().id() + 1 : 0;
+obs::EventId Controller::trace_at(std::uint32_t node_tag, obs::EventKind kind,
+                                  cluster::ContainerId id, double before,
+                                  double after, std::int64_t detail,
+                                  obs::EventId cause) {
+  if (obs_ == nullptr) return 0;
+  return obs_->record(obs::TraceEvent{.time = sim_.now(),
+                                      .kind = kind,
+                                      .container = id,
+                                      .node = node_tag,
+                                      .before = before,
+                                      .after = after,
+                                      .cause = cause,
+                                      .detail = detail});
 }
 
 void Controller::register_container(cluster::Container& container,
@@ -203,15 +212,8 @@ void Controller::register_impl(cluster::Container& container,
                                             obs_->h.memcg_oom_rescues);
     obs_->h.registrations->inc();
     obs_->h.containers_active->set(static_cast<double>(index_.size()));
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kContainerRegistered;
-    ev.container = container.id();
-    ev.node = node.id() + 1;
-    ev.before = 0.0;
-    ev.after = cores;
-    ev.detail = static_cast<std::int64_t>(mem);
-    obs_->record(ev);
+    trace(obs::EventKind::kContainerRegistered, container.id(), 0.0, cores,
+          static_cast<std::int64_t>(mem));
   }
 
   if (config_.credit_defense) open_credit_account(container.id());
@@ -231,19 +233,12 @@ void Controller::register_impl(cluster::Container& container,
         const sim::TimePoint fire = sim_.now();
         obs::EventId cause = 0;
         if (obs_ != nullptr && msg.throttled) {
-          obs::TraceEvent ev;
-          ev.time = fire;
-          ev.kind = obs::EventKind::kThrottleObserved;
-          ev.container = msg.cgroup;
-          const Entry* entry = find_entry(msg.cgroup);
-          ev.node = entry != nullptr ? node_tag(*entry) : 0;
           const double limit_cores =
               static_cast<double>(msg.quota) /
               static_cast<double>(config_.cfs_period);
-          ev.before = limit_cores;
-          ev.after = limit_cores;
-          ev.detail = static_cast<std::int64_t>(msg.unused);
-          cause = obs_->record(ev);
+          cause = trace(obs::EventKind::kThrottleObserved, msg.cgroup,
+                        limit_cores, limit_cores,
+                        static_cast<std::int64_t>(msg.unused));
         }
         net_.send_to(net::Channel::kCpuTelemetry, ep(node_id),
                      net::kControllerEndpoint, kCpuStatsWireBytes,
@@ -281,34 +276,12 @@ void Controller::deregister_container(cluster::Container& container) {
                 [&container](const DeferredRegistration& d) {
                   return d.container == &container;
                 });
-  Entry* entry = find_entry(container.id());
+  const Entry* entry = find_entry(container.id());
   if (entry == nullptr) return;
-  // An admitted reservation is never dropped silently: the explicit
-  // eviction decision (reason 0: released with its container) precedes the
-  // kill event so the trace always explains why the floor vanished.
-  if (rt_.count(container.id()) != 0) evict_rt(container.id(), 0);
-  if (obs_ != nullptr) {
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kContainerKilled;
-    ev.container = container.id();
-    ev.node = node_tag(*entry);
-    ev.before = allocator_.app().member_cores(container.id());
-    ev.after = 0.0;
-    ev.detail =
-        static_cast<std::int64_t>(allocator_.app().member_mem(container.id()));
-    obs_->record(ev);
-    obs_->h.deregistrations->inc();
-  }
-  cancel_pending_for(container.id());
-  close_credit_account(container.id());
-  {
-    ReplicationEvent rev;
-    rev.kind = ReplicationEvent::Kind::kDeregister;
-    rev.container = container.id();
-    emit_repl(rev);
-  }
-  entry->agent->unmanage(container.id());
+  Agent* agent = entry->agent;
+  // Reason 0: the reservation is released with its container.
+  release(container.id(), /*rt_reason=*/0);
+  agent->unmanage(container.id());
   // The container is gone: tear down its shaper lane (queued messages
   // release unshaped). Quarantine reclaim does NOT do this — a dead node's
   // shaper is unreachable and keeps its fail-static rates.
@@ -317,44 +290,19 @@ void Controller::deregister_container(cluster::Container& container) {
   container.mem_cgroup().set_oom_hook(nullptr);
   container.cpu_cgroup().set_obs_counters(nullptr, nullptr);
   container.mem_cgroup().set_obs_counters(nullptr, nullptr);
-  allocator_.deregister_container(container.id());
-  index_.release(container.id());
-  if (obs_ != nullptr) {
-    obs_->h.containers_active->set(static_cast<double>(index_.size()));
-  }
 }
 
-void Controller::deregister_quarantined(cluster::ContainerId id) {
-  // Fail-static reclaim of a dead node's share: the container's pool
-  // commitment is released, but the node is unreachable — its kernel hooks
-  // and cgroup limits stay exactly as they are (the Agent still "manages"
-  // it locally). If the node returns, resync re-adopts the container.
-  const Entry* entry = find_entry(id);
-  if (entry == nullptr) return;
-  // Quarantine revokes the node's RT admissions explicitly (reason 1): the
-  // reservation cannot be honored on a dead node, and a silent drop is
-  // exactly what the kRtEvicted contract forbids.
-  if (rt_.count(id) != 0) evict_rt(id, 1);
-  if (obs_ != nullptr) {
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kContainerKilled;
-    ev.container = id;
-    ev.node = node_tag(*entry);
-    ev.before = allocator_.app().member_cores(id);
-    ev.after = 0.0;
-    ev.detail = static_cast<std::int64_t>(allocator_.app().member_mem(id));
-    obs_->record(ev);
-    obs_->h.deregistrations->inc();
-  }
+void Controller::release(cluster::ContainerId id, int rt_reason) {
+  // An admitted reservation is never dropped silently: the explicit
+  // eviction decision precedes the kill event so the trace always explains
+  // why the floor vanished.
+  if (rt_.count(id) != 0) evict_rt(id, rt_reason);
+  trace(obs::EventKind::kContainerKilled, id, allocator_.app().member_cores(id),
+        0.0, static_cast<std::int64_t>(allocator_.app().member_mem(id)));
+  if (obs_ != nullptr) obs_->h.deregistrations->inc();
   cancel_pending_for(id);
   close_credit_account(id);
-  {
-    ReplicationEvent rev;
-    rev.kind = ReplicationEvent::Kind::kDeregister;
-    rev.container = id;
-    emit_repl(rev);
-  }
+  emit_repl({.kind = ReplicationEvent::Kind::kDeregister, .container = id});
   allocator_.deregister_container(id);
   index_.release(id);
   if (obs_ != nullptr) {
@@ -467,12 +415,8 @@ void Controller::enable_bandwidth(bw::ClusterShaper& shaper) {
       config_.cfs_period, [this](const bw::BwSample& sample) {
         net_.send_to(net::Channel::kBwTelemetry, ep(sample.node),
                      net::kControllerEndpoint, kBwStatsWireBytes,
-                     [this, sample] { ingest_bw_stats(sample); });
+                     [this, sample] { on_bw_stats(sample); });
       });
-}
-
-void Controller::on_bw_stats(const bw::BwSample& sample) {
-  ingest_bw_stats(sample);
 }
 
 double Controller::node_bw_headroom(cluster::NodeId node,
@@ -536,7 +480,7 @@ void Controller::admit_bw(cluster::Container& container, cluster::Node& node,
   }
 }
 
-void Controller::ingest_bw_stats(const bw::BwSample& sample) {
+void Controller::on_bw_stats(const bw::BwSample& sample) {
   if (crashed_) return;
   if (obs_ != nullptr) obs_->h.bw_stats_ingested->inc();
 
@@ -554,36 +498,20 @@ void Controller::ingest_bw_stats(const bw::BwSample& sample) {
   if (rit->agent != nullptr) {
     const double nic = rit->agent->node().config().nic_bps;
     if (sample.used_bps < 0.0 || (nic > 0.0 && sample.used_bps > nic)) {
-      if (obs_ != nullptr) {
-        obs_->h.telemetry_rejected->inc();
-        obs::TraceEvent ev;
-        ev.time = sim_.now();
-        ev.kind = obs::EventKind::kTelemetryRejected;
-        ev.container = sample.container;
-        ev.node = node_tag(*rit);
-        ev.before = 2.0;  // resource flag: 2 = bandwidth
-        ev.after = nic;
-        ev.detail = static_cast<std::int64_t>(sample.used_bps);
-        obs_->record(ev);
-      }
+      if (obs_ != nullptr) obs_->h.telemetry_rejected->inc();
+      trace(obs::EventKind::kTelemetryRejected, sample.container,
+            2.0,  // resource flag: 2 = bandwidth
+            nic, static_cast<std::int64_t>(sample.used_bps));
       return;
     }
   }
 
   obs::EventId cause = 0;
   if (sample.throttled) {
-    if (obs_ != nullptr) {
-      obs_->h.bw_saturation->inc();
-      obs::TraceEvent ev;
-      ev.time = sim_.now();
-      ev.kind = obs::EventKind::kBwSaturation;
-      ev.container = sample.container;
-      ev.node = node_tag(*rit);
-      ev.before = sample.rate_bps;
-      ev.after = sample.rate_bps;
-      ev.detail = static_cast<std::int64_t>(sample.queue_depth);
-      cause = obs_->record(ev);
-    }
+    if (obs_ != nullptr) obs_->h.bw_saturation->inc();
+    cause = trace(obs::EventKind::kBwSaturation, sample.container,
+                  sample.rate_bps, sample.rate_bps,
+                  static_cast<std::int64_t>(sample.queue_depth));
   }
 
   const double before = allocator_.app().member_bw(sample.container);
@@ -612,18 +540,9 @@ void Controller::ingest_bw_stats(const bw::BwSample& sample) {
   ctx.fire = sim_.now();
   ctx.ingest = sim_.now();
   ctx.decide = sim_.now();
-  if (obs_ != nullptr) {
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = *decision > before ? obs::EventKind::kBwGrant
-                                 : obs::EventKind::kBwShrink;
-    ev.container = sample.container;
-    ev.node = node_tag(*rit);
-    ev.before = before;
-    ev.after = target;
-    ev.cause = cause;
-    ctx.cause = obs_->record(ev);
-  }
+  ctx.cause = trace(*decision > before ? obs::EventKind::kBwGrant
+                                       : obs::EventKind::kBwShrink,
+                    sample.container, before, target, 0, cause);
   if (std::abs(target - before) > kBwRateEpsilon) {
     push_limit(sample.container, Resource::kBw, target, ctx);
   }
@@ -639,7 +558,6 @@ void Controller::ingest_cpu_stats(const CpuStatsMsg& stats, obs::EventId cause,
                                   sim::TimePoint fire_time) {
   if (crashed_) return;  // nobody home
   ++stats_received_;
-  const sim::TimePoint ingest = sim_.now();
   if (obs_ != nullptr) obs_->h.stats_ingested->inc();
 
   // Dead-node quarantine: decisions for a dead node's containers are
@@ -660,47 +578,21 @@ void Controller::ingest_cpu_stats(const CpuStatsMsg& stats, obs::EventId cause,
       known ? allocator_.app().member_cores(stats.cgroup) : 0.0;
   const auto decision = allocator_.on_cpu_stats(stats);
   if (!decision.has_value()) return;
-
-  LoopCtx ctx;
-  ctx.fire = fire_time;
-  ctx.ingest = ingest;
-  ctx.decide = sim_.now();  // synchronous allocator: decide == ingest
-  ctx.profile = true;
-  if (obs_ != nullptr) {
-    obs::TraceEvent ev;
-    ev.time = ctx.decide;
-    ev.kind = *decision > before ? obs::EventKind::kCpuGrant
-                                 : obs::EventKind::kCpuShrink;
-    ev.container = stats.cgroup;
-    ev.node = rit != nullptr ? node_tag(*rit) : 0;
-    ev.before = before;
-    ev.after = *decision;
-    ev.cause = cause;
-    ctx.cause = obs_->record(ev);
-  }
-  push_limit(stats.cgroup, Resource::kCpu, *decision, ctx);
+  apply_cpu_decision(stats.cgroup, before, *decision, fire_time, cause);
 }
 
 void Controller::apply_cpu_decision(cluster::ContainerId id, double before,
-                                    double cores, sim::TimePoint fire_time) {
+                                    double cores, sim::TimePoint fire_time,
+                                    obs::EventId cause) {
   if (crashed_) return;
   LoopCtx ctx;
   ctx.fire = fire_time;
   ctx.ingest = sim_.now();
-  ctx.decide = sim_.now();
+  ctx.decide = sim_.now();  // synchronous allocator: decide == ingest
   ctx.profile = true;
-  if (obs_ != nullptr) {
-    obs::TraceEvent ev;
-    ev.time = ctx.decide;
-    ev.kind = cores > before ? obs::EventKind::kCpuGrant
-                             : obs::EventKind::kCpuShrink;
-    ev.container = id;
-    const Entry* entry = find_entry(id);
-    ev.node = entry != nullptr ? node_tag(*entry) : 0;
-    ev.before = before;
-    ev.after = cores;
-    ctx.cause = obs_->record(ev);
-  }
+  ctx.cause = trace(cores > before ? obs::EventKind::kCpuGrant
+                                   : obs::EventKind::kCpuShrink,
+                    id, before, cores, 0, cause);
   push_limit(id, Resource::kCpu, cores, ctx);
 }
 
@@ -727,22 +619,14 @@ void Controller::push_limit(cluster::ContainerId id, Resource resource,
   p.attempts = 0;
   p.backoff = config_.rpc_retry_timeout;
   p.ctx = ctx;
-  p.rpc_event = 0;
-  if (obs_ != nullptr) {
-    obs_->h.rpcs_issued->inc();
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kRpcIssued;
-    ev.container = id;
-    ev.node = node_tag(entry);
-    ev.before = static_cast<double>(resource);  // resource flag
-    ev.after = value;
-    ev.cause = ctx.cause;
-    // Logical (unbatched-equivalent) RPC size; the batched path's actual
-    // wire accounting lands in the net.* counters and controller.batched_*.
-    ev.detail = static_cast<std::int64_t>(kLimitUpdateRpcBytes);
-    p.rpc_event = obs_->record(ev);
-  }
+  if (obs_ != nullptr) obs_->h.rpcs_issued->inc();
+  // `before` is the resource flag. The detail is the logical (unbatched-
+  // equivalent) RPC size; the batched path's actual wire accounting lands in
+  // the net.* counters and controller.batched_*.
+  p.rpc_event = trace(obs::EventKind::kRpcIssued, id,
+                      static_cast<double>(resource), value,
+                      static_cast<std::int64_t>(kLimitUpdateRpcBytes),
+                      ctx.cause);
   {
     using Kind = ReplicationEvent::Kind;
     ReplicationEvent rev;
@@ -895,24 +779,17 @@ bool Controller::apply_at_agent(Agent& agent, const WireEntry& w) {
   if (result == Agent::Apply::kFenced) return false;
   agent.note_controller_contact();  // a delivered update renews the lease
   if (result == Agent::Apply::kApplied && obs_ != nullptr) {
-    const sim::TimePoint apply = sim_.now();
     obs_->h.rpcs_applied->inc();
-    obs::TraceEvent ev;
-    ev.time = apply;
-    ev.kind = obs::EventKind::kRpcApplied;
-    ev.container = w.id;
-    ev.node = w.node_tag;
-    ev.before = static_cast<double>(w.resource);
-    ev.after = w.value;
-    ev.cause = w.rpc_event;  // the original issue, across retransmits
-    // The applied sequence (epoch in the high 16 bits): the invariant
-    // checker derives the no-split-brain rule — per-(container, resource)
-    // applied sequences strictly increase — from this.
-    ev.detail = static_cast<std::int64_t>(w.seq);
-    obs_->record(ev);
+    // Detail is the applied sequence (epoch in the high 16 bits): the
+    // invariant checker derives the no-split-brain rule — per-(container,
+    // resource) applied sequences strictly increase — from it. The cause is
+    // the original issue, across retransmits.
+    trace_at(w.node_tag, obs::EventKind::kRpcApplied, w.id,
+             static_cast<double>(w.resource), w.value,
+             static_cast<std::int64_t>(w.seq), w.rpc_event);
     if (w.ctx.profile) {
       obs_->profiler().record_loop(w.ctx.fire, w.ctx.ingest, w.ctx.decide,
-                                   apply);
+                                   sim_.now());
     }
   }
   return true;  // ack (duplicate deliveries ack too: idempotent)
@@ -949,20 +826,9 @@ void Controller::on_update_timeout(std::uint64_t key, std::uint64_t seq) {
   ++p.attempts;
   ++retransmits_;
   const auto id = static_cast<cluster::ContainerId>(key >> 2);
-  if (obs_ != nullptr) {
-    obs_->h.retransmits->inc();
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kRetransmit;
-    ev.container = id;
-    const Entry* rit = find_entry(id);
-    ev.node = rit != nullptr ? node_tag(*rit) : 0;
-    ev.before = static_cast<double>(p.resource);
-    ev.after = p.value;
-    ev.cause = p.rpc_event;
-    ev.detail = p.attempts;
-    obs_->record(ev);
-  }
+  if (obs_ != nullptr) obs_->h.retransmits->inc();
+  trace(obs::EventKind::kRetransmit, id, static_cast<double>(p.resource),
+        p.value, p.attempts, p.rpc_event);
   p.backoff = std::min<sim::Duration>(p.backoff * 2, config_.rpc_backoff_max);
   // Re-send the *newest* desired value and re-arm the timer. The batched
   // path re-enqueues: several entries timing out at the same instant for
@@ -998,25 +864,14 @@ void Controller::on_heartbeat(cluster::NodeId node,
   // Liveness *transitions* (not every heartbeat) replicate to the standbys:
   // the incarnation map and dead/alive state are part of the takeover image.
   if (first_contact || was_dead || agent_restarted) {
-    ReplicationEvent rev;
-    rev.kind = ReplicationEvent::Kind::kNodeHealth;
-    rev.node = node;
-    rev.agent_incarnation = incarnation;
-    rev.node_dead = false;
-    emit_repl(rev);
+    emit_health(node, incarnation, /*dead=*/false);
   }
   if (was_dead) {
     h.dead = false;
     sim_.cancel(h.reclaim_timer);  // quarantine lifted
-    if (obs_ != nullptr) {
-      obs_->h.nodes_alive->inc();
-      obs::TraceEvent ev;
-      ev.time = sim_.now();
-      ev.kind = obs::EventKind::kNodeAlive;
-      ev.node = node + 1;
-      ev.detail = static_cast<std::int64_t>(incarnation);
-      obs_->record(ev);
-    }
+    if (obs_ != nullptr) obs_->h.nodes_alive->inc();
+    trace_at(node_tag(node), obs::EventKind::kNodeAlive, 0, 0.0, 0.0,
+             static_cast<std::int64_t>(incarnation));
   }
   Agent* agent = agent_at(node);
   if (agent != nullptr) {
@@ -1042,28 +897,22 @@ void Controller::run_liveness_check() {
 
 void Controller::declare_dead(cluster::NodeId node, NodeHealth& health) {
   health.dead = true;
-  {
-    ReplicationEvent rev;
-    rev.kind = ReplicationEvent::Kind::kNodeHealth;
-    rev.node = node;
-    rev.agent_incarnation = health.agent_incarnation;
-    rev.node_dead = true;
-    emit_repl(rev);
-  }
-  if (obs_ != nullptr) {
-    obs_->h.nodes_dead->inc();
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kNodeDead;
-    ev.node = node + 1;
-    ev.detail = static_cast<std::int64_t>(
-        sim_.now() - health.last_heartbeat);  // silence at declaration, us
-    obs_->record(ev);
-  }
+  emit_health(node, health.agent_incarnation, /*dead=*/true);
+  if (obs_ != nullptr) obs_->h.nodes_dead->inc();
+  trace_at(node_tag(node), obs::EventKind::kNodeDead, 0, 0.0, 0.0,
+           sim_.now() - health.last_heartbeat);  // silence at declaration, us
   // Quarantine: the node's pool share is frozen (decisions suppressed) for
   // the grace period, then reclaimed for the live nodes.
   health.reclaim_timer = sim_.schedule_after(
       config_.quarantine_grace, [this, node] { reclaim_dead_node(node); });
+}
+
+void Controller::emit_health(cluster::NodeId node, std::uint64_t incarnation,
+                             bool dead) {
+  emit_repl({.kind = ReplicationEvent::Kind::kNodeHealth,
+             .node = node,
+             .agent_incarnation = incarnation,
+             .node_dead = dead});
 }
 
 void Controller::reclaim_dead_node(cluster::NodeId node) {
@@ -1078,7 +927,13 @@ void Controller::reclaim_dead_node(cluster::NodeId node) {
     }
   });
   std::sort(ids.begin(), ids.end());  // deterministic reclaim order
-  for (const cluster::ContainerId id : ids) deregister_quarantined(id);
+  // Fail-static reclaim of a dead node's share: each container's pool
+  // commitment is released, but the node is unreachable — its kernel hooks
+  // and cgroup limits stay exactly as they are (the Agent still "manages"
+  // it locally). If the node returns, resync re-adopts the container. RT
+  // admissions are revoked explicitly (reason 1): a reservation cannot be
+  // honored on a dead node.
+  for (const cluster::ContainerId id : ids) release(id, /*rt_reason=*/1);
 }
 
 void Controller::resync_node(cluster::NodeId node, Agent& agent) {
@@ -1106,7 +961,6 @@ void Controller::apply_resync(cluster::NodeId node, Agent& agent,
     double want_cores = 0.0;
     double want_bw = 0.0;
     bool push_bw = false;
-    obs::EventId resync_ev = 0;
     if (index_.contains(s.id)) {
       // Still registered (Agent restart without Controller loss): the
       // shadow limits are authoritative; reconcile the node toward them.
@@ -1131,18 +985,12 @@ void Controller::apply_resync(cluster::NodeId node, Agent& agent,
       want_bw = allocator_.app().member_bw(s.id);
     }
     ++resyncs_;
-    if (obs_ != nullptr) {
-      obs_->h.resyncs->inc();
-      obs::TraceEvent ev;
-      ev.time = sim_.now();
-      ev.kind = obs::EventKind::kResync;
-      ev.container = s.id;
-      ev.node = node + 1;
-      ev.before = s.cpu_cores;  // applied (fail-static) limit at the node
-      ev.after = want_cores;    // controller-intended shadow limit
-      ev.detail = static_cast<std::int64_t>(s.mem_limit);
-      resync_ev = obs_->record(ev);
-    }
+    if (obs_ != nullptr) obs_->h.resyncs->inc();
+    // Before: the applied (fail-static) limit at the node; after: the
+    // controller-intended shadow limit.
+    const obs::EventId resync_ev = trace_at(
+        node_tag(node), obs::EventKind::kResync, s.id, s.cpu_cores,
+        want_cores, static_cast<std::int64_t>(s.mem_limit));
     // Corrective update where the node diverges from the intent. Memory
     // is left to the periodic reclamation loop (shrinking a memory limit
     // below live usage would manufacture OOMs).
@@ -1235,19 +1083,12 @@ bool Controller::handle_oom(cluster::Container& container, memcg::Bytes charge,
   const bool saved =
       container.mem_cgroup().usage() + charge <= decision.new_limit;
   if (saved) ++oom_rescues_;
-  obs::EventId grant_ev = 0;
-  if (obs_ != nullptr) {
-    if (saved) obs_->h.oom_rescues->inc();
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kMemGrantOnOom;
-    ev.container = container.id();
-    ev.node = it != nullptr ? node_tag(*it) : 0;
-    ev.before = static_cast<double>(pre_grant_limit);
-    ev.after = static_cast<double>(decision.new_limit);
-    ev.detail = static_cast<std::int64_t>(eff_shortfall);
-    grant_ev = obs_->record(ev);
-  }
+  if (saved && obs_ != nullptr) obs_->h.oom_rescues->inc();
+  const obs::EventId grant_ev =
+      trace(obs::EventKind::kMemGrantOnOom, container.id(),
+            static_cast<double>(pre_grant_limit),
+            static_cast<double>(decision.new_limit),
+            static_cast<std::int64_t>(eff_shortfall));
   // The synchronous write rescued the charge, but only an acked, sequence-
   // numbered desired-state slot survives a controller handoff: route the
   // grant through the slot machinery so an un-acked grant is replicated and
@@ -1273,31 +1114,10 @@ bool Controller::handle_oom(cluster::Container& container, memcg::Bytes charge,
     if (fair_mem > 0 && over > 0) {
       // Price: fraction of a fair memory share taken, in fair-share-seconds.
       // Debt is floored at -credit_cap, same as the settle sweep.
-      const std::int64_t before_bal = credits_.balance_micro(container.id());
-      const std::int64_t floor_room =
-          before_bal + CreditLedger::to_micro(config_.credit_cap);
-      const std::int64_t price = std::min(
-          CreditLedger::to_micro(static_cast<double>(over) /
-                                 static_cast<double>(fair_mem)),
-          std::max<std::int64_t>(0, floor_room));
-      if (price > 0) {
-        credits_.burn(container.id(), price);
-        if (obs_ != nullptr) {
-          obs_->h.credit_charges->inc();
-          obs::TraceEvent ev;
-          ev.time = sim_.now();
-          ev.kind = obs::EventKind::kCreditCharge;
-          ev.container = container.id();
-          ev.node = it != nullptr ? node_tag(*it) : 0;
-          ev.before = CreditLedger::to_credits(before_bal);
-          ev.after =
-              CreditLedger::to_credits(credits_.balance_micro(container.id()));
-          ev.cause = grant_ev;
-          ev.detail = static_cast<std::int64_t>(over);
-          obs_->record(ev);
-        }
-        emit_credit(container.id(), /*removed=*/false);
-      }
+      charge_credits(container.id(),
+                     CreditLedger::to_micro(static_cast<double>(over) /
+                                            static_cast<double>(fair_mem)),
+                     static_cast<std::int64_t>(over), grant_ev);
     }
   }
   return saved;
@@ -1483,22 +1303,24 @@ void Controller::drain_deferred_registrations() {
   }
 }
 
-void Controller::record_reclaims(Agent& agent,
-                                 const std::vector<Agent::Resize>& resizes) {
+void Controller::apply_reclaim(Agent& agent,
+                               const Agent::ReclaimResult& result) {
+  for (const Agent::Resize& resize : result.resizes) {
+    allocator_.on_reclaimed(resize.container, resize.new_limit);
+    emit_repl({.kind = ReplicationEvent::Kind::kMemShadow,
+               .container = resize.container,
+               .mem = resize.new_limit});
+  }
+  total_reclaimed_ += result.psi;
   if (obs_ == nullptr) return;
-  const std::uint32_t node = agent.node().id() + 1;
   memcg::Bytes freed = 0;
-  for (const Agent::Resize& resize : resizes) {
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kReclaim;
-    ev.container = resize.container;
-    ev.node = node;
-    ev.before = static_cast<double>(resize.old_limit);
-    ev.after = static_cast<double>(resize.new_limit);
-    ev.detail = static_cast<std::int64_t>(resize.old_limit - resize.new_limit);
-    obs_->record(ev);
-    freed += resize.old_limit - resize.new_limit;
+  for (const Agent::Resize& resize : result.resizes) {
+    const memcg::Bytes delta = resize.old_limit - resize.new_limit;
+    trace_at(node_tag(agent.node().id()), obs::EventKind::kReclaim,
+             resize.container, static_cast<double>(resize.old_limit),
+             static_cast<double>(resize.new_limit),
+             static_cast<std::int64_t>(delta));
+    freed += delta;
   }
   obs_->h.reclaim_bytes->inc(static_cast<std::uint64_t>(freed));
 }
@@ -1517,18 +1339,9 @@ memcg::Bytes Controller::run_emergency_reclaim() {
         agent->reclaim(config_.delta, config_.min_mem);
     net_.send_to(net::Channel::kControlRpc, ep(agent->node().id()),
                  net::kControllerEndpoint, kReclaimRespBytes, [] {});
-    for (const Agent::Resize& resize : result.resizes) {
-      allocator_.on_reclaimed(resize.container, resize.new_limit);
-      ReplicationEvent rev;
-      rev.kind = ReplicationEvent::Kind::kMemShadow;
-      rev.container = resize.container;
-      rev.mem = resize.new_limit;
-      emit_repl(rev);
-    }
-    record_reclaims(*agent, result.resizes);
+    apply_reclaim(*agent, result);
     psi += result.psi;
   }
-  total_reclaimed_ += psi;
   return psi;
 }
 
@@ -1551,17 +1364,7 @@ void Controller::run_periodic_reclaim() {
           return true;
         },
         [this, agent, result] {
-          if (crashed_) return;
-          for (const Agent::Resize& resize : result->resizes) {
-            allocator_.on_reclaimed(resize.container, resize.new_limit);
-            ReplicationEvent rev;
-            rev.kind = ReplicationEvent::Kind::kMemShadow;
-            rev.container = resize.container;
-            rev.mem = resize.new_limit;
-            emit_repl(rev);
-          }
-          record_reclaims(*agent, result->resizes);
-          total_reclaimed_ += result->psi;
+          if (!crashed_) apply_reclaim(*agent, *result);
         });
   }
 }
@@ -1580,18 +1383,11 @@ bool Controller::telemetry_plausible(const CpuStatsMsg& stats,
     if (used_cores > node_cores * (1.0 + 1e-9)) bad = true;
   }
   if (!bad) return true;
-  if (obs_ != nullptr) {
-    obs_->h.telemetry_rejected->inc();
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kTelemetryRejected;
-    ev.container = stats.cgroup;
-    ev.node = entry != nullptr ? node_tag(*entry) : 0;
-    ev.before = 0.0;  // resource flag: 0 = CPU
-    ev.after = period > 0.0 ? static_cast<double>(stats.quota) / period : 0.0;
-    ev.detail = static_cast<std::int64_t>(stats.unused);
-    obs_->record(ev);
-  }
+  if (obs_ != nullptr) obs_->h.telemetry_rejected->inc();
+  trace(obs::EventKind::kTelemetryRejected, stats.cgroup,
+        0.0,  // resource flag: 0 = CPU
+        period > 0.0 ? static_cast<double>(stats.quota) / period : 0.0,
+        static_cast<std::int64_t>(stats.unused));
   return false;
 }
 
@@ -1619,9 +1415,22 @@ void Controller::emit_credit(cluster::ContainerId id, bool removed) {
   emit_repl(rev);
 }
 
+void Controller::charge_credits(cluster::ContainerId id, std::int64_t want,
+                                std::int64_t detail, obs::EventId cause) {
+  const std::int64_t before = credits_.balance_micro(id);
+  const std::int64_t price = std::min(
+      want, std::max<std::int64_t>(
+                0, before + CreditLedger::to_micro(config_.credit_cap)));
+  if (price <= 0) return;
+  credits_.burn(id, price);
+  if (obs_ != nullptr) obs_->h.credit_charges->inc();
+  trace(obs::EventKind::kCreditCharge, id, CreditLedger::to_credits(before),
+        CreditLedger::to_credits(credits_.balance_micro(id)), detail, cause);
+  emit_credit(id, /*removed=*/false);
+}
+
 void Controller::install_credits(
-    const std::vector<CreditLedger::Snapshot>& accounts, std::int64_t minted,
-    std::int64_t burned) {
+    const std::vector<CreditLedger::Snapshot>& accounts, std::int64_t burned) {
   // Takeover re-registration already opened init accounts for every member
   // it could rebuild; the replicated image replaces those wholesale.
   // Accounts for containers the takeover could not re-register (vanished
@@ -1647,7 +1456,6 @@ void Controller::install_credits(
   // the minted total from them and enforce conservation structurally. In a
   // clean failover the image is self-consistent and this reproduces the
   // replicated minted total exactly.
-  (void)minted;
   const std::int64_t total_burned = burned + dropped;
   std::int64_t outstanding = 0;
   for (const CreditLedger::Snapshot& s : kept) outstanding += s.micro;
@@ -1680,29 +1488,15 @@ double Controller::rt_floor_of(cluster::ContainerId id) const {
 }
 
 double Controller::node_rt_reserved(cluster::NodeId node,
-                                    cluster::ContainerId except) const {
+                                    cluster::ContainerId except,
+                                    double RtInfo::*field) const {
   double sum = 0.0;
   for (const auto& [id, info] : rt_) {
     if (id == except) continue;
     const std::uint32_t slot = index_.find(id);
     if (slot == ContainerIndex::kInvalid) continue;
     const Entry& e = registry_[slot];
-    if (e.agent != nullptr && e.agent->node().id() == node) sum += info.floor;
-  }
-  return sum;
-}
-
-double Controller::node_rt_bw_reserved(cluster::NodeId node,
-                                       cluster::ContainerId except) const {
-  double sum = 0.0;
-  for (const auto& [id, info] : rt_) {
-    if (id == except) continue;
-    const std::uint32_t slot = index_.find(id);
-    if (slot == ContainerIndex::kInvalid) continue;
-    const Entry& e = registry_[slot];
-    if (e.agent != nullptr && e.agent->node().id() == node) {
-      sum += info.bw_bps;
-    }
+    if (e.agent != nullptr && e.agent->node().id() == node) sum += info.*field;
   }
   return sum;
 }
@@ -1710,17 +1504,8 @@ double Controller::node_rt_bw_reserved(cluster::NodeId node,
 void Controller::record_rt_rejected(cluster::ContainerId id, double floor,
                                     std::int64_t reason) {
   ++rt_rejections_;
-  if (obs_ == nullptr) return;
-  obs_->h.rt_rejected->inc();
-  obs::TraceEvent ev;
-  ev.time = sim_.now();
-  ev.kind = obs::EventKind::kRtRejected;
-  ev.container = id;
-  const Entry* entry = find_entry(id);
-  ev.node = entry != nullptr ? node_tag(*entry) : 0;
-  ev.after = floor;
-  ev.detail = reason;
-  obs_->record(ev);
+  if (obs_ != nullptr) obs_->h.rt_rejected->inc();
+  trace(obs::EventKind::kRtRejected, id, 0.0, floor, reason);
 }
 
 Controller::RtAdmit Controller::admit_rt(cluster::ContainerId id,
@@ -1739,7 +1524,7 @@ Controller::RtAdmit Controller::admit_rt(cluster::ContainerId id,
   // reservations only while their density sum stays under the bound — the
   // slack above it is what absorbs CFS quantization and best-effort floors.
   const double node_cores = entry->agent->node().config().cores;
-  if (node_rt_reserved(node, id) + floor >
+  if (node_rt_reserved(node, id, &RtInfo::floor) + floor >
       config_.rt_util_bound * node_cores + kCpuLimitEpsilon) {
     record_rt_rejected(id, floor, 0);
     return RtAdmit::kRejectedNode;
@@ -1757,7 +1542,7 @@ Controller::RtAdmit Controller::admit_rt(cluster::ContainerId id,
   if (bw_bps > 0.0) {
     const double nic =
         bw_shaper_ != nullptr ? bw_shaper_->node_nic_bps(node) : 0.0;
-    if (nic <= 0.0 || node_rt_bw_reserved(node, id) + bw_bps >
+    if (nic <= 0.0 || node_rt_reserved(node, id, &RtInfo::bw_bps) + bw_bps >
                           config_.rt_bw_bound * nic + 0.5) {
       record_rt_rejected(id, floor, 2);
       return RtAdmit::kRejectedBw;
@@ -1787,15 +1572,9 @@ void Controller::install_rt(cluster::ContainerId id, const cfs::RtSpec& spec,
     obs_->h.rt_reserved_cores->set(rt_reserved_cores_);
     if (fresh) {
       obs_->h.rt_admitted->inc();
-      obs::TraceEvent ev;
-      ev.time = sim_.now();
-      ev.kind = obs::EventKind::kRtAdmitted;
-      ev.container = id;
-      ev.node = node_tag(*entry);
-      ev.after = floor;
-      ev.detail = (static_cast<std::int64_t>(spec.runtime) << 32) |
-                  static_cast<std::int64_t>(spec.period);
-      obs_->record(ev);
+      trace(obs::EventKind::kRtAdmitted, id, 0.0, floor,
+            (static_cast<std::int64_t>(spec.runtime) << 32) |
+                static_cast<std::int64_t>(spec.period));
     }
   }
   emit_rt(id, /*removed=*/false);
@@ -1808,18 +1587,8 @@ bool Controller::evict_rt(cluster::ContainerId id, int reason) {
   const auto it = rt_.find(id);
   if (it == rt_.end()) return false;
   ++rt_evictions_;
-  if (obs_ != nullptr) {
-    obs_->h.rt_evicted->inc();
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kRtEvicted;
-    ev.container = id;
-    const Entry* entry = find_entry(id);
-    ev.node = entry != nullptr ? node_tag(*entry) : 0;
-    ev.before = it->second.floor;
-    ev.detail = reason;
-    obs_->record(ev);
-  }
+  if (obs_ != nullptr) obs_->h.rt_evicted->inc();
+  trace(obs::EventKind::kRtEvicted, id, it->second.floor, 0.0, reason);
   // A dead node's container keeps its periodic-job model fail-static (the
   // node is unreachable; resync re-derives the reservation if it returns);
   // every other eviction tears the node-side model down.
@@ -1871,19 +1640,9 @@ void Controller::raise_to_rt_floor(cluster::ContainerId id, double floor) {
   if (unalloc < need) shed_best_effort(need - unalloc);
   const double applied = allocator_.app().set_member_cores(id, floor);
   if (applied - cur <= kRtFloorSlack) return;
+  if (obs_ != nullptr) obs_->h.cpu_grants->inc();
   LoopCtx ctx;
-  if (obs_ != nullptr) {
-    obs_->h.cpu_grants->inc();
-    obs::TraceEvent ev;
-    ev.time = sim_.now();
-    ev.kind = obs::EventKind::kCpuGrant;
-    ev.container = id;
-    const Entry* entry = find_entry(id);
-    ev.node = entry != nullptr ? node_tag(*entry) : 0;
-    ev.before = cur;
-    ev.after = applied;
-    ctx.cause = obs_->record(ev);
-  }
+  ctx.cause = trace(obs::EventKind::kCpuGrant, id, cur, applied);
   push_limit(id, Resource::kCpu, applied, ctx);
 }
 
@@ -1919,18 +1678,9 @@ void Controller::shed_best_effort(double need) {
       if (cur - target <= kRtFloorSlack) continue;
       const double applied = allocator_.app().set_member_cores(id, target);
       need -= cur - applied;
+      if (obs_ != nullptr) obs_->h.cpu_shrinks->inc();
       LoopCtx ctx;
-      if (obs_ != nullptr) {
-        obs_->h.cpu_shrinks->inc();
-        obs::TraceEvent ev;
-        ev.time = sim_.now();
-        ev.kind = obs::EventKind::kCpuShrink;
-        ev.container = id;
-        ev.node = node_tag(*entry);
-        ev.before = cur;
-        ev.after = applied;
-        ctx.cause = obs_->record(ev);
-      }
+      ctx.cause = trace(obs::EventKind::kCpuShrink, id, cur, applied);
       push_limit(id, Resource::kCpu, applied, ctx);
     }
   }
@@ -1941,18 +1691,12 @@ void Controller::on_deadline_miss(cluster::Container& container,
   ++deadline_misses_;
   if (obs_ == nullptr) return;
   obs_->h.deadline_misses->inc();
-  obs::TraceEvent ev;
-  ev.time = sim_.now();
-  ev.kind = obs::EventKind::kDeadlineMiss;
-  ev.container = container.id();
-  const Entry* entry = find_entry(container.id());
-  ev.node = entry != nullptr ? node_tag(*entry) : 0;
-  ev.before = container.rt().floor_cores();
-  ev.after = allocator_.app().is_member(container.id())
-                 ? allocator_.app().member_cores(container.id())
-                 : container.cpu_cgroup().limit_cores();
-  ev.detail = static_cast<std::int64_t>(remaining);
-  obs_->record(ev);
+  trace(obs::EventKind::kDeadlineMiss, container.id(),
+        container.rt().floor_cores(),
+        allocator_.app().is_member(container.id())
+            ? allocator_.app().member_cores(container.id())
+            : container.cpu_cgroup().limit_cores(),
+        static_cast<std::int64_t>(remaining));
 }
 
 void Controller::settle_credits() {
@@ -2002,32 +1746,14 @@ void Controller::settle_credits() {
       continue;
     }
     const double cur = allocator_.app().member_cores(id);
-    const std::int64_t before_bal = credits_.balance_micro(id);
 
     if (cur > fair + tol) {
       // Above fair share: charge (cur-fair)/fair fair-share-seconds per
       // second held, scaled by pool pressure; debt floored at -credit_cap.
-      const std::int64_t want =
-          CreditLedger::to_micro((cur - fair) / fair * pressure * period_s);
-      const std::int64_t charge = std::min(
-          want, std::max<std::int64_t>(0, before_bal + cap));
-      if (charge > 0) {
-        credits_.burn(id, charge);
-        if (obs_ != nullptr) {
-          obs_->h.credit_charges->inc();
-          obs::TraceEvent ev;
-          ev.time = sim_.now();
-          ev.kind = obs::EventKind::kCreditCharge;
-          ev.container = id;
-          ev.node = entry != nullptr ? node_tag(*entry) : 0;
-          ev.before = CreditLedger::to_credits(before_bal);
-          ev.after = CreditLedger::to_credits(credits_.balance_micro(id));
-          ev.detail = static_cast<std::int64_t>(
-              std::llround((cur - fair) * 1000.0));  // above-share millicores
-          obs_->record(ev);
-        }
-        emit_credit(id, /*removed=*/false);
-      }
+      // Detail: above-share millicores.
+      charge_credits(
+          id, CreditLedger::to_micro((cur - fair) / fair * pressure * period_s),
+          std::llround((cur - fair) * 1000.0));
       const std::int32_t streak = credits_.bump_streak(id);
       if (credits_.balance_micro(id) <= 0 &&
           streak >= config_.credit_decay_grace) {
@@ -2041,19 +1767,10 @@ void Controller::settle_credits() {
              cur - config_.kappa * (cur - fair)});
         if (cur - target > kCpuLimitEpsilon) {
           const double applied = allocator_.app().set_member_cores(id, target);
+          if (obs_ != nullptr) obs_->h.greedy_throttles->inc();
           LoopCtx ctx;
-          if (obs_ != nullptr) {
-            obs_->h.greedy_throttles->inc();
-            obs::TraceEvent ev;
-            ev.time = sim_.now();
-            ev.kind = obs::EventKind::kGreedyThrottle;
-            ev.container = id;
-            ev.node = entry != nullptr ? node_tag(*entry) : 0;
-            ev.before = cur;
-            ev.after = applied;
-            ev.detail = streak;
-            ctx.cause = obs_->record(ev);
-          }
+          ctx.cause =
+              trace(obs::EventKind::kGreedyThrottle, id, cur, applied, streak);
           push_limit(id, Resource::kCpu, applied, ctx);
         }
       }
@@ -2061,22 +1778,15 @@ void Controller::settle_credits() {
       if (cur < fair - tol) {
         // Below fair share: earn at the symmetric rate, capped so priority
         // cannot be banked indefinitely (anti-hoarding).
+        const std::int64_t before_bal = credits_.balance_micro(id);
         const std::int64_t earned = credits_.mint(
             id, CreditLedger::to_micro((fair - cur) / fair * period_s), cap);
         if (earned > 0) {
-          if (obs_ != nullptr) {
-            obs_->h.credit_refunds->inc();
-            obs::TraceEvent ev;
-            ev.time = sim_.now();
-            ev.kind = obs::EventKind::kCreditRefund;
-            ev.container = id;
-            ev.node = entry != nullptr ? node_tag(*entry) : 0;
-            ev.before = CreditLedger::to_credits(before_bal);
-            ev.after = CreditLedger::to_credits(credits_.balance_micro(id));
-            ev.detail = static_cast<std::int64_t>(
+          if (obs_ != nullptr) obs_->h.credit_refunds->inc();
+          trace(obs::EventKind::kCreditRefund, id,
+                CreditLedger::to_credits(before_bal),
+                CreditLedger::to_credits(credits_.balance_micro(id)),
                 std::llround((fair - cur) * 1000.0));  // below-share mcores
-            obs_->record(ev);
-          }
           emit_credit(id, /*removed=*/false);
         }
       }
@@ -2090,28 +1800,10 @@ void Controller::settle_credits() {
         static_cast<double>(allocator_.app().member_mem(id));
     if (fair_mem > 0.0 &&
         cur_mem > fair_mem * (1.0 + config_.credit_tolerance)) {
-      const std::int64_t bal = credits_.balance_micro(id);
-      const std::int64_t want = CreditLedger::to_micro(
-          (cur_mem - fair_mem) / fair_mem * mem_pressure * period_s);
-      const std::int64_t rent =
-          std::min(want, std::max<std::int64_t>(0, bal + cap));
-      if (rent > 0) {
-        credits_.burn(id, rent);
-        if (obs_ != nullptr) {
-          obs_->h.credit_charges->inc();
-          obs::TraceEvent ev;
-          ev.time = sim_.now();
-          ev.kind = obs::EventKind::kCreditCharge;
-          ev.container = id;
-          ev.node = entry != nullptr ? node_tag(*entry) : 0;
-          ev.before = CreditLedger::to_credits(bal);
-          ev.after = CreditLedger::to_credits(credits_.balance_micro(id));
-          ev.detail =
-              static_cast<std::int64_t>(cur_mem - fair_mem);  // bytes over
-          obs_->record(ev);
-        }
-        emit_credit(id, /*removed=*/false);
-      }
+      charge_credits(id,
+                     CreditLedger::to_micro((cur_mem - fair_mem) / fair_mem *
+                                            mem_pressure * period_s),
+                     static_cast<std::int64_t>(cur_mem - fair_mem));  // bytes
     }
   }
 }

@@ -263,9 +263,11 @@ class Controller {
   // decision stream serially in shard order). Records the grant/shrink
   // event and opens the sequenced desired-state slot exactly as
   // ingest_cpu_stats would after an inline decision. `before` is the shadow
-  // limit the allocator saw when it decided.
+  // limit the allocator saw when it decided; `cause` links the decision
+  // event to the throttle that prompted it (0 = none).
   void apply_cpu_decision(cluster::ContainerId id, double before,
-                          double cores, sim::TimePoint fire_time);
+                          double cores, sim::TimePoint fire_time,
+                          obs::EventId cause = 0);
   // Pre-OOM request: returns true if the limit was raised enough for the
   // charge to succeed (the container survives). Fails (container dies by
   // the kernel's normal OOM path) when the Controller is crashed or
@@ -298,9 +300,9 @@ class Controller {
   // Warm-standby takeover installs the replicated balances (call right
   // after takeover(); synchronous, so no settle tick intervenes). Re-emits
   // one kCredit record per account so the new leader's stream rebuilds the
-  // standbys' images.
+  // standbys' images. The minted total is re-derived from the balances.
   void install_credits(const std::vector<CreditLedger::Snapshot>& accounts,
-                       std::int64_t minted, std::int64_t burned);
+                       std::int64_t burned);
 
   // --- real-time admission control (mixed-criticality class) ---
   //
@@ -435,12 +437,27 @@ class Controller {
                      double rt_bw = 0.0);
   void ingest_cpu_stats(const CpuStatsMsg& stats, obs::EventId cause,
                         sim::TimePoint fire_time);
+  // The one trace recorder: stamps the event with sim_.now() and tags it
+  // with the container's node from its registry row. With no observer
+  // attached it returns 0 before any lookup.
+  obs::EventId trace(obs::EventKind kind, cluster::ContainerId id,
+                     double before, double after, std::int64_t detail = 0,
+                     obs::EventId cause = 0) {
+    if (obs_ == nullptr) return 0;
+    const Entry* entry = find_entry(id);
+    return trace_at(entry != nullptr ? node_tag(*entry) : 0, kind, id, before,
+                    after, detail, cause);
+  }
+  // Same, with the node tag supplied by the caller: the tag captured at send
+  // time, the answering Agent's node, or a node-level event (id 0).
+  obs::EventId trace_at(std::uint32_t node_tag, obs::EventKind kind,
+                        cluster::ContainerId id, double before, double after,
+                        std::int64_t detail = 0, obs::EventId cause = 0);
   // Opens (or supersedes) the container's desired-state slot for `resource`
   // with `value`: fresh sequence, kRpcIssued trace, slot replication, and
   // dispatch to the wire.
   void push_limit(cluster::ContainerId id, Resource resource, double value,
                   LoopCtx ctx);
-  void ingest_bw_stats(const bw::BwSample& sample);
   // NIC headroom left on a node for one container's rate: nic_bps minus
   // every *other* attached container's rate, counting for each the larger
   // of the applied shaper rate and the book's shadow rate (so in-flight
@@ -453,6 +470,9 @@ class Controller {
   void admit_bw(cluster::Container& container, cluster::Node& node,
                 double want, RegisterMode mode);
   void run_periodic_reclaim();
+  // Books one Agent's reclaim result (either sweep): shadow limits and
+  // kMemShadow records first, then the kReclaim traces.
+  void apply_reclaim(Agent& agent, const Agent::ReclaimResult& result);
   // Credit defense internals. settle_credits runs every CFS period and is
   // the ONLY site that charges usage-based credits — charging at the sweep
   // rather than per telemetry RPC makes charges exactly-once under
@@ -461,6 +481,10 @@ class Controller {
   void open_credit_account(cluster::ContainerId id);
   void close_credit_account(cluster::ContainerId id);
   void emit_credit(cluster::ContainerId id, bool removed);
+  // Burns min(want, balance + credit_cap) micro-credits (debt is floored at
+  // -credit_cap), tracing kCreditCharge and replicating the balance.
+  void charge_credits(cluster::ContainerId id, std::int64_t want,
+                      std::int64_t detail, obs::EventId cause = 0);
   // RT admission internals. install_rt commits an already-checked
   // reservation: books the floor into the allocator, arms the node-side
   // periodic-job model and the deadline-miss observer, and replicates the
@@ -481,10 +505,11 @@ class Controller {
   // Raises the container's shadow limit to its floor (shedding best-effort
   // if the pool is dry) so the reservation holds from admission onward.
   void raise_to_rt_floor(cluster::ContainerId id, double floor);
-  double node_rt_reserved(cluster::NodeId node,
-                          cluster::ContainerId except) const;
-  double node_rt_bw_reserved(cluster::NodeId node,
-                             cluster::ContainerId except) const;
+  // Sum of one reservation field (floor or bw_bps) over the node's other
+  // admitted containers.
+  struct RtInfo;
+  double node_rt_reserved(cluster::NodeId node, cluster::ContainerId except,
+                          double RtInfo::*field) const;
   void on_deadline_miss(cluster::Container& container,
                         sim::Duration remaining);
   void record_rt_rejected(cluster::ContainerId id, double floor,
@@ -492,9 +517,12 @@ class Controller {
   void emit_rt(cluster::ContainerId id, bool removed);
   // Rejects physically-impossible telemetry (trace kTelemetryRejected).
   bool telemetry_plausible(const CpuStatsMsg& stats, const Entry* entry);
-  std::uint32_t node_tag(const Entry& entry) const;
-  void record_reclaims(Agent& agent,
-                       const std::vector<Agent::Resize>& resizes);
+  // Trace events store node + 1 so that 0 stays "unknown" (node ids are
+  // zero-based).
+  static std::uint32_t node_tag(cluster::NodeId node) { return node + 1; }
+  static std::uint32_t node_tag(const Entry& entry) {
+    return entry.agent != nullptr ? node_tag(entry.agent->node().id()) : 0;
+  }
 
   // --- reliability internals ---
   static std::uint64_t update_key(cluster::ContainerId id, Resource r) {
@@ -549,8 +577,13 @@ class Controller {
   void cancel_pending_for(cluster::ContainerId id);
   void run_liveness_check();
   void declare_dead(cluster::NodeId node, NodeHealth& health);
+  void emit_health(cluster::NodeId node, std::uint64_t incarnation, bool dead);
   void reclaim_dead_node(cluster::NodeId node);
-  void deregister_quarantined(cluster::ContainerId id);
+  // Releases a container's controller-side state: RT eviction (`rt_reason`
+  // per evict_rt), kContainerKilled, slots, credits, kDeregister, pool and
+  // index. Node-side state is the caller's: a quarantine reclaim leaves the
+  // dead node's hooks and cgroups fail-static.
+  void release(cluster::ContainerId id, int rt_reason);
   void resync_node(cluster::NodeId node, Agent& agent);
   void apply_resync(cluster::NodeId node, Agent& agent,
                     const std::vector<Agent::SnapshotEntry>& snapshot);

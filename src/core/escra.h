@@ -98,14 +98,10 @@ class EscraSystem {
   // Attaches control-plane observability (decision trace, metrics, loop
   // profiler) to the Controller and the Resource Allocator. Safe before or
   // after deploy; already-registered containers are re-wired. The observer
-  // must outlive the system (or be detached first).
+  // must outlive the system.
   void attach_observer(obs::Observer& observer) {
     controller_.set_observer(&observer);
     allocator_.set_observer(&observer);
-  }
-  void detach_observer() {
-    controller_.set_observer(nullptr);
-    allocator_.set_observer(nullptr);
   }
 
   DistributedContainer& app() { return app_; }

@@ -439,8 +439,7 @@ void HaControlPlane::promote(Standby& standby) {
     for (const auto& [id, micro] : s.replica.credits) {
       credit_accounts.push_back(core::CreditLedger::Snapshot{id, micro});
     }
-    controller.install_credits(credit_accounts, s.replica.credit_minted,
-                               s.replica.credit_burned);
+    controller.install_credits(credit_accounts, s.replica.credit_burned);
   }
   epoch_ = controller.epoch();
   if (obs != nullptr) obs->h.ha_epoch->set(static_cast<double>(epoch_));

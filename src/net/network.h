@@ -108,15 +108,6 @@ class Shaper {
                              std::function<void()> release) = 0;
 };
 
-// Samples of aggregate bandwidth over fixed windows, for peak-Mbps reporting.
-struct BandwidthSample {
-  sim::TimePoint window_start = 0;
-  std::uint64_t bytes = 0;
-  double mbps(sim::Duration window) const {
-    return static_cast<double>(bytes) * 8.0 / sim::to_seconds(window) / 1e6;
-  }
-};
-
 class Network {
  public:
   struct Config {

@@ -301,6 +301,11 @@ TraceBuffer TraceBuffer::import_jsonl(std::istream& in) {
     }
   }
   TraceBuffer buf(events.empty() ? 1 : events.size());
+  // A file whose ids start above 1 was exported from a ring that had
+  // already evicted everything older.
+  if (!events.empty() && events.front().id > 1) {
+    buf.evicted_ = events.front().id - 1;
+  }
   for (const TraceEvent& e : events) {
     const EventId want = e.id;
     buf.record(e);

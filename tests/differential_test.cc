@@ -30,9 +30,14 @@
 //    for decision (each shard allocates from its slice), but must be
 //    byte-identical run-to-run and keep cross-shard pool conservation
 //    green.
+//
+// 4) Across commits: FNV-1a digests of two canonical raw traces (clean, and
+//    2% RPC loss with a leader failover) are pinned to constants, so a
+//    refactor that claims to keep behaviour can prove it byte for byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -482,6 +487,33 @@ TEST(DifferentialTest, MultiShardSurvivesShardLeaderFailover) {
   EXPECT_EQ(a.raw_trace, b.raw_trace);
   EXPECT_EQ(a.cpu_limits, b.cpu_limits);
   EXPECT_EQ(a.mem_limits, b.mem_limits);
+}
+
+// --- decision stream pinned across commits ---------------------------------
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// Every other comparison here runs within one build (batched vs legacy, run
+// vs run); this one compares against digests recorded from an earlier
+// commit, so a refactor that claims "same behaviour" is checked byte for
+// byte. A change that alters behaviour on purpose must update the constants
+// (and say why in its description).
+TEST(DifferentialTest, CanonicalTraceDigestsArePinned) {
+  const CanonicalRun clean = run_canonical({});
+  const CanonicalRun faulted =
+      run_canonical({.rpc_drop = 0.02, .failover = true});
+  EXPECT_TRUE(clean.checker_ok) << clean.checker_report;
+  EXPECT_TRUE(faulted.checker_ok) << faulted.checker_report;
+  EXPECT_EQ(faulted.failovers, 1u);
+  EXPECT_EQ(fnv1a(clean.raw_trace), 0xea8ad9691a9c7d95ULL);
+  EXPECT_EQ(fnv1a(faulted.raw_trace), 0x0a6642c7e1e1443aULL);
 }
 
 TEST(DifferentialTest, BothPathsSurviveLeaderFailoverMidBatch) {

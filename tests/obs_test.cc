@@ -261,6 +261,31 @@ TEST(TraceBufferTest, JsonlExportIsDeterministicAndRoundTrips) {
   EXPECT_EQ(out3.str(), out1.str());
 }
 
+TEST(TraceBufferTest, ImportCountsEventsEvictedBeforeTheExport) {
+  // Exported from a ring that had already evicted ids 1..4: the import must
+  // report them as evicted, not pretend the trace starts complete.
+  TraceBuffer ring(3);
+  EventId last = 0;
+  for (std::uint32_t i = 1; i <= 7; ++i) {
+    last = ring.record(make_event(EventKind::kCpuGrant, 1, i * 10, last));
+  }
+  ASSERT_EQ(ring.evicted(), 4u);
+  std::ostringstream out;
+  ring.export_jsonl(out);
+
+  std::istringstream in(out.str());
+  const TraceBuffer parsed = TraceBuffer::import_jsonl(in);
+  ASSERT_EQ(parsed.size(), 3u);
+  EXPECT_EQ(parsed.at(0).id, 5u);
+  EXPECT_EQ(parsed.recorded(), 7u);
+  EXPECT_EQ(parsed.evicted(), 4u);
+  // The chain still stops at the evicted cause, with #5 as its oldest hop.
+  const auto chain = parsed.chain(7);
+  ASSERT_EQ(chain.size(), 3u);
+  EXPECT_EQ(chain.front().id, 5u);
+  EXPECT_EQ(chain.front().cause, 4u);
+}
+
 TEST(TraceBufferTest, ImportRejectsMalformedLines) {
   std::istringstream in("not json at all\n");
   EXPECT_THROW(TraceBuffer::import_jsonl(in), std::runtime_error);

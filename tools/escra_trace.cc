@@ -8,6 +8,9 @@
 //   escra-trace <trace.jsonl> --chain ID      causal chain ending at event
 //                                             ID, root first, with the
 //                                             per-hop and total latency
+//                                             (partial, naming the evicted
+//                                             cause, when the ring dropped
+//                                             the root)
 //   escra-trace <trace.jsonl> --tenant ID     credit-ledger view of one
 //                                             container: balance trajectory,
 //                                             charges/refunds, rejected
@@ -51,9 +54,13 @@ void usage() {
                "EVENT_ID | --tenant ID | --shard ID | --rt]\n");
 }
 
-// Borrow-protocol events carry the resource flag in `before` (0 = CPU,
-// 1 = memory, 2 = bandwidth) and the amount in `after`, in that resource's
-// natural unit.
+// Limit-update and borrow-protocol events carry the resource flag in
+// `before` (0 = CPU, 1 = memory, 2 = bandwidth) and the amount in `after`,
+// in that resource's natural unit.
+const char* resource_label(double resource) {
+  return resource == 0.0 ? "cpu" : resource == 1.0 ? "mem" : "bw";
+}
+
 void format_resource_amount(double resource, double amount, char* buf,
                             std::size_t len) {
   if (resource == 0.0) {
@@ -84,18 +91,20 @@ void format_limits(const obs::TraceEvent& ev, char* buf, std::size_t len) {
       break;
     case obs::EventKind::kRpcIssued:
     case obs::EventKind::kRpcApplied:
-    case obs::EventKind::kRetransmit:
-      // `before` is the resource flag (0 = CPU, 1 = memory); retransmits
-      // carry the attempt count in `detail`.
+    case obs::EventKind::kRetransmit: {
+      // Retransmits carry the attempt count in `detail`.
+      char amount[32];
+      format_resource_amount(ev.before, ev.after, amount, sizeof amount);
       if (ev.kind == obs::EventKind::kRetransmit) {
-        std::snprintf(buf, len, "limit %.3f (%s, attempt %lld)", ev.after,
-                      ev.before == 0.0 ? "cpu" : "mem",
+        std::snprintf(buf, len, "limit %s (%s, attempt %lld)", amount,
+                      resource_label(ev.before),
                       static_cast<long long>(ev.detail));
       } else {
-        std::snprintf(buf, len, "limit %.3f (%s)", ev.after,
-                      ev.before == 0.0 ? "cpu" : "mem");
+        std::snprintf(buf, len, "limit %s (%s)", amount,
+                      resource_label(ev.before));
       }
       break;
+    }
     case obs::EventKind::kDuplicateSuppressed:
       std::snprintf(buf, len, "kept %.3f, dup seq %lld", ev.before,
                     static_cast<long long>(ev.detail));
@@ -540,11 +549,10 @@ int run_shard(const obs::TraceBuffer& trace, std::uint32_t shard) {
   std::map<std::uint32_t, std::uint64_t> shards_seen;
   std::map<std::string, std::uint64_t> by_kind;
   // Borrow traffic per peer shard: [requests, grants, returns] counts and
-  // the CPU/memory amounts moved.
+  // the amounts moved per resource (cores, bytes, bytes/s).
   struct PeerTraffic {
     std::uint64_t requests = 0, grants = 0, returns = 0;
-    double cpu_cores = 0.0;
-    double mem_bytes = 0.0;
+    double moved[3] = {0.0, 0.0, 0.0};
   };
   std::map<std::uint32_t, PeerTraffic> peers;
   std::uint64_t adverts = 0;
@@ -569,8 +577,9 @@ int run_shard(const obs::TraceBuffer& trace, std::uint32_t shard) {
         if (ev.kind == obs::EventKind::kBorrowRequest) ++p.requests;
         if (ev.kind == obs::EventKind::kBorrowGrant) ++p.grants;
         if (ev.kind == obs::EventKind::kBorrowReturn) ++p.returns;
-        if (ev.before == 0.0) p.cpu_cores += ev.after;
-        if (ev.before == 1.0) p.mem_bytes += ev.after;
+        if (ev.before >= 0.0 && ev.before <= 2.0) {
+          p.moved[static_cast<int>(ev.before)] += ev.after;
+        }
         timeline.push_back(&ev);
         break;
       }
@@ -618,18 +627,18 @@ int run_shard(const obs::TraceBuffer& trace, std::uint32_t shard) {
   }
   for (const auto& [peer, t] : peers) {
     std::printf("  peer s%-3u requests %llu, grants %llu, returns %llu "
-                "(%.3f cores, %.1f MiB moved)\n",
+                "(%.3f cores, %.1f MiB, %.1f MB/s moved)\n",
                 peer, static_cast<unsigned long long>(t.requests),
                 static_cast<unsigned long long>(t.grants),
-                static_cast<unsigned long long>(t.returns), t.cpu_cores,
-                t.mem_bytes / (1024.0 * 1024.0));
+                static_cast<unsigned long long>(t.returns), t.moved[0],
+                t.moved[1] / (1024.0 * 1024.0), t.moved[2] / 1e6);
   }
   const char* pool_unit[3] = {"cores", "MiB", "MB/s"};
   const double pool_scale[3] = {1.0, 1024.0 * 1024.0, 1e6};
   for (int res = 0; res < 3; ++res) {
     if (!pool_seen[res]) continue;
     std::printf("  pool (%s): %.3f -> %.3f %s over the trace\n",
-                res == 0 ? "cpu" : res == 1 ? "mem" : "bw",
+                resource_label(res),
                 pool_first[res] / pool_scale[res],
                 pool_last[res] / pool_scale[res], pool_unit[res]);
   }
@@ -732,8 +741,16 @@ int run_chain(const obs::TraceBuffer& trace, obs::EventId id) {
     return 1;
   }
   const auto chain = trace.chain(id);
+  // A root with a cause means the walk stopped short: the ring evicted the
+  // rest of the chain, so its first hops and its latency are unknown.
+  const obs::EventId lost = chain.front().cause;
   std::printf("causal chain for #%llu (%zu hops, root first):\n",
               static_cast<unsigned long long>(id), chain.size());
+  if (lost != 0) {
+    std::printf("  (stops at %s cause #%llu: the chain is incomplete)\n",
+                lost < trace.at(0).id ? "evicted" : "missing",
+                static_cast<unsigned long long>(lost));
+  }
   for (std::size_t i = 0; i < chain.size(); ++i) {
     print_event(chain[i]);
     if (i + 1 < chain.size()) {
@@ -743,9 +760,15 @@ int run_chain(const obs::TraceBuffer& trace, obs::EventId id) {
     }
   }
   if (chain.size() > 1) {
-    std::printf("end-to-end: %.3f ms\n",
-                static_cast<double>(chain.back().time - chain.front().time) /
-                    1000.0);
+    const double ms =
+        static_cast<double>(chain.back().time - chain.front().time) / 1000.0;
+    if (lost != 0) {
+      std::printf("partial latency (from #%llu, the oldest retained hop): "
+                  "%.3f ms\n",
+                  static_cast<unsigned long long>(chain.front().id), ms);
+    } else {
+      std::printf("end-to-end: %.3f ms\n", ms);
+    }
   }
   return 0;
 }
