@@ -78,12 +78,16 @@ TEST_P(BenchmarkCountTest, MatchesPaperContainerCount) {
   EXPECT_EQ(g.total_containers(), GetParam().containers);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    PaperCounts, BenchmarkCountTest,
-    ::testing::Values(CountCase{Benchmark::kMedia, 32},
-                      CountCase{Benchmark::kHipster, 11},
-                      CountCase{Benchmark::kTrainTicket, 68},
-                      CountCase{Benchmark::kTeastore, 7}));
+// gtest names each case after the raw bytes of its CountCase, padding
+// included. A static table has zeroed padding, so the names are the same on
+// every run; temporaries built on the stack would leak stack garbage into them.
+constexpr CountCase kPaperCounts[] = {{Benchmark::kMedia, 32},
+                                      {Benchmark::kHipster, 11},
+                                      {Benchmark::kTrainTicket, 68},
+                                      {Benchmark::kTeastore, 7}};
+
+INSTANTIATE_TEST_SUITE_P(PaperCounts, BenchmarkCountTest,
+                         ::testing::ValuesIn(kPaperCounts));
 
 TEST(BenchmarkTest, EntryServiceIsFirst) {
   for (const auto b : {Benchmark::kMedia, Benchmark::kHipster,
