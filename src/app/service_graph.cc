@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace escra::app {
 
@@ -46,6 +47,11 @@ Application::Application(cluster::Cluster& cluster, GraphSpec spec,
 
   for (std::size_t s = 0; s < spec_.services.size(); ++s) {
     const ServiceSpec& svc = spec_.services[s];
+    // The mean of lognormal(mu, sigma) is exp(mu + sigma^2/2), so this mu
+    // gives visits the spec'd mean cost.
+    const double sigma = svc.cpu_jitter_sigma;
+    visit_mu_.push_back(std::log(static_cast<double>(svc.cpu_per_visit)) -
+                        sigma * sigma / 2.0);
     for (int r = 0; r < svc.replicas; ++r) {
       cluster::ContainerSpec cs;
       cs.name = svc.name + "-" + std::to_string(r);
@@ -113,58 +119,68 @@ cluster::Container& Application::pick_replica(std::size_t service) {
 
 void Application::submit_request(Done done) {
   ++started_;
-  auto ctx = std::make_shared<RequestCtx>();
-  ctx->outstanding = 1;
-  ctx->done = std::move(done);
-  visit_service(0, std::move(ctx));
+  std::uint32_t ctx;
+  if (free_requests_.empty()) {
+    ctx = static_cast<std::uint32_t>(requests_.size());
+    requests_.emplace_back();
+  } else {
+    ctx = free_requests_.back();
+    free_requests_.pop_back();
+  }
+  RequestCtx& row = requests_[ctx];
+  row.outstanding = 1;
+  row.failed = false;
+  row.done = std::move(done);
+  visit_service(0, ctx);
 }
 
-void Application::visit_service(std::size_t service,
-                                std::shared_ptr<RequestCtx> ctx) {
+void Application::visit_service(std::uint32_t service, std::uint32_t ctx) {
   const ServiceSpec& svc = spec_.services[service];
   cluster::Container& replica = pick_replica(service);
 
-  // Log-normal visit cost with the configured sigma and the spec'd mean:
-  // mean of lognormal(mu, sigma) is exp(mu + sigma^2/2).
+  // Log-normal visit cost with the configured sigma and the spec'd mean.
   sim::Duration cost = svc.cpu_per_visit;
   if (svc.cpu_jitter_sigma > 0.0) {
-    const double sigma = svc.cpu_jitter_sigma;
-    const double mu =
-        std::log(static_cast<double>(svc.cpu_per_visit)) - sigma * sigma / 2.0;
     // Clamp the log-normal tail at 8x the mean: real request handlers have
     // bounded work, and an unclamped 4-sigma draw would dominate a whole
     // run's tail latency by itself.
     cost = std::clamp<sim::Duration>(
-        static_cast<sim::Duration>(rng_.lognormal(mu, sigma)),
+        static_cast<sim::Duration>(
+            rng_.lognormal(visit_mu_[service], svc.cpu_jitter_sigma)),
         sim::microseconds(50), 8 * svc.cpu_per_visit);
   }
 
   const bool accepted = replica.submit(
       cost, svc.mem_per_visit, [this, service, ctx](bool ok) {
         if (!ok) {
-          ctx->failed = true;
+          requests_[ctx].failed = true;
         } else {
           // Fork-join fan-out along outgoing edges.
           for (const EdgeSpec* e : out_edges_[service]) {
             if (e->probability >= 1.0 || rng_.chance(e->probability)) {
-              ++ctx->outstanding;
-              visit_service(e->to, ctx);
+              ++requests_[ctx].outstanding;
+              visit_service(static_cast<std::uint32_t>(e->to), ctx);
             }
           }
         }
-        if (--ctx->outstanding == 0 && ctx->done) {
-          ctx->done(!ctx->failed);
-          ctx->done = nullptr;
-        }
+        finish_visit(ctx);
       });
   if (!accepted) {
     // Replica is restarting: the visit never ran.
-    ctx->failed = true;
-    if (--ctx->outstanding == 0 && ctx->done) {
-      ctx->done(false);
-      ctx->done = nullptr;
-    }
+    requests_[ctx].failed = true;
+    finish_visit(ctx);
   }
+}
+
+void Application::finish_visit(std::uint32_t ctx) {
+  RequestCtx& row = requests_[ctx];
+  if (--row.outstanding > 0) return;
+  // Recycle the row before reporting: `done` may submit a new request,
+  // which can reuse the row or grow (and move) the pool.
+  Done done = std::exchange(row.done, nullptr);
+  const bool ok = !row.failed;
+  free_requests_.push_back(ctx);
+  if (done) done(ok);
 }
 
 }  // namespace escra::app

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -93,12 +92,18 @@ class Application {
   std::uint64_t requests_started() const { return started_; }
 
  private:
+  // One in-flight request. Rows live in a pool addressed by index, so a
+  // visit's completion captures two integers instead of an owning pointer:
+  // it fits std::function's inline storage and a visit allocates nothing.
   struct RequestCtx {
     int outstanding = 0;
     bool failed = false;
     Done done;
   };
-  void visit_service(std::size_t service, std::shared_ptr<RequestCtx> ctx);
+  void visit_service(std::uint32_t service, std::uint32_t ctx);
+  // Ends one visit of request `ctx`; the last one recycles the row and
+  // reports the request's outcome.
+  void finish_visit(std::uint32_t ctx);
   void start_background(cluster::Container& container, const ServiceSpec& svc);
   cluster::Container& pick_replica(std::size_t service);
 
@@ -109,6 +114,10 @@ class Application {
   std::vector<std::vector<cluster::Container*>> by_service_;
   std::vector<std::size_t> rr_;  // round-robin cursor per service
   std::vector<std::vector<const EdgeSpec*>> out_edges_;
+  // Log-normal mu of each service's visit cost (see visit_service).
+  std::vector<double> visit_mu_;
+  std::vector<RequestCtx> requests_;
+  std::vector<std::uint32_t> free_requests_;  // recycled rows of requests_
   std::uint64_t started_ = 0;
 };
 

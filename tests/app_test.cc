@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "app/benchmarks.h"
 #include "app/service_graph.h"
 #include "cluster/cluster.h"
@@ -194,6 +197,38 @@ TEST(ApplicationTest, ProbabilisticEdgesSometimesSkip) {
   const auto visits = rig.app.service_containers(1)[0]->completed_items();
   EXPECT_GT(visits, 50u);
   EXPECT_LT(visits, 150u);
+}
+
+// A closed loop whose completions submit the next request, and every tenth
+// submits two, so new requests arrive (and the request pool grows) while a
+// completion is still on the stack. Each request must finish exactly once.
+TEST(ApplicationTest, DoneMaySubmitWhileRequestPoolGrows) {
+  GraphSpec g = tiny_graph();
+  g.edges[0].probability = 0.5;
+  Rig rig(std::move(g));
+  constexpr int kRequests = 2000;
+  std::vector<int> finished;  // completions per request, by submit order
+  int ok = 0;
+  std::function<void()> submit = [&] {
+    const std::size_t id = finished.size();
+    finished.push_back(0);
+    rig.app.submit_request([&, id](bool o) {
+      ++finished[id];
+      ok += o ? 1 : 0;
+      if (finished.size() >= kRequests) return;
+      submit();
+      if (id % 10 == 9) submit();
+    });
+  };
+  for (int i = 0; i < 4; ++i) submit();
+  rig.sim.run_until(seconds(60));
+
+  ASSERT_GE(finished.size(), static_cast<std::size_t>(kRequests));
+  EXPECT_EQ(rig.app.requests_started(), finished.size());
+  for (std::size_t id = 0; id < finished.size(); ++id) {
+    ASSERT_EQ(finished[id], 1) << "request " << id;
+  }
+  EXPECT_EQ(ok, static_cast<int>(finished.size()));
 }
 
 TEST(ApplicationTest, BackgroundLoadKeepsIdleContainersWarm) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -233,6 +236,33 @@ TEST_P(MaxMinFairPropertyTest, InvariantsHoldOnRandomInstances) {
         ASSERT_LE(g[i], min_unsat + 1e-6);
       }
     }
+  }
+}
+
+// The scheduler calls the in-place form every slice with the same buffers,
+// so whatever a previous call left in them must not change the result: it
+// must equal the returning form exactly, on idle consumers and on under- and
+// over-subscribed nodes alike.
+TEST_P(MaxMinFairPropertyTest, InPlaceFormMatchesReturningForm) {
+  sim::Rng rng(static_cast<std::uint64_t>(GetParam()));
+  std::vector<double> grant;
+  std::vector<std::size_t> work;
+  for (int trial = 0; trial < 300; ++trial) {
+    const int n = static_cast<int>(rng.uniform_int(0, 24));
+    std::vector<double> demands;
+    for (int i = 0; i < n; ++i) {
+      demands.push_back(rng.chance(0.3) ? 0.0 : rng.uniform(0.0, 4.0));
+    }
+    const double demand_sum =
+        std::accumulate(demands.begin(), demands.end(), 0.0);
+    double capacity = rng.uniform(0.5, 16.0);
+    if (trial % 3 == 0) capacity = demand_sum + rng.uniform(0.1, 4.0);
+    if (trial % 3 == 1) capacity = std::max(0.1, demand_sum * rng.uniform(0.1, 0.9));
+
+    const std::vector<double> expected =
+        NodeCpuScheduler::max_min_fair(demands, capacity);
+    NodeCpuScheduler::max_min_fair(demands, capacity, grant, work);
+    ASSERT_EQ(grant, expected) << "trial " << trial;
   }
 }
 
