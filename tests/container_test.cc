@@ -106,6 +106,26 @@ TEST(ContainerTest, OomKillFailsAllQueuedWork) {
   EXPECT_EQ(rig.c.mem_cgroup().usage(), 0);
 }
 
+// An item that finishes in the slice in which a later item's charge
+// OOM-kills the container still completes: its callback fires once, with
+// ok, and the kill drops only the items still queued.
+TEST(ContainerTest, ItemFinishedBeforeOomKillInSameSliceCompletes) {
+  Rig rig(spec(4.0, 64 * kMiB), 2.0, /*mem_limit=*/100 * kMiB);
+  int first_ok = 0, first_failed = 0, second_ok = 0, second_failed = 0;
+  rig.c.submit(1, 1 * kMiB, [&](bool o) { o ? ++first_ok : ++first_failed; });
+  // 64 + 1 + 64 > 100: this charge overflows once the first item is done.
+  rig.c.submit(milliseconds(5), 64 * kMiB,
+               [&](bool o) { o ? ++second_ok : ++second_failed; });
+  rig.sim.run_until(milliseconds(100));
+  ASSERT_EQ(rig.c.oom_kill_count(), 1u);
+  EXPECT_EQ(first_ok, 1);
+  EXPECT_EQ(first_failed, 0);
+  EXPECT_EQ(second_ok, 0);
+  EXPECT_EQ(second_failed, 1);
+  EXPECT_EQ(rig.c.completed_items(), 1u);
+  EXPECT_EQ(rig.c.dropped_items(), 1u);
+}
+
 TEST(ContainerTest, RestartsAfterDelayAndRechargesBase) {
   Rig rig(spec(4.0, 64 * kMiB, seconds(2)), 2.0, 100 * kMiB);
   rig.c.submit(milliseconds(10), 60 * kMiB, nullptr);  // overflows at exec
