@@ -24,65 +24,102 @@ NodeShaper::NodeShaper(sim::Simulation& sim, std::uint32_t node,
 }
 
 NodeShaper::~NodeShaper() {
-  for (auto& [key, ln] : lanes_) sim_.cancel(ln.timer);
+  for (Row& r : rows_) {
+    for (Lane& ln : r.lanes) sim_.cancel(ln.timer);
+  }
+}
+
+NodeShaper::Queued NodeShaper::Queue::pop_front() {
+  Queued q = std::move(items[head++]);
+  if (head == items.size()) {
+    items.clear();
+    head = 0;
+  } else if (head * 2 >= items.size()) {
+    items.erase(items.begin(),
+                items.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+  return q;
 }
 
 double NodeShaper::burst_for(double rate_bps) const {
   return std::max(config_.min_burst_bytes, rate_bps * config_.burst_window_s);
 }
 
-double NodeShaper::container_rate(std::uint32_t container) const {
-  const auto it = rates_.find(container);
-  return it == rates_.end() ? 0.0 : it->second;
+NodeShaper::Row* NodeShaper::find_row(std::uint32_t container) {
+  const std::uint32_t r = row_index(container);
+  return r == kNoRow ? nullptr : &rows_[r];
 }
 
-NodeShaper::Lane& NodeShaper::lane(std::uint32_t container, bool ingress,
-                                   double rate_bps) {
-  const std::uint64_t key = lane_key(container, ingress);
-  auto it = lanes_.find(key);
-  if (it == lanes_.end()) {
-    it = lanes_.emplace(key, Lane{}).first;
-    it->second.bucket = TokenBucket(rate_bps, burst_for(rate_bps));
-    // A fresh lane starts with a full burst of credit (idle until now), but
-    // its refill clock starts at the current instant, not t=0.
-    it->second.bucket.tokens(sim_.now());
+NodeShaper::Row& NodeShaper::row(std::uint32_t container) {
+  if (container >= row_of_.size()) row_of_.resize(container + 1, kNoRow);
+  if (row_of_[container] == kNoRow) {
+    if (free_rows_.empty()) {
+      row_of_[container] = static_cast<std::uint32_t>(rows_.size());
+      rows_.emplace_back();
+    } else {
+      row_of_[container] = free_rows_.back();
+      free_rows_.pop_back();
+    }
   }
-  return it->second;
+  return rows_[row_of_[container]];
+}
+
+NodeShaper::Lane* NodeShaper::live_lane(std::uint32_t container,
+                                        bool ingress) {
+  Row* r = find_row(container);
+  if (r == nullptr || !r->lanes[ingress].live) return nullptr;
+  return &r->lanes[ingress];
+}
+
+double NodeShaper::container_rate(std::uint32_t container) const {
+  const std::uint32_t r = row_index(container);
+  return r == kNoRow ? 0.0 : rows_[r].rate;
 }
 
 void NodeShaper::set_container_rate(std::uint32_t container, double rate_bps) {
-  rates_[container] = std::max(0.0, rate_bps);
-  const double rate = rates_[container];
+  const double rate = std::max(0.0, rate_bps);
+  row(container).rate = rate;  // future lanes read the row's rate
   for (const bool ingress : {false, true}) {
-    const std::uint64_t key = lane_key(container, ingress);
-    const auto it = lanes_.find(key);
-    if (it == lanes_.end()) continue;  // future lanes read rates_
-    Lane& ln = it->second;
-    ln.bucket.set_rate(sim_.now(), rate,
-                       rate > 0.0 ? burst_for(rate) : ln.bucket.burst_bytes());
-    if (!ln.queue.empty() && !ln.draining) {
+    // Looked up per direction: the egress drain below may re-enter the
+    // shaper, move the rows or remove this container.
+    Lane* ln = live_lane(container, ingress);
+    if (ln == nullptr) continue;
+    ln->bucket.set_rate(
+        sim_.now(), rate,
+        rate > 0.0 ? burst_for(rate) : ln->bucket.burst_bytes());
+    if (!ln->queue.empty() && !ln->draining) {
       // Queued messages re-evaluate against the new rate right now: a raise
       // can release them early, a cut pushes their release further out.
-      sim_.cancel(ln.timer);
-      ln.timer = sim::EventHandle{};
-      drain(key);
+      sim_.cancel(ln->timer);
+      ln->timer = sim::EventHandle{};
+      drain(container, ingress);
     }
   }
 }
 
 void NodeShaper::remove_container(std::uint32_t container) {
   for (const bool ingress : {false, true}) {
-    const std::uint64_t key = lane_key(container, ingress);
-    const auto it = lanes_.find(key);
-    if (it == lanes_.end()) continue;
-    sim_.cancel(it->second.timer);
+    Lane* ln = live_lane(container, ingress);
+    if (ln == nullptr) continue;
+    sim_.cancel(ln->timer);
     // Release anything still queued, in order: the container's shaping is
     // gone, not the messages already handed to the network.
-    std::deque<Queued> pending = std::move(it->second.queue);
-    lanes_.erase(it);
-    for (Queued& q : pending) q.release();
+    Queue pending = std::move(ln->queue);
+    *ln = Lane{};
+    for (std::size_t i = pending.head; i < pending.items.size(); ++i) {
+      pending.items[i].release();
+    }
   }
-  rates_.erase(container);
+  // The rate goes, and the row with it unless a release above re-entered
+  // the shaper and re-created a lane.
+  Row* r = find_row(container);
+  if (r == nullptr) return;
+  r->rate = 0.0;
+  if (!r->lanes[0].live && !r->lanes[1].live) {
+    free_rows_.push_back(row_of_[container]);
+    row_of_[container] = kNoRow;
+  }
 }
 
 void NodeShaper::note_throttle(std::uint32_t container, const Lane& ln) {
@@ -99,10 +136,17 @@ void NodeShaper::note_throttle(std::uint32_t container, const Lane& ln) {
 
 bool NodeShaper::shape(bool ingress, std::uint32_t container,
                        std::size_t bytes, std::function<void()> release) {
-  const double rate = container_rate(container);
-  if (rate <= 0.0) return false;  // unshaped container: pass through
-  Lane& ln = lane(container, ingress, rate);
+  Row* r = find_row(container);
+  if (r == nullptr || r->rate <= 0.0) return false;  // unshaped: pass through
+  Lane& ln = r->lanes[ingress];
   const sim::TimePoint now = sim_.now();
+  if (!ln.live) {
+    ln.live = true;
+    ln.bucket = TokenBucket(r->rate, burst_for(r->rate));
+    // A fresh lane starts with a full burst of credit (idle until now), but
+    // its refill clock starts at the current instant, not t=0.
+    ln.bucket.tokens(now);
+  }
   const double b = static_cast<double>(bytes);
   if (ln.queue.empty() && !ln.draining && ln.bucket.time_until(now, b) == 0 &&
       nic_.time_until(now, b) == 0) {
@@ -118,57 +162,54 @@ bool NodeShaper::shape(bool ingress, std::uint32_t container,
     // visible before the next telemetry period lands.
     note_throttle(container, ln);
     if (!ln.draining) {
-      const std::uint64_t key = lane_key(container, ingress);
       const sim::Duration wait =
           std::max(ln.bucket.time_until(now, b), nic_.time_until(now, b));
-      ln.timer = sim_.schedule_after(std::max<sim::Duration>(wait, 1),
-                                     [this, key] { drain(key); });
+      ln.timer = sim_.schedule_after(
+          std::max<sim::Duration>(wait, 1),
+          [this, container, ingress] { drain(container, ingress); });
     }
   }
   return true;
 }
 
-void NodeShaper::drain(std::uint64_t key) {
-  {
-    const auto it = lanes_.find(key);
-    if (it == lanes_.end()) return;
-    it->second.timer = sim::EventHandle{};
-    it->second.draining = true;
-  }
+void NodeShaper::drain(std::uint32_t container, bool ingress) {
+  Lane* first = live_lane(container, ingress);
+  if (first == nullptr) return;
+  first->timer = sim::EventHandle{};
+  first->draining = true;
   while (true) {
-    // Re-find every iteration: a release() may re-enter the shaper and even
-    // remove this container.
-    const auto it = lanes_.find(key);
-    if (it == lanes_.end()) return;
-    Lane& ln = it->second;
-    if (ln.queue.empty()) {
-      ln.draining = false;
+    // Re-find every iteration: a release() may re-enter the shaper, grow
+    // the tables (moving this row) and even remove this container.
+    Lane* ln = live_lane(container, ingress);
+    if (ln == nullptr) return;
+    if (ln->queue.empty()) {
+      ln->draining = false;
       return;
     }
     const sim::TimePoint now = sim_.now();
-    const double b = static_cast<double>(ln.queue.front().bytes);
+    const double b = static_cast<double>(ln->queue.front().bytes);
     const sim::Duration wait =
-        std::max(ln.bucket.time_until(now, b), nic_.time_until(now, b));
+        std::max(ln->bucket.time_until(now, b), nic_.time_until(now, b));
     if (wait > 0) {
-      ln.draining = false;
-      ln.timer = sim_.schedule_after(wait, [this, key] { drain(key); });
+      ln->draining = false;
+      ln->timer = sim_.schedule_after(
+          wait, [this, container, ingress] { drain(container, ingress); });
       return;
     }
-    Queued head = std::move(ln.queue.front());
-    ln.queue.pop_front();
-    ln.bucket.try_consume(now, b);
+    Queued head = ln->queue.pop_front();
+    ln->bucket.try_consume(now, b);
     nic_.try_consume(now, b);
-    ln.through_bytes += head.bytes;
+    ln->through_bytes += head.bytes;
     head.release();
   }
 }
 
 NodeShaper::PeriodStats NodeShaper::sample(std::uint32_t container) {
   PeriodStats s;
+  Row* r = find_row(container);
+  if (r == nullptr) return s;
   for (const bool ingress : {false, true}) {
-    const auto it = lanes_.find(lane_key(container, ingress));
-    if (it == lanes_.end()) continue;
-    Lane& ln = it->second;
+    Lane& ln = r->lanes[ingress];  // a lane not yet live reads all zero
     (ingress ? s.ingress_bytes : s.egress_bytes) = ln.through_bytes;
     s.throttled_msgs += ln.throttled_msgs;
     s.queue_depth += ln.queue.size();
@@ -180,7 +221,9 @@ NodeShaper::PeriodStats NodeShaper::sample(std::uint32_t container) {
 
 std::size_t NodeShaper::queued_messages() const {
   std::size_t n = 0;
-  for (const auto& [key, ln] : lanes_) n += ln.queue.size();
+  for (const Row& r : rows_) {
+    for (const Lane& ln : r.lanes) n += ln.queue.size();
+  }
   return n;
 }
 
@@ -192,21 +235,21 @@ ClusterShaper::ClusterShaper(sim::Simulation& sim, ShaperConfig config)
 ClusterShaper::~ClusterShaper() { stop_sampler(); }
 
 NodeShaper& ClusterShaper::add_node(std::uint32_t node, double nic_bps) {
-  auto [it, inserted] = nodes_.emplace(
-      node, std::make_unique<NodeShaper>(sim_, node, nic_bps, config_));
-  if (!inserted) throw std::invalid_argument("ClusterShaper: duplicate node");
-  it->second->set_observer(obs_);
-  return *it->second;
+  if (node >= nodes_.size()) nodes_.resize(node + 1);
+  if (nodes_[node]) {
+    throw std::invalid_argument("ClusterShaper: duplicate node");
+  }
+  nodes_[node] = std::make_unique<NodeShaper>(sim_, node, nic_bps, config_);
+  nodes_[node]->set_observer(obs_);
+  return *nodes_[node];
 }
 
 NodeShaper* ClusterShaper::node_shaper(std::uint32_t node) {
-  const auto it = nodes_.find(node);
-  return it == nodes_.end() ? nullptr : it->second.get();
+  return node < nodes_.size() ? nodes_[node].get() : nullptr;
 }
 
 const NodeShaper* ClusterShaper::node_shaper(std::uint32_t node) const {
-  const auto it = nodes_.find(node);
-  return it == nodes_.end() ? nullptr : it->second.get();
+  return node < nodes_.size() ? nodes_[node].get() : nullptr;
 }
 
 double ClusterShaper::node_nic_bps(std::uint32_t node) const {
@@ -215,24 +258,20 @@ double ClusterShaper::node_nic_bps(std::uint32_t node) const {
 }
 
 void ClusterShaper::attach(std::uint32_t container, std::uint32_t node) {
-  if (!nodes_.contains(node)) {
+  if (node_shaper(node) == nullptr) {
     throw std::invalid_argument("ClusterShaper::attach: unknown node");
+  }
+  if (container >= container_node_.size()) {
+    container_node_.resize(container + 1, kNoNode);
   }
   container_node_[container] = node;
 }
 
 void ClusterShaper::detach(std::uint32_t container) {
-  const auto it = container_node_.find(container);
-  if (it == container_node_.end()) return;
-  if (NodeShaper* shaper = node_shaper(it->second)) {
-    shaper->remove_container(container);
-  }
-  container_node_.erase(it);
-}
-
-std::uint32_t ClusterShaper::node_of(std::uint32_t container) const {
-  const auto it = container_node_.find(container);
-  return it == container_node_.end() ? kNoNode : it->second;
+  const std::uint32_t node = node_of(container);
+  if (node == kNoNode) return;
+  nodes_[node]->remove_container(container);
+  container_node_[container] = kNoNode;
 }
 
 void ClusterShaper::set_container_rate(std::uint32_t container,
@@ -242,13 +281,13 @@ void ClusterShaper::set_container_rate(std::uint32_t container,
     throw std::invalid_argument(
         "ClusterShaper::set_container_rate: container not attached");
   }
-  nodes_.at(node)->set_container_rate(container, rate_bps);
+  nodes_[node]->set_container_rate(container, rate_bps);
 }
 
 double ClusterShaper::container_rate(std::uint32_t container) const {
   const std::uint32_t node = node_of(container);
   if (node == kNoNode) return 0.0;
-  return nodes_.at(node)->container_rate(container);
+  return nodes_[node]->container_rate(container);
 }
 
 void ClusterShaper::start_sampler(sim::Duration period, StatsSink sink) {
@@ -269,9 +308,13 @@ void ClusterShaper::sampler_tick() {
   if (!sink_) return;
   const double period_s = sim::to_seconds(sample_period_);
   // Ascending container order: the emission order (and therefore the
-  // controller's ingest order) is deterministic.
-  for (const auto& [container, node] : container_node_) {
-    NodeShaper& shaper = *nodes_.at(node);
+  // controller's ingest order) is deterministic. The bound is re-read every
+  // step, so a container the sink attaches is visited like any other.
+  for (std::uint32_t container = 0; container < container_node_.size();
+       ++container) {
+    const std::uint32_t node = container_node_[container];
+    if (node == kNoNode) continue;
+    NodeShaper& shaper = *nodes_[node];
     const double rate = shaper.container_rate(container);
     if (rate <= 0.0) continue;  // unshaped: no telemetry
     const NodeShaper::PeriodStats stats = shaper.sample(container);
@@ -290,12 +333,16 @@ void ClusterShaper::sampler_tick() {
 
 void ClusterShaper::set_observer(obs::Observer* observer) {
   obs_ = observer;
-  for (auto& [node, shaper] : nodes_) shaper->set_observer(observer);
+  for (const auto& shaper : nodes_) {
+    if (shaper) shaper->set_observer(observer);
+  }
 }
 
 std::size_t ClusterShaper::queued_messages() const {
   std::size_t n = 0;
-  for (const auto& [node, shaper] : nodes_) n += shaper->queued_messages();
+  for (const auto& shaper : nodes_) {
+    if (shaper) n += shaper->queued_messages();
+  }
   return n;
 }
 
@@ -303,14 +350,14 @@ bool ClusterShaper::shape_egress(std::uint32_t container, std::size_t bytes,
                                  std::function<void()> release) {
   const std::uint32_t node = node_of(container);
   if (node == kNoNode) return false;
-  return nodes_.at(node)->shape(false, container, bytes, std::move(release));
+  return nodes_[node]->shape(false, container, bytes, std::move(release));
 }
 
 bool ClusterShaper::shape_ingress(std::uint32_t container, std::size_t bytes,
                                   std::function<void()> release) {
   const std::uint32_t node = node_of(container);
   if (node == kNoNode) return false;
-  return nodes_.at(node)->shape(true, container, bytes, std::move(release));
+  return nodes_[node]->shape(true, container, bytes, std::move(release));
 }
 
 }  // namespace escra::bw

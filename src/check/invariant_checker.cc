@@ -827,7 +827,8 @@ void InvariantChecker::sweep() {
   if (bw_shaper_ != nullptr) {
     const core::EscraConfig& cfg = escra_.config();
     std::map<std::uint32_t, double> node_rate_sum;
-    for (const auto& [id, node] : bw_shaper_->attachments()) {
+    bw_shaper_->for_each_attachment([&](std::uint32_t id,
+                                        std::uint32_t node) {
       const double applied = bw_shaper_->container_rate(id);
       // Registration and book membership can briefly diverge across a
       // controller crash (registry rebuilt from resync while fail-static
@@ -843,7 +844,7 @@ void InvariantChecker::sweep() {
                 "floor",
                 book, cfg.bw_min_rate));
       }
-    }
+    });
     for (const auto& [node, sum] : node_rate_sum) {
       const double nic = bw_shaper_->node_nic_bps(node);
       if (nic > 0.0 && sum > nic + 0.5) {

@@ -424,8 +424,8 @@ double Controller::node_bw_headroom(cluster::NodeId node,
   if (bw_shaper_ == nullptr) return 0.0;
   const double nic = bw_shaper_->node_nic_bps(node);
   double used = 0.0;
-  for (const auto& [id, n] : bw_shaper_->attachments()) {
-    if (n != node || id == except) continue;
+  bw_shaper_->for_each_attachment([&](std::uint32_t id, std::uint32_t n) {
+    if (n != node || id == except) return;
     // The larger of the applied shaper rate and the book's shadow rate: an
     // in-flight grant is already committed in the book, an unlanded shrink
     // is still applied at the node — counting the max keeps the sum of
@@ -437,7 +437,7 @@ double Controller::node_bw_headroom(cluster::NodeId node,
                             ? allocator_.app().member_bw(id)
                             : 0.0;
     used += std::max(bw_shaper_->container_rate(id), book);
-  }
+  });
   return std::max(0.0, nic - used);
 }
 

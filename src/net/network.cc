@@ -216,31 +216,69 @@ void Network::send_flow(Channel channel, EndpointId from, EndpointId to,
                         std::uint32_t from_container,
                         std::uint32_t to_container, std::size_t bytes,
                         std::function<void()> on_deliver) {
+  const std::uint32_t row = open_flow(
+      {channel, from, to, to_container, bytes, std::move(on_deliver)});
   // Wire transit starts only once the sender's egress bucket releases the
   // message: accounting then reflects the *shaped* transmit time.
-  std::function<void()> wire = [this, channel, from, to, to_container, bytes,
-                                cb = std::move(on_deliver)]() {
-    account(channel, from, bytes);
-    const Route r = route(channel, from, to, bytes);
-    if (!r.deliver) return;
-    std::function<void()> arrive = [this, to_container, bytes, cb]() {
-      if (shaper_ != nullptr && to_container != 0 &&
-          shaper_->shape_ingress(to_container, bytes, cb)) {
-        return;  // queued behind the receiver's ingress bucket
-      }
-      cb();
-    };
-    if (r.duplicate) {
-      sim_.schedule_coalesced(sim_.now() + r.delay + latency_for(channel),
-                              arrive);
-    }
-    sim_.schedule_coalesced(sim_.now() + r.delay, std::move(arrive));
-  };
   if (shaper_ != nullptr && from_container != 0 &&
-      shaper_->shape_egress(from_container, bytes, wire)) {
+      shaper_->shape_egress(from_container, bytes,
+                            [this, row] { transmit_flow(row); })) {
     return;  // queued behind the sender's egress bucket
   }
-  wire();
+  transmit_flow(row);
+}
+
+std::uint32_t Network::open_flow(Flow flow) {
+  if (free_flows_.empty()) {
+    flows_.push_back(std::move(flow));
+    return static_cast<std::uint32_t>(flows_.size() - 1);
+  }
+  const std::uint32_t row = free_flows_.back();
+  free_flows_.pop_back();
+  flows_[row] = std::move(flow);
+  return row;
+}
+
+void Network::close_flow(std::uint32_t row) {
+  flows_[row].on_deliver = nullptr;
+  free_flows_.push_back(row);
+}
+
+void Network::transmit_flow(std::uint32_t row) {
+  const Flow& f = flows_[row];
+  account(f.channel, f.from, f.bytes);
+  const Route r = route(f.channel, f.from, f.to, f.bytes);
+  if (!r.deliver) {
+    close_flow(row);
+    return;
+  }
+  const sim::TimePoint at = sim_.now() + r.delay;
+  if (r.duplicate) {
+    // The copy trails the original by one channel latency in a row of its
+    // own (open_flow may move flows_: `f` is not used past this call).
+    const sim::TimePoint copy_at = at + latency_for(f.channel);
+    const std::uint32_t dup = open_flow(Flow(f));
+    sim_.schedule_coalesced(copy_at, [this, dup] { arrive_flow(dup); });
+  }
+  sim_.schedule_coalesced(at, [this, row] { arrive_flow(row); });
+}
+
+void Network::arrive_flow(std::uint32_t row) {
+  const Flow& f = flows_[row];
+  if (shaper_ != nullptr && f.to_container != 0 &&
+      shaper_->shape_ingress(f.to_container, f.bytes,
+                             [this, row] { deliver_flow(row); })) {
+    return;  // queued behind the receiver's ingress bucket
+  }
+  deliver_flow(row);
+}
+
+void Network::deliver_flow(std::uint32_t row) {
+  // The row is free before the callback runs: on_deliver may send again
+  // and grow flows_.
+  std::function<void()> cb = std::move(flows_[row].on_deliver);
+  close_flow(row);
+  cb();
 }
 
 void Network::rpc_to(EndpointId from, EndpointId to, std::size_t request_bytes,
