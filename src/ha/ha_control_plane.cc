@@ -248,7 +248,8 @@ void HaControlPlane::leader_tick() {
 
 HaControlPlane::Standby& HaControlPlane::add_standby() {
   auto standby = std::make_unique<Standby>();
-  standby->endpoint_index = config_.endpoint_base + next_endpoint_index_++;
+  standby->endpoint_index =
+      config_.endpoint_base + config_.endpoint_stride * next_endpoint_index_++;
   standby->last_leader_contact = sim_.now();
   standby->last_seen_epoch = epoch_;
   // The bootstrap snapshot covers the log so far; streaming continues from

@@ -65,11 +65,14 @@ struct HaConfig {
   // Standby ack cursors further than this many records behind the log head
   // at a lease tick are traced as kWalLag.
   std::uint64_t wal_lag_threshold = 64;
-  // First standby-endpoint index this plane hands out: standby k answers at
-  // net::standby_endpoint(endpoint_base + k). A sharded control plane gives
-  // each shard's HA group a disjoint band (shard * max-standbys) so a
-  // partition aimed at one shard's replica never clips another's.
+  // Standby-endpoint addresses this plane hands out: the k-th standby it
+  // creates (replacements after a takeover included) answers at
+  // net::standby_endpoint(endpoint_base + k * endpoint_stride). A sharded
+  // control plane interleaves its shards (base = shard, stride = shard
+  // count), so every address a shard ever uses is its own and a partition
+  // aimed at one shard's replica never clips another's.
   int endpoint_base = 0;
+  int endpoint_stride = 1;
 };
 
 class HaControlPlane {

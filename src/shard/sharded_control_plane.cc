@@ -151,7 +151,8 @@ void ShardedControlPlane::enable_ha(int standbys, ha::HaConfig base) {
   for (int s = 0; s < shard_count(); ++s) {
     ha::HaConfig config = base;
     config.standbys = standbys;
-    config.endpoint_base = s * standbys;
+    config.endpoint_base = s;
+    config.endpoint_stride = shard_count();
     shards_[s].ha = std::make_unique<ha::HaControlPlane>(*shards_[s].escra,
                                                          net_, config);
     shards_[s].ha->start();

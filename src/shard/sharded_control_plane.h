@@ -133,10 +133,10 @@ class ShardedControlPlane {
   void export_merged_trace(std::ostream& out) const;
 
   // Arms a warm-standby HA group per shard (call after start()). Shard i's
-  // standbys occupy the disjoint endpoint band [i * standbys, (i + 1) *
-  // standbys) of net::standby_endpoint, so partitions and failovers stay
-  // per shard. `base` seeds every per-shard HaConfig (standbys and
-  // endpoint_base are overwritten).
+  // k-th standby, replacements after a takeover included, answers at
+  // net::standby_endpoint(i + k * shard_count()): the shards interleave, so
+  // partitions and failovers stay per shard. `base` seeds every per-shard
+  // HaConfig (standbys, endpoint_base and endpoint_stride are overwritten).
   void enable_ha(int standbys, ha::HaConfig base = ha::HaConfig{});
   ha::HaControlPlane& ha(int shard);
   bool ha_enabled() const { return ha_enabled_; }

@@ -13,6 +13,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "check/shard_checker.h"
@@ -311,6 +312,54 @@ TEST(ShardPlaneTest, LeaderFailoverIsInvisibleToOtherShards) {
   const std::string with_failover = run(true);
   EXPECT_FALSE(undisturbed.empty());
   EXPECT_EQ(undisturbed, with_failover);
+}
+
+// A shard's replacement standby (created after a takeover) stays among its
+// own shard's standby addresses: it neither takes traffic at another
+// shard's address nor shares that shard's partitions. Borrowing is quiesced
+// so the other shard's replication traffic cannot depend on the failover.
+TEST(ShardPlaneTest, ReplacementStandbyStaysInItsShardsEndpointBand) {
+  const auto run = [](bool kill, bool partition) {
+    shard::ShardPlaneConfig pcfg;
+    pcfg.low_frac = 0.0;
+    ShardRig rig(2, 8.0, pcfg);
+    const auto& router = rig.plane->router();
+    const auto a =
+        rig.plane->deploy(make_app(app_on_shard(router, 0, "a"), 4));
+    const auto b =
+        rig.plane->deploy(make_app(app_on_shard(router, 1, "b"), 4));
+    rig.plane->start();
+    rig.plane->enable_ha(1);
+    rig.drive_hot(a, seconds(4));
+    rig.drive_hot(b, seconds(4));
+    if (kill) {
+      rig.sim.schedule_at(seconds(1),
+                          [&] { rig.plane->ha(0).kill_leader(); });
+    }
+    std::uint64_t shard1_rx = 0;
+    rig.sim.schedule_at(seconds(3), [&] {
+      shard1_rx = rig.net.endpoint_stats(net::standby_endpoint(1)).rx_bytes;
+      // Cuts shard 1's standby off from the leaders' seat.
+      if (partition) {
+        rig.net.partition(net::kControllerEndpoint, net::standby_endpoint(1));
+      }
+    });
+    rig.sim.run_until(seconds(5));
+    return std::tuple{shard1_rx, rig.plane->ha(0).failovers(),
+                      rig.plane->ha(1).failovers()};
+  };
+  // Shard 1's standby address carries only shard 1's stream.
+  const auto [undisturbed_rx, f0, f1] = run(false, false);
+  const auto [failover_rx, g0, g1] = run(true, false);
+  EXPECT_GT(undisturbed_rx, 0u);
+  EXPECT_EQ(failover_rx, undisturbed_rx);
+  EXPECT_EQ(g0, 1u);
+  // A partition aimed at shard 1's standby fails shard 1 over, never
+  // shard 0 again.
+  const auto [partitioned_rx, h0, h1] = run(true, true);
+  EXPECT_EQ(partitioned_rx, undisturbed_rx);
+  EXPECT_EQ(h0, 1u);
+  EXPECT_EQ(h1, 1u);
 }
 
 // --- parallel sweep -------------------------------------------------------
