@@ -2,9 +2,11 @@
 #
 # Runs escra-fuzz twice with identical arguments — --jobs 1 and --jobs 8 —
 # and fails unless both the exit codes and the captured stdout match
-# byte-for-byte. Invoked via `cmake -DFUZZ=<binary> [-DEXTRA=...] -P` from a
-# ctest entry; EXTRA is a ;-list of additional flags (e.g. the fault
-# profile), letting one script cover every overlay.
+# byte-for-byte. Invoked via `cmake -DFUZZ=<binary> [-DEXTRA=...]
+# [-DDIGEST=...] -P` from a ctest entry; EXTRA is a ;-list of additional
+# flags (e.g. the fault profile), letting one script cover every overlay.
+# DIGEST, when set, is the SHA-256 of the --jobs 1 stdout recorded at an
+# earlier commit, so the sweep's output is also pinned across commits.
 if(NOT DEFINED FUZZ)
   message(FATAL_ERROR "fuzz_jobs_diff: pass -DFUZZ=<path to escra-fuzz>")
 endif()
@@ -28,6 +30,13 @@ if(NOT out_serial STREQUAL out_parallel)
   message(FATAL_ERROR "fuzz_jobs_diff: stdout diverged between --jobs 1 and "
                       "--jobs 8\n--- jobs 1 ---\n${out_serial}\n"
                       "--- jobs 8 ---\n${out_parallel}")
+endif()
+if(DEFINED DIGEST)
+  string(SHA256 digest "${out_serial}")
+  if(NOT digest STREQUAL DIGEST)
+    message(FATAL_ERROR "fuzz_jobs_diff: stdout SHA-256 ${digest} differs "
+                        "from the pinned ${DIGEST}\n${out_serial}")
+  endif()
 endif()
 message(STATUS "fuzz_jobs_diff: ${BASE_ARGS} — stdout byte-identical "
                "across --jobs 1 and --jobs 8")
