@@ -96,11 +96,6 @@ struct EscraConfig {
   // Agent lease: after this much Controller silence the Agent enters
   // fail-static — containers keep running at their last-applied limits.
   sim::Duration agent_lease = sim::milliseconds(500);
-  // Coalesce all limit updates bound for one node within a tick into a
-  // single batched RPC with per-entry acks (same exactly-once slot
-  // semantics; retransmits stay per-entry). false restores the legacy
-  // one-RPC-per-update wire behavior.
-  bool batch_limit_updates = true;
 
   // --- Karma-style credit defense (beyond the paper: strategy-proofness
   //     against lying tenants, after Karma, arXiv:2305.17222). Off by

@@ -1,9 +1,8 @@
 // Property test for the desired-state slot machinery under the coalesced
-// (batched) limit-RPC path — and, as a control, the legacy one-RPC-per-update
-// path. An rng-scripted interleaving of register/deregister churn, grant-
-// and shrink-provoking load, lossy/duplicating control RPC (acks lost,
-// requests dropped, retransmits, dup deliveries) runs against a reference
-// model fed from the decision trace's record hook:
+// (batched) limit-RPC path. An rng-scripted interleaving of register/
+// deregister churn, grant- and shrink-provoking load, lossy/duplicating
+// control RPC (acks lost, requests dropped, retransmits, dup deliveries)
+// runs against a reference model fed from the decision trace's record hook:
 //
 //   * no desired-state slot ever regresses its sequence number — every
 //     kRpcIssued's open slot carries a seq strictly above anything that key
@@ -137,7 +136,7 @@ struct RunStats {
   std::uint64_t batched = 0, entries = 0, dups = 0;
 };
 
-RunStats run_interleaving(std::uint64_t seed, bool batched) {
+RunStats run_interleaving(std::uint64_t seed) {
   constexpr double kNicBps = 12.5e6;
   sim::Simulation sim;
   net::Network net(sim);
@@ -161,7 +160,6 @@ RunStats run_interleaving(std::uint64_t seed, bool batched) {
   }
 
   core::EscraConfig cfg;
-  cfg.batch_limit_updates = batched;
   cfg.bw_gamma = 1.0e6;  // reclaim at the MB/s scale of this small pool
   core::EscraSystem escra(sim, net, k8s, 24.0, 8 * kGiB, cfg);
   obs::Observer observer;
@@ -247,7 +245,7 @@ RunStats run_interleaving(std::uint64_t seed, bool batched) {
 TEST(BatchPropertyTest, RandomInterleavingsHoldSlotInvariantsWhenBatched) {
   for (std::uint64_t seed : {1ull, 7ull, 42ull, 0xe5c7aull}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const RunStats s = run_interleaving(seed, /*batched=*/true);
+    const RunStats s = run_interleaving(seed);
     // The scenario must actually exercise the machinery, not pass vacuously.
     EXPECT_GT(s.issues, 100u);
     EXPECT_GT(s.applies, 100u);
@@ -262,14 +260,6 @@ TEST(BatchPropertyTest, RandomInterleavingsHoldSlotInvariantsWhenBatched) {
     EXPECT_GT(s.entries, s.batched)
         << "same-node updates in one tick must coalesce (entries > RPCs)";
   }
-}
-
-TEST(BatchPropertyTest, LegacyPerUpdatePathHoldsTheSameInvariants) {
-  const RunStats s = run_interleaving(42, /*batched=*/false);
-  EXPECT_GT(s.issues, 100u);
-  EXPECT_GT(s.retransmits, 0u);
-  EXPECT_EQ(s.batched, 0u) << "legacy mode must not send batched RPCs";
-  EXPECT_EQ(s.entries, 0u);
 }
 
 }  // namespace

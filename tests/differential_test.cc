@@ -7,21 +7,10 @@
 //    makes zero decisions. Any drift here means Escra acts without an
 //    event, contradicting the paper's event-driven design.
 //
-// 2) Batched vs legacy limit-update wire path: the coalesced per-node RPC
-//    (config.batch_limit_updates) is a transport optimization and must be
-//    semantically invisible. On the canonical 64-node / 256-container
-//    scenario (bench/sim_throughput's e2e case) the two paths must make the
-//    same decisions at the same times with the same values — compared as a
-//    canonicalized trace (events sorted within a timestamp, ids/causal
-//    links dropped: within-tick apply *order* legitimately differs when a
-//    batch groups a node's entries) and as metrics with only the
-//    wire-accounting counters (net.*, controller.batched_*) excluded.
-//    Under faults (2% RPC loss, leader failover mid-batch) cross-path byte
-//    equality is impossible by construction — both paths draw from one
-//    fault-rng stream and a batch consumes one draw where legacy consumes
-//    many, so the fault schedules diverge — there each path must instead be
-//    exactly reproducible run-to-run, keep every invariant green, and end
-//    converged.
+// 2) The canonical 64-node / 256-container scenario (bench/sim_throughput's
+//    e2e case) under faults (2% RPC loss, leader failover mid-batch): the
+//    coalesced per-node limit RPCs must stay exactly reproducible
+//    run-to-run, keep every invariant green, and end converged.
 //
 // 3) Sharded vs single controller: a ShardedControlPlane at --shards 1 is
 //    the same EscraSystem behind a router, so its decision stream must be
@@ -33,8 +22,9 @@
 //
 // 4) Across commits: FNV-1a digests of two canonical raw traces (clean, and
 //    2% RPC loss with a leader failover) are pinned to constants, so a
-//    refactor that claims to keep behaviour can prove it byte for byte. The
-//    request path (application graph, container queues, node scheduler) is
+//    refactor that claims to keep behaviour can prove it byte for byte; the
+//    clean run must also coalesce a node's per-period updates. The request
+//    path (application graph, container queues, node scheduler) is
 //    pinned the same way through exp::run_microservice results.
 #include <gtest/gtest.h>
 
@@ -157,10 +147,9 @@ TEST(DifferentialTest, EventFreeWorkloadMatchesStaticBaseline) {
   }
 }
 
-// --- batched vs legacy limit-update wire path -----------------------------
+// --- the canonical scenario ------------------------------------------------
 
 struct CanonicalOptions {
-  bool batched = true;
   double rpc_drop = 0.0;
   bool failover = false;  // kill the leader mid-batch at t = 1 s
   int shards = 0;         // 0 = bare EscraSystem, >=1 = ShardedControlPlane
@@ -198,7 +187,6 @@ CanonicalRun run_canonical(const CanonicalOptions& opt) {
     k8s.add_node(cluster::NodeConfig{.cores = 20.0});
   }
   core::EscraConfig cfg;
-  cfg.batch_limit_updates = opt.batched;
   // Either one bare EscraSystem or a ShardedControlPlane over the identical
   // pool — built in the same order so `--shards 1` replays the exact event
   // schedule of the unsharded controller.
@@ -286,9 +274,9 @@ CanonicalRun run_canonical(const CanonicalOptions& opt) {
       plane->enable_ha(1);
     }
     // Land inside the decision tick: at t = 1 s + 80 us the telemetry has
-    // been ingested and this period's limit updates are on the wire (in
-    // batched mode: issued, flushed, not yet delivered) — the takeover
-    // happens mid-batch, with per-entry acks still in flight.
+    // been ingested and this period's limit updates are on the wire
+    // (issued, flushed, not yet delivered) — the takeover happens
+    // mid-batch, with per-entry acks still in flight.
     sim.schedule_at(sim::seconds(1) + sim::microseconds(230), [&] {
       if (ha) {
         ha->kill_leader();
@@ -351,8 +339,8 @@ CanonicalRun run_canonical(const CanonicalOptions& opt) {
   }
   r.raw_trace = raw.str();
   // The CSV is column-oriented (one header row, one value row). Drop the
-  // wire-accounting columns — net.* and the batch coalescing counters are
-  // *supposed* to differ between transports — and keep everything else.
+  // wire-accounting columns (net.* and the batch coalescing counters) and
+  // keep every decision counter.
   std::ostringstream metrics;
   observer.metrics().export_csv(metrics, sim.now());
   std::istringstream lines(metrics.str());
@@ -409,38 +397,16 @@ CanonicalRun run_canonical(const CanonicalOptions& opt) {
   return r;
 }
 
-TEST(DifferentialTest, BatchedAndLegacyPathsAgreeOnCanonicalScenario) {
-  const CanonicalRun batched = run_canonical({.batched = true});
-  const CanonicalRun legacy = run_canonical({.batched = false});
-
-  EXPECT_TRUE(batched.checker_ok) << batched.checker_report;
-  EXPECT_TRUE(legacy.checker_ok) << legacy.checker_report;
-  EXPECT_GT(batched.batched_rpcs, 0u);
-  EXPECT_GT(batched.batch_entries, batched.batched_rpcs)
-      << "coalescing must actually group a node's per-period updates";
-  EXPECT_EQ(legacy.batched_rpcs, 0u);
-
-  // Same decisions, same instants, same values — the transport is invisible.
-  ASSERT_EQ(batched.canonical_trace.size(), legacy.canonical_trace.size());
-  EXPECT_EQ(batched.canonical_trace, legacy.canonical_trace);
-  EXPECT_EQ(batched.filtered_metrics, legacy.filtered_metrics);
-  EXPECT_EQ(batched.cpu_limits, legacy.cpu_limits);
-  EXPECT_EQ(batched.mem_limits, legacy.mem_limits);
-}
-
-TEST(DifferentialTest, BothPathsAreReproducibleAndSoundUnderRpcLoss) {
-  for (const bool batched : {true, false}) {
-    SCOPED_TRACE(batched ? "batched" : "legacy");
-    const CanonicalRun a = run_canonical({.batched = batched, .rpc_drop = 0.02});
-    const CanonicalRun b = run_canonical({.batched = batched, .rpc_drop = 0.02});
-    EXPECT_TRUE(a.checker_ok) << a.checker_report;
-    EXPECT_GT(a.retransmits, 0u) << "2% loss must force retransmits";
-    // Determinism survives the fault path: byte-identical reruns.
-    EXPECT_EQ(a.raw_trace, b.raw_trace);
-    EXPECT_EQ(a.cpu_limits, b.cpu_limits);
-    EXPECT_EQ(a.mem_limits, b.mem_limits);
-    EXPECT_EQ(a.registered, 256u);
-  }
+TEST(DifferentialTest, CanonicalRunsAreReproducibleAndSoundUnderRpcLoss) {
+  const CanonicalRun a = run_canonical({.rpc_drop = 0.02});
+  const CanonicalRun b = run_canonical({.rpc_drop = 0.02});
+  EXPECT_TRUE(a.checker_ok) << a.checker_report;
+  EXPECT_GT(a.retransmits, 0u) << "2% loss must force retransmits";
+  // Determinism survives the fault path: byte-identical reruns.
+  EXPECT_EQ(a.raw_trace, b.raw_trace);
+  EXPECT_EQ(a.cpu_limits, b.cpu_limits);
+  EXPECT_EQ(a.mem_limits, b.mem_limits);
+  EXPECT_EQ(a.registered, 256u);
 }
 
 // --- sharded vs single controller -----------------------------------------
@@ -503,7 +469,7 @@ std::uint64_t fnv1a(const std::string& bytes) {
   return h;
 }
 
-// Every other comparison here runs within one build (batched vs legacy, run
+// Every other comparison here runs within one build (sharded vs bare, run
 // vs run); this one compares against digests recorded from an earlier
 // commit, so a refactor that claims "same behaviour" is checked byte for
 // byte. A change that alters behaviour on purpose must update the constants
@@ -514,6 +480,9 @@ TEST(DifferentialTest, CanonicalTraceDigestsArePinned) {
       run_canonical({.rpc_drop = 0.02, .failover = true});
   EXPECT_TRUE(clean.checker_ok) << clean.checker_report;
   EXPECT_TRUE(faulted.checker_ok) << faulted.checker_report;
+  EXPECT_GT(clean.batched_rpcs, 0u);
+  EXPECT_GT(clean.batch_entries, clean.batched_rpcs)
+      << "coalescing must actually group a node's per-period updates";
   EXPECT_EQ(faulted.failovers, 1u);
   EXPECT_EQ(fnv1a(clean.raw_trace), 0xea8ad9691a9c7d95ULL);
   EXPECT_EQ(fnv1a(faulted.raw_trace), 0x0a6642c7e1e1443aULL);
@@ -578,18 +547,15 @@ TEST(DifferentialTest, RequestPathDigestsArePinned) {
   }
 }
 
-TEST(DifferentialTest, BothPathsSurviveLeaderFailoverMidBatch) {
-  for (const bool batched : {true, false}) {
-    SCOPED_TRACE(batched ? "batched" : "legacy");
-    const CanonicalRun a = run_canonical({.batched = batched, .failover = true});
-    const CanonicalRun b = run_canonical({.batched = batched, .failover = true});
-    EXPECT_TRUE(a.checker_ok) << a.checker_report;
-    EXPECT_EQ(a.failovers, 1u);
-    EXPECT_EQ(a.registered, 256u) << "takeover must rebuild the registry";
-    EXPECT_EQ(a.raw_trace, b.raw_trace) << "failover schedule is deterministic";
-    EXPECT_EQ(a.cpu_limits, b.cpu_limits);
-    EXPECT_EQ(a.mem_limits, b.mem_limits);
-  }
+TEST(DifferentialTest, CanonicalRunSurvivesLeaderFailoverMidBatch) {
+  const CanonicalRun a = run_canonical({.failover = true});
+  const CanonicalRun b = run_canonical({.failover = true});
+  EXPECT_TRUE(a.checker_ok) << a.checker_report;
+  EXPECT_EQ(a.failovers, 1u);
+  EXPECT_EQ(a.registered, 256u) << "takeover must rebuild the registry";
+  EXPECT_EQ(a.raw_trace, b.raw_trace) << "failover schedule is deterministic";
+  EXPECT_EQ(a.cpu_limits, b.cpu_limits);
+  EXPECT_EQ(a.mem_limits, b.mem_limits);
 }
 
 }  // namespace

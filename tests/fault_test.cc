@@ -117,7 +117,6 @@ TEST(FaultTest, OddByteMemoryLimitLandsExactlyThroughBatchedPush) {
   sim.run_until(milliseconds(500));
 
   core::Controller& controller = escra.controller();
-  ASSERT_TRUE(escra.config().batch_limit_updates);
   std::vector<core::Controller::TakeoverContainer> containers =
       controller.registry_snapshot();
   for (core::Controller::TakeoverContainer& tc : containers) {
