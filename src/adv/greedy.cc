@@ -4,20 +4,6 @@
 
 namespace escra::workload {
 
-const char* greedy_strategy_name(GreedyStrategy s) {
-  switch (s) {
-    case GreedyStrategy::kInflatedUsage:
-      return "inflated-usage";
-    case GreedyStrategy::kPhantomOom:
-      return "phantom-oom";
-    case GreedyStrategy::kBurstIdleHoard:
-      return "burst-idle-hoard";
-    case GreedyStrategy::kColluding:
-      return "colluding";
-  }
-  return "unknown";
-}
-
 GreedyTenant::GreedyTenant(sim::Simulation& sim, core::Controller& controller,
                            GreedyProfile profile, sim::Rng rng)
     : sim_(sim), controller_(controller), profile_(profile), rng_(rng) {}
@@ -92,7 +78,6 @@ void GreedyTenant::forge(cluster::Container& container,
           stats.unused = 0;
           stats.throttled = true;
         }
-        ++impossible_reports_;
         ++lies_told_;
         return;
       }

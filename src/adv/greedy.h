@@ -47,8 +47,6 @@ enum class GreedyStrategy : std::uint8_t {
   kColluding,
 };
 
-const char* greedy_strategy_name(GreedyStrategy s);
-
 struct GreedyProfile {
   GreedyStrategy strategy = GreedyStrategy::kInflatedUsage;
   // Fraction of report periods the tenant forges (1.0 = every period).
@@ -98,7 +96,6 @@ class GreedyTenant {
   // --- attack telemetry (for experiments and the fuzzer's non-vacuity
   //     checks: a sweep where no lies were told proves nothing) ---
   std::uint64_t lies_told() const { return lies_told_; }
-  std::uint64_t impossible_reports() const { return impossible_reports_; }
   std::uint64_t phantom_ooms() const { return phantom_ooms_; }
   std::uint64_t phantom_grants() const { return phantom_grants_; }
 
@@ -122,7 +119,6 @@ class GreedyTenant {
   sim::EventHandle burst_timer_;
   sim::EventHandle start_timer_;
   std::uint64_t lies_told_ = 0;
-  std::uint64_t impossible_reports_ = 0;
   std::uint64_t phantom_ooms_ = 0;
   std::uint64_t phantom_grants_ = 0;
 };

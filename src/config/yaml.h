@@ -42,7 +42,6 @@ class YamlNode {
   static YamlNode parse(std::string_view text);
 
   Kind kind() const { return kind_; }
-  bool is_scalar() const { return kind_ == Kind::kScalar; }
   bool is_map() const { return kind_ == Kind::kMap; }
   bool is_list() const { return kind_ == Kind::kList; }
 

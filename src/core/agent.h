@@ -141,7 +141,6 @@ class Agent {
   // node state: they persist across Agent crashes (fail-static) and are
   // reported in the resync snapshot.
   void set_bw_shaper(bw::ClusterShaper* shaper) { bw_shaper_ = shaper; }
-  bw::ClusterShaper* bw_shaper() { return bw_shaper_; }
 
   // Observability: trace events (duplicate-suppressed, fail-static) and the
   // limit-apply counter. Null (the default) disables the hooks.

@@ -91,11 +91,6 @@ double ResourceAllocator::rt_floor(std::uint32_t id) const {
   return slot == ContainerIndex::kInvalid ? 0.0 : cpu_.rt_floor[slot];
 }
 
-double ResourceAllocator::rt_bw_floor(std::uint32_t id) const {
-  const std::uint32_t slot = index_.find(id);
-  return slot == ContainerIndex::kInvalid ? 0.0 : bw_.rt_floor[slot];
-}
-
 void ResourceAllocator::reset() {
   std::vector<std::uint32_t> ids;
   ids.reserve(index_.size());

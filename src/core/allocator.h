@@ -85,7 +85,6 @@ class ResourceAllocator {
   void set_rt_floor(std::uint32_t id, double cores, double bw_bps);
   void clear_rt_floor(std::uint32_t id);
   double rt_floor(std::uint32_t id) const;
-  double rt_bw_floor(std::uint32_t id) const;
 
   // --- credit defense (Karma-style, see credit_ledger.h) ---
   // Read-only Υ-gate on the grant paths: with a ledger attached, a member

@@ -101,10 +101,6 @@ const ReplicaState& HaControlPlane::standby_replica(int rank) const {
   return standbys_.at(static_cast<std::size_t>(rank))->replica;
 }
 
-std::uint64_t HaControlPlane::standby_next_index(int rank) const {
-  return standbys_.at(static_cast<std::size_t>(rank))->next_index;
-}
-
 bool HaControlPlane::ghost_active() const { return !ghosts_.empty(); }
 
 int HaControlPlane::rank_of(const Standby& standby) const {

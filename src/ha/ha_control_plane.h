@@ -100,12 +100,10 @@ class HaControlPlane {
   std::uint64_t epoch() const { return epoch_; }
   std::uint64_t failovers() const { return failovers_; }
   std::uint64_t wal_appends() const { return wal_appends_; }
-  std::uint64_t wal_trimmed() const { return log_.base(); }
   int standby_count() const { return static_cast<int>(standbys_.size()); }
   const ReplicaState& book() const { return book_; }
-  // Rank r standby's replica / contiguously-applied cursor.
+  // Rank r standby's replica.
   const ReplicaState& standby_replica(int rank) const;
-  std::uint64_t standby_next_index(int rank) const;
   bool ghost_active() const;
 
  private:

@@ -52,12 +52,6 @@ const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
   return it == gauges_.end() ? nullptr : it->second.get();
 }
 
-const DistributionMetric* MetricsRegistry::find_distribution(
-    const std::string& name) const {
-  const auto it = distributions_.find(name);
-  return it == distributions_.end() ? nullptr : it->second.get();
-}
-
 bool MetricsRegistry::has(const std::string& name) const {
   return counters_.contains(name) || gauges_.contains(name) ||
          distributions_.contains(name);

@@ -113,7 +113,6 @@ class MetricsRegistry {
   // --- lookup (nullptr when absent or a different kind) ---
   const Counter* find_counter(const std::string& name) const;
   const Gauge* find_gauge(const std::string& name) const;
-  const DistributionMetric* find_distribution(const std::string& name) const;
   bool has(const std::string& name) const;
   std::size_t size() const;
 
