@@ -8,16 +8,24 @@
 
 namespace escra::bw {
 
+namespace {
+// Bucket depth as a time window of the rate: burst = rate * burst_window,
+// floored so slow containers still absorb one MTU-scale batch.
+constexpr double kBurstWindowS = 0.010;
+constexpr double kMinBurstBytes = 64.0 * 1024.0;
+
+double burst_for(double rate_bps) {
+  return std::max(kMinBurstBytes, rate_bps * kBurstWindowS);
+}
+}  // namespace
+
 // --- NodeShaper ----------------------------------------------------------
 
 NodeShaper::NodeShaper(sim::Simulation& sim, std::uint32_t node,
-                       double nic_bps, ShaperConfig config)
+                       double nic_bps)
     : sim_(sim),
       node_(node),
-      config_(config),
-      nic_(nic_bps, nic_bps > 0.0 ? std::max(config.min_burst_bytes,
-                                             nic_bps * config.burst_window_s)
-                                  : 0.0) {
+      nic_(nic_bps, nic_bps > 0.0 ? burst_for(nic_bps) : 0.0) {
   if (nic_bps <= 0.0) {
     throw std::invalid_argument("NodeShaper: nonpositive NIC capacity");
   }
@@ -40,10 +48,6 @@ NodeShaper::Queued NodeShaper::Queue::pop_front() {
     head = 0;
   }
   return q;
-}
-
-double NodeShaper::burst_for(double rate_bps) const {
-  return std::max(config_.min_burst_bytes, rate_bps * config_.burst_window_s);
 }
 
 NodeShaper::Row* NodeShaper::find_row(std::uint32_t container) {
@@ -229,8 +233,7 @@ std::size_t NodeShaper::queued_messages() const {
 
 // --- ClusterShaper -------------------------------------------------------
 
-ClusterShaper::ClusterShaper(sim::Simulation& sim, ShaperConfig config)
-    : sim_(sim), config_(config) {}
+ClusterShaper::ClusterShaper(sim::Simulation& sim) : sim_(sim) {}
 
 ClusterShaper::~ClusterShaper() { stop_sampler(); }
 
@@ -239,7 +242,7 @@ NodeShaper& ClusterShaper::add_node(std::uint32_t node, double nic_bps) {
   if (nodes_[node]) {
     throw std::invalid_argument("ClusterShaper: duplicate node");
   }
-  nodes_[node] = std::make_unique<NodeShaper>(sim_, node, nic_bps, config_);
+  nodes_[node] = std::make_unique<NodeShaper>(sim_, node, nic_bps);
   nodes_[node]->set_observer(obs_);
   return *nodes_[node];
 }

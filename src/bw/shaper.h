@@ -36,13 +36,6 @@ class Observer;
 
 namespace escra::bw {
 
-struct ShaperConfig {
-  // Bucket depth as a time window of the rate: burst = rate * burst_window,
-  // floored so slow containers still absorb one MTU-scale batch.
-  double burst_window_s = 0.010;
-  double min_burst_bytes = 64.0 * 1024.0;
-};
-
 // Per-period telemetry for one shaped container (the bandwidth analogue of
 // the CFS PeriodStats message).
 struct BwSample {
@@ -60,8 +53,7 @@ struct BwSample {
 // container-id index, so a shaping decision makes no map lookup.
 class NodeShaper {
  public:
-  NodeShaper(sim::Simulation& sim, std::uint32_t node, double nic_bps,
-             ShaperConfig config = {});
+  NodeShaper(sim::Simulation& sim, std::uint32_t node, double nic_bps);
   ~NodeShaper();
 
   NodeShaper(const NodeShaper&) = delete;
@@ -136,7 +128,6 @@ class NodeShaper {
   };
   static constexpr std::uint32_t kNoRow = 0xffffffffu;
 
-  double burst_for(double rate_bps) const;
   std::uint32_t row_index(std::uint32_t container) const {
     return container < row_of_.size() ? row_of_[container] : kNoRow;
   }
@@ -148,7 +139,6 @@ class NodeShaper {
 
   sim::Simulation& sim_;
   std::uint32_t node_;
-  ShaperConfig config_;
   TokenBucket nic_;  // root bucket: shaped traffic shares the NIC
   std::vector<std::uint32_t> row_of_;  // container id -> rows_ index/kNoRow
   std::vector<Row> rows_;
@@ -162,7 +152,7 @@ class NodeShaper {
 // table.
 class ClusterShaper final : public net::Shaper {
  public:
-  explicit ClusterShaper(sim::Simulation& sim, ShaperConfig config = {});
+  explicit ClusterShaper(sim::Simulation& sim);
   ~ClusterShaper() override;
 
   ClusterShaper(const ClusterShaper&) = delete;
@@ -215,7 +205,6 @@ class ClusterShaper final : public net::Shaper {
   void sampler_tick();
 
   sim::Simulation& sim_;
-  ShaperConfig config_;
   std::vector<std::unique_ptr<NodeShaper>> nodes_;  // by node id
   std::vector<std::uint32_t> container_node_;  // by container id, or kNoNode
   sim::Duration sample_period_ = 0;

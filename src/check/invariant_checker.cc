@@ -123,7 +123,7 @@ InvariantChecker::~InvariantChecker() {
 
 void InvariantChecker::add(const std::string& rule, std::uint32_t container,
                            std::string detail) {
-  if (violations_.size() >= config_.max_violations) {
+  if (violations_.size() >= kMaxViolations) {
     ++dropped_violations_;
     return;
   }
@@ -133,7 +133,7 @@ void InvariantChecker::add(const std::string& rule, std::uint32_t container,
 void InvariantChecker::on_event(const obs::TraceEvent& ev) {
   ++events_checked_;
   const core::EscraConfig& cfg = escra_.config();
-  const double eps = config_.cpu_eps;
+  const double eps = kCpuEps;
 
   // Event-queue / trace time monotonicity: the deterministic simulation
   // records every event at the current clock, so times never regress.
@@ -460,10 +460,10 @@ void InvariantChecker::on_event(const obs::TraceEvent& ev) {
             fmt("shrink raised the rate: %.0f -> %.0f bytes/s", ev.before,
                 ev.after));
       }
-      if (ev.after < cfg.bw_min_rate - 0.5) {
+      if (ev.after < core::kBwMinRate - 0.5) {
         add("bw-floor", ev.container,
             fmt("shrink to %.0f bytes/s below the %.0f floor", ev.after,
-                cfg.bw_min_rate));
+                core::kBwMinRate));
       }
       break;
 
@@ -610,7 +610,7 @@ void InvariantChecker::on_event(const obs::TraceEvent& ev) {
 
 void InvariantChecker::sweep() {
   ++sweeps_;
-  const double eps = config_.cpu_eps;
+  const double eps = kCpuEps;
   core::DistributedContainer& app = escra_.app();
   core::Controller& controller = escra_.controller();
 
@@ -771,7 +771,6 @@ void InvariantChecker::sweep() {
         ++it;
       }
     }
-    const core::EscraConfig& cfg = escra_.config();
     const double rt_tol = eps * static_cast<double>(controller.rt_count() + 1);
     double floor_sum = 0.0;
     for (const auto& node : cluster_.nodes()) {
@@ -785,24 +784,23 @@ void InvariantChecker::sweep() {
       }
       // Per-node utilization bound: the deadline scheduler's guarantee
       // holds only while the node's reservation density stays under it.
-      if (node_floor >
-          cfg.rt_util_bound * node->config().cores + rt_tol) {
+      if (node_floor > core::kRtUtilBound * node->config().cores + rt_tol) {
         add("rt-admission-conservation", 0,
             fmt3("node %.0f admitted floors sum to %.6f cores above the "
                  "utilization bound %.6f",
                  static_cast<double>(node->id()), node_floor,
-                 cfg.rt_util_bound * node->config().cores));
+                 core::kRtUtilBound * node->config().cores));
       }
     }
     // Pool bound against non-borrowed RT capacity, and internal
     // consistency: the reserved total is exactly the sum of the floors.
     if (controller.rt_reserved_cores() >
-        cfg.rt_util_bound * controller.rt_capacity() + rt_tol) {
+        core::kRtUtilBound * controller.rt_capacity() + rt_tol) {
       add("rt-admission-conservation", 0,
           fmt3("reserved %.6f cores above the pool bound %.6f "
                "(rt capacity %.6f)",
                controller.rt_reserved_cores(),
-               cfg.rt_util_bound * controller.rt_capacity(),
+               core::kRtUtilBound * controller.rt_capacity(),
                controller.rt_capacity()));
     }
     if (std::abs(controller.rt_reserved_cores() - floor_sum) > rt_tol) {
@@ -825,7 +823,6 @@ void InvariantChecker::sweep() {
   // controller's admission clamp guarantees the sum never exceeds NIC
   // capacity through drops, retransmits, and crash/resync cycles.
   if (bw_shaper_ != nullptr) {
-    const core::EscraConfig& cfg = escra_.config();
     std::map<std::uint32_t, double> node_rate_sum;
     bw_shaper_->for_each_attachment([&](std::uint32_t id,
                                         std::uint32_t node) {
@@ -838,11 +835,11 @@ void InvariantChecker::sweep() {
                               : 0.0;
       node_rate_sum[node] += std::max(applied, book);
       if (controller.is_registered(id) && book > 0.0 &&
-          book < cfg.bw_min_rate - 0.5) {
+          book < core::kBwMinRate - 0.5) {
         add("bw-floor", id,
             fmt("shaped member rate %.0f bytes/s below the %.0f admission "
                 "floor",
-                book, cfg.bw_min_rate));
+                book, core::kBwMinRate));
       }
     });
     for (const auto& [node, sum] : node_rate_sum) {
@@ -911,7 +908,7 @@ void InvariantChecker::check_credits() {
     return;
   }
   const double fair = app.cpu_limit() / static_cast<double>(members);
-  const double tol = escra_.config().credit_tolerance;
+  const double tol = core::kCreditTolerance;
   bool overclaimer = false;
   bool starving_honest = false;
   std::uint32_t over_id = 0;
@@ -919,11 +916,11 @@ void InvariantChecker::check_credits() {
   for (const auto& [id, acct] : lg.accounts()) {
     if (!app.is_member(id)) continue;
     const double cores = app.member_cores(id);
-    if (acct.micro <= 0 && cores > fair * (1.0 + tol) + config_.cpu_eps) {
+    if (acct.micro <= 0 && cores > fair * (1.0 + tol) + kCpuEps) {
       overclaimer = true;
       over_id = id;
     }
-    if (acct.micro > 0 && cores < fair * (1.0 - tol) - config_.cpu_eps) {
+    if (acct.micro > 0 && cores < fair * (1.0 - tol) - kCpuEps) {
       const auto it = last_throttle_.find(id);
       if (it != last_throttle_.end() &&
           sim_.now() - it->second <= 2 * config_.sweep_interval) {

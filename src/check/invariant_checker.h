@@ -75,8 +75,8 @@
 //                              kRtEvicted decision explaining the revoke
 //     - rt-admission-conservation
 //                              per node, admitted floors sum within
-//                              rt_util_bound x node cores; pool-wide the
-//                              reserved total stays within rt_util_bound x
+//                              kRtUtilBound x node cores; pool-wide the
+//                              reserved total stays within kRtUtilBound x
 //                              non-borrowed RT capacity, matches the
 //                              per-container floors, and mirrors the
 //                              controller.rt_reserved_cores gauge
@@ -122,16 +122,18 @@ struct Violation {
   std::string detail;
 };
 
+// Violations a checker stores; beyond this they are counted but not
+// retained. Shared with ShardInvariantChecker.
+inline constexpr std::size_t kMaxViolations = 64;
+// Absolute tolerance for CPU-core comparisons (doubles).
+inline constexpr double kCpuEps = 1e-6;
+
 class InvariantChecker {
  public:
   struct Config {
     // Sweep cadence; the default matches the CFS period so system-wide
     // checks run at every period boundary.
     sim::Duration sweep_interval = sim::milliseconds(100);
-    // Violations stored beyond this are counted but not retained.
-    std::size_t max_violations = 64;
-    // Absolute tolerance for CPU-core comparisons (doubles).
-    double cpu_eps = 1e-6;
   };
 
   // The observer must already be attached to `escra`
@@ -163,7 +165,7 @@ class InvariantChecker {
   //                           so in-flight slots stay accounted) never
   //                           exceed the node's NIC capacity
   //   - bw-floor              every shaped member's granted rate stays at or
-  //                           above the bw_min_rate admission floor
+  //                           above the kBwMinRate admission floor
   //   - pool/gauge checks     the bandwidth pool book and its obs gauges,
   //                           same rules as CPU/memory
   void attach_bw(const bw::ClusterShaper& shaper) { bw_shaper_ = &shaper; }
@@ -183,7 +185,7 @@ class InvariantChecker {
 
   bool ok() const { return violations_.empty() && dropped_violations_ == 0; }
   const std::vector<Violation>& violations() const { return violations_; }
-  // Violations observed but not retained (beyond max_violations).
+  // Violations observed but not retained (beyond kMaxViolations).
   std::uint64_t dropped_violations() const { return dropped_violations_; }
   std::uint64_t sweeps() const { return sweeps_; }
   std::uint64_t events_checked() const { return events_checked_; }

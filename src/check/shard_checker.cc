@@ -5,18 +5,22 @@
 
 namespace escra::check {
 
-ShardInvariantChecker::ShardInvariantChecker(
-    shard::ShardedControlPlane& plane, Config config)
-    : plane_(plane), sim_(plane.simulation()), config_(config) {
-  sweep_event_ = sim_.schedule_every(sim_.now() + config_.sweep_interval,
-                                     config_.sweep_interval,
-                                     [this] { sweep(); });
+namespace {
+// Sweep cadence: one CFS period, like the per-shard checkers' default.
+constexpr sim::Duration kSweepInterval = sim::milliseconds(100);
+constexpr double kBwEps = 1e-3;  // bytes/s pools are ~1e9-scale
+}  // namespace
+
+ShardInvariantChecker::ShardInvariantChecker(shard::ShardedControlPlane& plane)
+    : plane_(plane), sim_(plane.simulation()) {
+  sweep_event_ = sim_.schedule_every(sim_.now() + kSweepInterval,
+                                     kSweepInterval, [this] { sweep(); });
 }
 
 ShardInvariantChecker::~ShardInvariantChecker() { sim_.cancel(sweep_event_); }
 
 void ShardInvariantChecker::add(const std::string& rule, std::string detail) {
-  if (violations_.size() >= config_.max_violations) {
+  if (violations_.size() >= kMaxViolations) {
     ++dropped_violations_;
     return;
   }
@@ -38,7 +42,7 @@ void ShardInvariantChecker::sweep() {
     // Slice floors: the DistributedContainer asserts limit >= allocated on
     // every mutation, but a lender bug could shrink past its commitments
     // between mutations of *different* shards — re-check from outside.
-    if (app.cpu_limit() < app.cpu_allocated() - config_.cpu_eps ||
+    if (app.cpu_limit() < app.cpu_allocated() - kCpuEps ||
         app.cpu_limit() < 0.0) {
       std::snprintf(buf, sizeof buf,
                     "shard %d cpu slice %.6f below allocated %.6f", s,
@@ -55,7 +59,7 @@ void ShardInvariantChecker::sweep() {
   }
 
   const double cpu_total = cpu_sum + plane_.inflight_cpu();
-  if (std::fabs(cpu_total - plane_.cluster_cpu_limit()) > config_.cpu_eps) {
+  if (std::fabs(cpu_total - plane_.cluster_cpu_limit()) > kCpuEps) {
     std::snprintf(buf, sizeof buf,
                   "sum(slices) %.9f + inflight %.9f != cluster %.9f", cpu_sum,
                   plane_.inflight_cpu(), plane_.cluster_cpu_limit());
@@ -73,15 +77,15 @@ void ShardInvariantChecker::sweep() {
   }
   if (plane_.cluster_bw_limit() > 0.0 &&
       std::fabs(bw_sum + plane_.inflight_bw() - plane_.cluster_bw_limit()) >
-          config_.bw_eps) {
+          kBwEps) {
     std::snprintf(buf, sizeof buf,
                   "sum(slices) %.3f + inflight %.3f != cluster %.3f", bw_sum,
                   plane_.inflight_bw(), plane_.cluster_bw_limit());
     add("shard-bw-conservation", buf);
   }
 
-  if (plane_.inflight_cpu() < -config_.cpu_eps ||
-      plane_.inflight_mem() < -0.5 || plane_.inflight_bw() < -config_.bw_eps) {
+  if (plane_.inflight_cpu() < -kCpuEps ||
+      plane_.inflight_mem() < -0.5 || plane_.inflight_bw() < -kBwEps) {
     std::snprintf(buf, sizeof buf,
                   "inflight cpu %.9f mem %.0f bw %.3f (a transfer landed "
                   "twice)",

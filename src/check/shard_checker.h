@@ -8,9 +8,9 @@
 //     sum over shards(pool slice limit) + in-flight transfers
 //         == cluster pool                          (per resource)
 //
-// exactly for memory (every transfer is whole bytes) and to cpu_eps for
-// CPU / bw_eps for bandwidth. Because lenders and returners shrink their
-// slice *before* the grant/notice travels, the identity holds at every
+// exactly for memory (every transfer is whole bytes) and to kCpuEps for
+// CPU / 1e-3 bytes/s for bandwidth. Because lenders and returners shrink
+// their slice *before* the grant/notice travels, the identity holds at every
 // instant — through drops, duplicated RPC legs, retransmits, and shard
 // leader crashes — not just at quiescence. This checker sweeps it on the
 // sim clock, plus the plane-level sanity rules:
@@ -42,16 +42,7 @@ namespace escra::check {
 
 class ShardInvariantChecker {
  public:
-  struct Config {
-    sim::Duration sweep_interval = sim::milliseconds(100);
-    std::size_t max_violations = 64;
-    double cpu_eps = 1e-6;
-    double bw_eps = 1e-3;  // bytes/s pools are ~1e9-scale
-  };
-
-  explicit ShardInvariantChecker(shard::ShardedControlPlane& plane)
-      : ShardInvariantChecker(plane, Config{}) {}
-  ShardInvariantChecker(shard::ShardedControlPlane& plane, Config config);
+  explicit ShardInvariantChecker(shard::ShardedControlPlane& plane);
   ~ShardInvariantChecker();
 
   ShardInvariantChecker(const ShardInvariantChecker&) = delete;
@@ -74,7 +65,6 @@ class ShardInvariantChecker {
 
   shard::ShardedControlPlane& plane_;
   sim::Simulation& sim_;
-  Config config_;
   sim::EventHandle sweep_event_;
 
   std::vector<Violation> violations_;

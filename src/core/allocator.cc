@@ -29,7 +29,7 @@ ResourceAllocator::ResourceAllocator(const EscraConfig& config,
       bw_{.upsilon = config.bw_upsilon,
           .gamma = config.bw_gamma,
           .kappa = config.bw_kappa,
-          .min = config.bw_min_rate,
+          .min = kBwMinRate,
           .eps = kBwEpsilon,
           .set = &DistributedContainer::set_member_bw,
           .grants = &obs::Observer::Handles::bw_grants,
@@ -37,17 +37,7 @@ ResourceAllocator::ResourceAllocator(const EscraConfig& config,
 
 void ResourceAllocator::set_observer(obs::Observer* observer) {
   obs_ = observer;
-  if (observer != nullptr) {
-    app_.set_obs_gauges(observer->h.pool_cpu_allocated,
-                        observer->h.pool_cpu_unallocated,
-                        observer->h.pool_mem_allocated,
-                        observer->h.pool_mem_unallocated);
-    app_.set_bw_gauges(observer->h.pool_bw_allocated,
-                       observer->h.pool_bw_unallocated);
-  } else {
-    app_.set_obs_gauges(nullptr, nullptr, nullptr, nullptr);
-    app_.set_bw_gauges(nullptr, nullptr);
-  }
+  app_.set_observer(observer);
 }
 
 void ResourceAllocator::register_container(std::uint32_t id, double cores,

@@ -65,68 +65,60 @@ struct EscraConfig {
   double bw_gamma = 12.5e6;
   // Scale-up rate; same Υ-gated interpretation as CPU.
   double bw_upsilon = 20.0;
-  // Floor below which a shaped container's rate is never pushed, and the
-  // admission floor: a container the allocator cannot grant this much
-  // stays unshaped rather than being starved (10 Mbit/s).
-  double bw_min_rate = 1.25e6;
 
   // --- defaults for containers that register after deployment (serverless
   //     pods); mirrors the OpenWhisk per-action pod defaults (Section VI-F).
   double late_join_cores = 1.0;
   memcg::Bytes late_join_mem = 256 * memcg::kMiB;
-  // Bandwidth granted to a late joiner when shaping is enabled (bytes/s).
-  double late_join_bw = 12.5e6;
-
-  // --- control-plane reliability (beyond the paper: the paper only runs on
-  //     a healthy control plane; these govern the fail-static + sub-second
-  //     reconvergence behavior under partitions and crashes) ---
-  // First retransmit of an unacked limit update (the RPC round trip is
-  // ~300 us, so 2 ms is a comfortable ack deadline).
-  sim::Duration rpc_retry_timeout = sim::milliseconds(2);
-  // Cap for the exponential retransmit backoff.
-  sim::Duration rpc_backoff_max = sim::milliseconds(128);
-  // Agent -> Controller heartbeat cadence (rides the gRPC channel).
-  sim::Duration heartbeat_interval = sim::milliseconds(100);
-  // Controller declares a node dead after this much heartbeat silence
-  // (~3 missed heartbeats).
-  sim::Duration liveness_timeout = sim::milliseconds(350);
-  // A dead node's pool share is held (quarantined) this long before being
-  // reclaimed for the live nodes.
-  sim::Duration quarantine_grace = sim::seconds(2);
-  // Agent lease: after this much Controller silence the Agent enters
-  // fail-static — containers keep running at their last-applied limits.
-  sim::Duration agent_lease = sim::milliseconds(500);
 
   // --- Karma-style credit defense (beyond the paper: strategy-proofness
   //     against lying tenants, after Karma, arXiv:2305.17222). Off by
   //     default; set credit_defense before constructing EscraSystem. ---
   bool credit_defense = false;
-  // Initial credit balance, in fair-share-seconds: one unit buys one
-  // second of the container's full fair share above the fair share. Sized
-  // so an honest bursty tenant keeps sub-second elasticity out of the box.
-  double credit_init = 2.0;
-  // Earned-credit cap (fair-share-seconds); bounds how long a tenant can
-  // bank priority, Karma's anti-hoarding clamp.
-  double credit_cap = 30.0;
-  // Fractional slack above the fair share tolerated before the settle
-  // sweep charges credits or (at non-positive balance) decays the limit.
-  double credit_tolerance = 0.10;
-  // Settle sweeps a credit-exhausted container must stay above fair share
-  // before its CPU limit is decayed toward the static fair share.
-  int credit_decay_grace = 3;
-
-  // --- real-time container class (beyond the paper: mixed-criticality
-  //     co-location after polena/polenaRT). An admitted RT container holds a
-  //     (runtime, deadline, period) reservation whose CPU floor
-  //     runtime / min(deadline, period) the allocator may never reclaim. ---
-  // Utilization bound for RT admission: the summed RT floors on a node (and
-  // across a pool / shard slice) may not exceed this fraction of its cores.
-  // 0.7 leaves headroom for best-effort work and for CFS quantization so
-  // admitted reservations are actually schedulable, not merely booked.
-  double rt_util_bound = 0.7;
-  // Fraction of a node's NIC rate RT bandwidth reservations may claim (the
-  // bw arm's admission bound, applied when a reservation carries bw_bps).
-  double rt_bw_bound = 0.5;
 };
+
+// Fixed control-plane constants. Unlike the tunables above they are not
+// configurable; the ones only the Controller reads live in controller.cc.
+
+// Floor below which a shaped container's rate is never pushed, and the
+// admission floor: a container the allocator cannot grant this much
+// stays unshaped rather than being starved (10 Mbit/s).
+inline constexpr double kBwMinRate = 1.25e6;
+
+// --- control-plane reliability (beyond the paper: the paper only runs on
+//     a healthy control plane; these govern the fail-static + sub-second
+//     reconvergence behavior under partitions and crashes) ---
+// First retransmit of an unacked limit update (the RPC round trip is
+// ~300 us, so 2 ms is a comfortable ack deadline).
+inline constexpr sim::Duration kRpcRetryTimeout = sim::milliseconds(2);
+// Cap for the exponential retransmit backoff.
+inline constexpr sim::Duration kRpcBackoffMax = sim::milliseconds(128);
+static_assert(kRpcRetryTimeout <= kRpcBackoffMax,
+              "the first retransmit must not exceed the backoff cap");
+// Agent lease: after this much Controller silence the Agent enters
+// fail-static — containers keep running at their last-applied limits.
+inline constexpr sim::Duration kAgentLease = sim::milliseconds(500);
+
+// --- credit defense ---
+// Initial credit balance, in fair-share-seconds: one unit buys one
+// second of the container's full fair share above the fair share. Sized
+// so an honest bursty tenant keeps sub-second elasticity out of the box.
+inline constexpr double kCreditInit = 2.0;
+// Earned-credit cap (fair-share-seconds); bounds how long a tenant can
+// bank priority, Karma's anti-hoarding clamp.
+inline constexpr double kCreditCap = 30.0;
+// Fractional slack above the fair share tolerated before the settle
+// sweep charges credits or (at non-positive balance) decays the limit.
+inline constexpr double kCreditTolerance = 0.10;
+
+// --- real-time container class (beyond the paper: mixed-criticality
+//     co-location after polena/polenaRT). An admitted RT container holds a
+//     (runtime, deadline, period) reservation whose CPU floor
+//     runtime / min(deadline, period) the allocator may never reclaim. ---
+// Utilization bound for RT admission: the summed RT floors on a node (and
+// across a pool / shard slice) may not exceed this fraction of its cores.
+// 0.7 leaves headroom for best-effort work and for CFS quantization so
+// admitted reservations are actually schedulable, not merely booked.
+inline constexpr double kRtUtilBound = 0.7;
 
 }  // namespace escra::core

@@ -15,9 +15,6 @@
 //     call sequence (LIFO free-list reuse, ascending growth), so identical
 //     seeds — and a takeover replaying the same registration order — produce
 //     identical slot layouts and identical dense iteration order.
-//   * Generation tags. A released slot's generation bumps before reuse;
-//     a Handle captured before the release no longer resolves. Stale
-//     handles are inert, never aliases of the slot's next tenant.
 //   * Dense iteration. for_each visits live slots in ascending slot order,
 //     skipping holes; after heavy churn the order is still deterministic.
 //
@@ -39,13 +36,6 @@ class ContainerIndex {
   // also rejects it.
   static constexpr std::uint32_t kInvalid = 0xffffffffu;
 
-  // A generation-tagged reference to a slot. Resolves only while the slot's
-  // current tenant is the one the handle was taken against.
-  struct Handle {
-    std::uint32_t slot = kInvalid;
-    std::uint32_t generation = 0;
-  };
-
   // Interns `id`, returning its slot. A known id returns its existing slot;
   // an unknown one takes the most recently freed slot (LIFO) or grows the
   // arrays by one. `created` (optional) reports which case happened so the
@@ -65,7 +55,6 @@ class ContainerIndex {
     } else {
       slot = static_cast<std::uint32_t>(slot_to_id_.size());
       slot_to_id_.push_back(id);
-      gen_.push_back(0);
       live_.push_back(1);
     }
     id_to_slot_[id] = slot;
@@ -81,41 +70,19 @@ class ContainerIndex {
 
   bool contains(cluster::ContainerId id) const { return find(id) != kInvalid; }
 
-  // Releases `id`'s slot back to the free list, bumping its generation so
-  // outstanding handles go stale. Returns the freed slot (kInvalid if the
-  // id was not interned). Per-slot side-table state need not be cleared
-  // here: intern reports `created` on reuse so owners reset it then.
+  // Releases `id`'s slot back to the free list. Returns the freed slot
+  // (kInvalid if the id was not interned). Per-slot side-table state need
+  // not be cleared here: intern reports `created` on reuse so owners reset
+  // it then.
   std::uint32_t release(cluster::ContainerId id) {
     const std::uint32_t slot = find(id);
     if (slot == kInvalid) return kInvalid;
     id_to_slot_[id] = kInvalid;
     live_[slot] = 0;
-    ++gen_[slot];
     free_.push_back(slot);
     --size_;
     return slot;
   }
-
-  // Generation-tagged handle for a live id; {kInvalid, 0} otherwise.
-  Handle handle(cluster::ContainerId id) const {
-    const std::uint32_t slot = find(id);
-    return slot == kInvalid ? Handle{} : Handle{slot, gen_[slot]};
-  }
-
-  // Resolves a handle: its slot while the tenancy it was taken against is
-  // still current, kInvalid once the slot was released (even if reused).
-  std::uint32_t resolve(Handle h) const {
-    if (h.slot >= live_.size() || live_[h.slot] == 0) return kInvalid;
-    return gen_[h.slot] == h.generation ? h.slot : kInvalid;
-  }
-
-  bool live(std::uint32_t slot) const {
-    return slot < live_.size() && live_[slot] != 0;
-  }
-  cluster::ContainerId id_at(std::uint32_t slot) const {
-    return slot_to_id_[slot];
-  }
-  std::uint32_t generation(std::uint32_t slot) const { return gen_[slot]; }
 
   // Live slot count / total slots ever created (vector length for SoA
   // side tables — index any slot in [0, capacity)).
@@ -134,7 +101,6 @@ class ContainerIndex {
   void clear() {
     id_to_slot_.clear();
     slot_to_id_.clear();
-    gen_.clear();
     live_.clear();
     free_.clear();
     size_ = 0;
@@ -146,7 +112,6 @@ class ContainerIndex {
   // hash table in both lookup cost and footprint.
   std::vector<std::uint32_t> id_to_slot_;
   std::vector<cluster::ContainerId> slot_to_id_;
-  std::vector<std::uint32_t> gen_;
   std::vector<std::uint8_t> live_;
   std::vector<std::uint32_t> free_;  // LIFO: hottest slot reused first
   std::size_t size_ = 0;

@@ -18,9 +18,28 @@ constexpr double kCpuLimitEpsilon = 1e-3;
 // Tolerance for the RT floor-raising paths. kCpuLimitEpsilon exists to damp
 // RPC churn on best-effort limits, but an admitted reservation's floor is a
 // core-for-core promise: leaving the book even a milli-core short of it is a
-// real deadline-miss cause the checker (cpu_eps = 1e-6) rightly flags. Only
+// real deadline-miss cause the checker (kCpuEps = 1e-6) rightly flags. Only
 // floating-point dust is tolerated when raising to or shedding toward a floor.
 constexpr double kRtFloorSlack = 1e-9;
+
+// Bandwidth granted to a late joiner when shaping is enabled (bytes/s).
+constexpr double kLateJoinBw = 12.5e6;
+// Agent -> Controller heartbeat cadence (rides the gRPC channel).
+constexpr sim::Duration kHeartbeatInterval = sim::milliseconds(100);
+// Controller declares a node dead after this much heartbeat silence
+// (~3 missed heartbeats).
+constexpr sim::Duration kLivenessTimeout = sim::milliseconds(350);
+static_assert(kLivenessTimeout >= 3 * kHeartbeatInterval,
+              "liveness must outlast ~3 missed heartbeats");
+// A dead node's pool share is held (quarantined) this long before being
+// reclaimed for the live nodes.
+constexpr sim::Duration kQuarantineGrace = sim::seconds(2);
+// Settle sweeps a credit-exhausted container must stay above fair share
+// before its CPU limit is decayed toward the static fair share.
+constexpr int kCreditDecayGrace = 3;
+// Fraction of a node's NIC rate RT bandwidth reservations may claim (the
+// bw arm's admission bound, applied when a reservation carries bw_bps).
+constexpr double kRtBwBound = 0.5;
 }  // namespace
 
 Controller::Controller(sim::Simulation& sim, net::Network& network,
@@ -51,7 +70,7 @@ Agent& Controller::agent_for(cluster::Node& node) {
   agent.set_observer(obs_);
   agent.set_bw_shaper(bw_shaper_);
   if (started_) {
-    agent.start(config_.heartbeat_interval, config_.agent_lease);
+    agent.start(kHeartbeatInterval, kAgentLease);
   }
   return agent;
 }
@@ -172,7 +191,7 @@ void Controller::register_impl(cluster::Container& container,
     // the late-join default); recovery modes re-admit the snapshot/replica
     // rate passed in by the caller, clamped against this seat's book.
     if (mode == RegisterMode::kBootstrap) {
-      bw_want = bw_plan_ > 0.0 ? bw_plan_ : config_.late_join_bw;
+      bw_want = bw_plan_ > 0.0 ? bw_plan_ : kLateJoinBw;
     }
     admit_bw(container, node, bw_want, mode);
   }
@@ -318,8 +337,8 @@ void Controller::start() {
                           config_.reclaim_interval,
                           [this] { run_periodic_reclaim(); });
   liveness_loop_ =
-      sim_.schedule_every(sim_.now() + config_.heartbeat_interval,
-                          config_.heartbeat_interval,
+      sim_.schedule_every(sim_.now() + kHeartbeatInterval,
+                          kHeartbeatInterval,
                           [this] { run_liveness_check(); });
   if (config_.credit_defense) {
     settle_loop_ =
@@ -327,7 +346,7 @@ void Controller::start() {
                             config_.cfs_period, [this] { settle_credits(); });
   }
   for (const auto& agent : agents_) {
-    agent->start(config_.heartbeat_interval, config_.agent_lease);
+    agent->start(kHeartbeatInterval, kAgentLease);
   }
 }
 
@@ -458,7 +477,7 @@ void Controller::admit_bw(cluster::Container& container, cluster::Node& node,
   const double grant =
       std::min({want, std::max(0.0, allocator_.app().bw_unallocated()),
                 node_bw_headroom(node.id(), id)});
-  if (grant < config_.bw_min_rate) {
+  if (grant < kBwMinRate) {
     // Below the admission floor: an allocation that small would starve the
     // container behind its own shaper — better unshaped (NIC-contended)
     // until the pool can cover the floor.
@@ -617,7 +636,7 @@ void Controller::push_limit(cluster::ContainerId id, Resource resource,
   p.resource = resource;
   p.value = value;
   p.attempts = 0;
-  p.backoff = config_.rpc_retry_timeout;
+  p.backoff = kRpcRetryTimeout;
   p.ctx = ctx;
   if (obs_ != nullptr) obs_->h.rpcs_issued->inc();
   // `before` is the resource flag. The detail is the logical (unbatched-
@@ -800,7 +819,7 @@ void Controller::on_update_timeout(std::uint64_t key, std::uint64_t seq) {
   if (obs_ != nullptr) obs_->h.retransmits->inc();
   trace(obs::EventKind::kRetransmit, id, static_cast<double>(p.resource),
         p.value, p.attempts, p.rpc_event);
-  p.backoff = std::min<sim::Duration>(p.backoff * 2, config_.rpc_backoff_max);
+  p.backoff = std::min<sim::Duration>(p.backoff * 2, kRpcBackoffMax);
   // Re-send the *newest* desired value and re-arm the timer. The batched
   // path re-enqueues: several entries timing out at the same instant for
   // one node coalesce back into a single retransmit RPC, and only unacked
@@ -860,7 +879,7 @@ void Controller::run_liveness_check() {
   if (crashed_) return;
   for (auto& [node, h] : health_) {
     if (h.dead || h.agent_incarnation == 0) continue;
-    if (sim_.now() - h.last_heartbeat > config_.liveness_timeout) {
+    if (sim_.now() - h.last_heartbeat > kLivenessTimeout) {
       declare_dead(node, h);
     }
   }
@@ -875,7 +894,7 @@ void Controller::declare_dead(cluster::NodeId node, NodeHealth& health) {
   // Quarantine: the node's pool share is frozen (decisions suppressed) for
   // the grace period, then reclaimed for the live nodes.
   health.reclaim_timer = sim_.schedule_after(
-      config_.quarantine_grace, [this, node] { reclaim_dead_node(node); });
+      kQuarantineGrace, [this, node] { reclaim_dead_node(node); });
 }
 
 void Controller::emit_health(cluster::NodeId node, std::uint64_t incarnation,
@@ -1084,7 +1103,7 @@ bool Controller::handle_oom(cluster::Container& container, memcg::Bytes charge,
         decision.new_limit - std::max(pre_grant_limit, fair_mem);
     if (fair_mem > 0 && over > 0) {
       // Price: fraction of a fair memory share taken, in fair-share-seconds.
-      // Debt is floored at -credit_cap, same as the settle sweep.
+      // Debt is floored at -kCreditCap, same as the settle sweep.
       charge_credits(container.id(),
                      CreditLedger::to_micro(static_cast<double>(over) /
                                             static_cast<double>(fair_mem)),
@@ -1176,7 +1195,7 @@ void Controller::takeover(std::uint64_t epoch,
 
   // Node health first, so registration sees liveness state. Dead nodes
   // restart their quarantine clock under the new leader — the share is
-  // reclaimed `quarantine_grace` after takeover, not retroactively.
+  // reclaimed `kQuarantineGrace` after takeover, not retroactively.
   for (const TakeoverNode& n : nodes) {
     NodeHealth& h = health_[n.node];
     h.last_heartbeat = sim_.now();
@@ -1185,7 +1204,7 @@ void Controller::takeover(std::uint64_t epoch,
     if (n.dead) {
       const cluster::NodeId node = n.node;
       h.reclaim_timer = sim_.schedule_after(
-          config_.quarantine_grace, [this, node] { reclaim_dead_node(node); });
+          kQuarantineGrace, [this, node] { reclaim_dead_node(node); });
     }
     ReplicationEvent rev;
     rev.kind = ReplicationEvent::Kind::kNodeHealth;
@@ -1364,7 +1383,7 @@ bool Controller::telemetry_plausible(const CpuStatsMsg& stats,
 
 void Controller::open_credit_account(cluster::ContainerId id) {
   if (!config_.credit_defense || credits_.contains(id)) return;
-  credits_.open(id, CreditLedger::to_micro(config_.credit_init));
+  credits_.open(id, CreditLedger::to_micro(kCreditInit));
   emit_credit(id, /*removed=*/false);
 }
 
@@ -1391,7 +1410,7 @@ void Controller::charge_credits(cluster::ContainerId id, std::int64_t want,
   const std::int64_t before = credits_.balance_micro(id);
   const std::int64_t price = std::min(
       want, std::max<std::int64_t>(
-                0, before + CreditLedger::to_micro(config_.credit_cap)));
+                0, before + CreditLedger::to_micro(kCreditCap)));
   if (price <= 0) return;
   credits_.burn(id, price);
   if (obs_ != nullptr) obs_->h.credit_charges->inc();
@@ -1496,7 +1515,7 @@ Controller::RtAdmit Controller::admit_rt(cluster::ContainerId id,
   // slack above it is what absorbs CFS quantization and best-effort floors.
   const double node_cores = entry->agent->node().config().cores;
   if (node_rt_reserved(node, id, &RtInfo::floor) + floor >
-      config_.rt_util_bound * node_cores + kCpuLimitEpsilon) {
+      kRtUtilBound * node_cores + kCpuLimitEpsilon) {
     record_rt_rejected(id, floor, 0);
     return RtAdmit::kRejectedNode;
   }
@@ -1504,7 +1523,7 @@ Controller::RtAdmit Controller::admit_rt(cluster::ContainerId id,
   // promise the pool must keep through faults, so it is only ever written
   // against capacity this controller owns outright.
   if (rt_reserved_cores_ + floor >
-      config_.rt_util_bound * rt_capacity() + kCpuLimitEpsilon) {
+      kRtUtilBound * rt_capacity() + kCpuLimitEpsilon) {
     record_rt_rejected(id, floor, 1);
     return RtAdmit::kRejectedPool;
   }
@@ -1514,7 +1533,7 @@ Controller::RtAdmit Controller::admit_rt(cluster::ContainerId id,
     const double nic =
         bw_shaper_ != nullptr ? bw_shaper_->node_nic_bps(node) : 0.0;
     if (nic <= 0.0 || node_rt_reserved(node, id, &RtInfo::bw_bps) + bw_bps >
-                          config_.rt_bw_bound * nic + 0.5) {
+                          kRtBwBound * nic + 0.5) {
       record_rt_rejected(id, floor, 2);
       return RtAdmit::kRejectedBw;
     }
@@ -1681,13 +1700,13 @@ void Controller::settle_credits() {
   const double pool = allocator_.app().cpu_limit();
   const double fair = pool / static_cast<double>(members);
   if (fair <= 0.0) return;
-  const double tol = fair * config_.credit_tolerance;
+  const double tol = fair * kCreditTolerance;
   const double period_s = sim::to_seconds(config_.cfs_period);
   // Pool pressure: taking capacity nobody else wants is cheap; taking it
   // from a contended pool costs full price (Karma's price signal).
   const double pressure =
       pool > 0.0 ? allocator_.app().cpu_allocated() / pool : 0.0;
-  const std::int64_t cap = CreditLedger::to_micro(config_.credit_cap);
+  const std::int64_t cap = CreditLedger::to_micro(kCreditCap);
   // Memory is rented, not bought: the one-shot OOM-grant charge is only an
   // entry fee, and a phantom-OOM farmer who idles on CPU would otherwise
   // mint enough every sweep to bankroll the farm forever. Holding bytes
@@ -1719,14 +1738,14 @@ void Controller::settle_credits() {
 
     if (cur > fair + tol) {
       // Above fair share: charge (cur-fair)/fair fair-share-seconds per
-      // second held, scaled by pool pressure; debt floored at -credit_cap.
+      // second held, scaled by pool pressure; debt floored at -kCreditCap.
       // Detail: above-share millicores.
       charge_credits(
           id, CreditLedger::to_micro((cur - fair) / fair * pressure * period_s),
           std::llround((cur - fair) * 1000.0));
       const std::int32_t streak = credits_.bump_streak(id);
       if (credits_.balance_micro(id) <= 0 &&
-          streak >= config_.credit_decay_grace) {
+          streak >= kCreditDecayGrace) {
         // Credit-exhausted and persistently above fair share: κ-damped
         // decay toward the static fair share — the overclaimer converges
         // to what admission would have given it, never below. An admitted
@@ -1769,7 +1788,7 @@ void Controller::settle_credits() {
     const double cur_mem =
         static_cast<double>(allocator_.app().member_mem(id));
     if (fair_mem > 0.0 &&
-        cur_mem > fair_mem * (1.0 + config_.credit_tolerance)) {
+        cur_mem > fair_mem * (1.0 + kCreditTolerance)) {
       charge_credits(id,
                      CreditLedger::to_micro((cur_mem - fair_mem) / fair_mem *
                                             mem_pressure * period_s),

@@ -308,9 +308,9 @@ class Controller {
   // An RT reservation is a (runtime, deadline, period) triple; its CPU
   // floor is runtime / min(deadline, period) cores. Admission is a
   // utilization-bound test at three scopes — the container's node
-  // (rt_util_bound x node cores), the pool's non-borrowed RT capacity
-  // (rt_util_bound x rt_capacity), and, when a bandwidth reservation
-  // rides along, the node NIC (rt_bw_bound x nic_bps). Once admitted, no
+  // (kRtUtilBound x node cores), the pool's non-borrowed RT capacity
+  // (kRtUtilBound x rt_capacity), and, when a bandwidth reservation
+  // rides along, the node NIC (kRtBwBound x nic_bps). Once admitted, no
   // allocator decision — κ scale-down, credit decay, greedy throttling —
   // may take the container below its floor, and the reservation is only
   // ever revoked by an explicit kRtEvicted decision (release, node death),
@@ -463,7 +463,7 @@ class Controller {
   double node_bw_headroom(cluster::NodeId node,
                           cluster::ContainerId except) const;
   // Initial bandwidth admission for a registering container. Grants
-  // min(want, pool, NIC headroom) unless that falls below the bw_min_rate
+  // min(want, pool, NIC headroom) unless that falls below the kBwMinRate
   // admission floor, in which case the container stays unshaped.
   void admit_bw(cluster::Container& container, cluster::Node& node,
                 double want, RegisterMode mode);
@@ -479,8 +479,8 @@ class Controller {
   void open_credit_account(cluster::ContainerId id);
   void close_credit_account(cluster::ContainerId id);
   void emit_credit(cluster::ContainerId id, bool removed);
-  // Burns min(want, balance + credit_cap) micro-credits (debt is floored at
-  // -credit_cap), tracing kCreditCharge and replicating the balance.
+  // Burns min(want, balance + kCreditCap) micro-credits (debt is floored at
+  // -kCreditCap), tracing kCreditCharge and replicating the balance.
   void charge_credits(cluster::ContainerId id, std::int64_t want,
                       std::int64_t detail, obs::EventId cause = 0);
   // RT admission internals. install_rt commits an already-checked

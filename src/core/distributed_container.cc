@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/metrics.h"
+#include "obs/observer.h"
 
 namespace escra::core {
 
@@ -156,35 +156,20 @@ double DistributedContainer::set_member_bw(std::uint32_t container,
   return bw_bps;
 }
 
-void DistributedContainer::set_obs_gauges(obs::Gauge* cpu_allocated,
-                                          obs::Gauge* cpu_unallocated,
-                                          obs::Gauge* mem_allocated,
-                                          obs::Gauge* mem_unallocated) {
-  gauge_cpu_allocated_ = cpu_allocated;
-  gauge_cpu_unallocated_ = cpu_unallocated;
-  gauge_mem_allocated_ = mem_allocated;
-  gauge_mem_unallocated_ = mem_unallocated;
-  sync_gauges();
-}
-
-void DistributedContainer::set_bw_gauges(obs::Gauge* bw_allocated,
-                                         obs::Gauge* bw_unallocated) {
-  gauge_bw_allocated_ = bw_allocated;
-  gauge_bw_unallocated_ = bw_unallocated;
+void DistributedContainer::set_observer(const obs::Observer* observer) {
+  obs_ = observer;
   sync_gauges();
 }
 
 void DistributedContainer::sync_gauges() const {
-  if (gauge_cpu_allocated_ != nullptr) {
-    gauge_cpu_allocated_->set(cpu_allocated_);
-    gauge_cpu_unallocated_->set(cpu_unallocated());
-    gauge_mem_allocated_->set(static_cast<double>(mem_allocated_));
-    gauge_mem_unallocated_->set(static_cast<double>(mem_unallocated()));
-  }
-  if (gauge_bw_allocated_ != nullptr) {
-    gauge_bw_allocated_->set(bw_allocated_);
-    gauge_bw_unallocated_->set(bw_unallocated());
-  }
+  if (obs_ == nullptr) return;
+  const obs::Observer::Handles& h = obs_->h;
+  h.pool_cpu_allocated->set(cpu_allocated_);
+  h.pool_cpu_unallocated->set(cpu_unallocated());
+  h.pool_mem_allocated->set(static_cast<double>(mem_allocated_));
+  h.pool_mem_unallocated->set(static_cast<double>(mem_unallocated()));
+  h.pool_bw_allocated->set(bw_allocated_);
+  h.pool_bw_unallocated->set(bw_unallocated());
 }
 
 }  // namespace escra::core

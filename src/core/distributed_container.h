@@ -24,7 +24,7 @@
 #include "memcg/mem_cgroup.h"
 
 namespace escra::obs {
-class Gauge;
+class Observer;
 }
 
 namespace escra::core {
@@ -90,15 +90,9 @@ class DistributedContainer {
   // stays within the global bandwidth pool. Returns the value actually set.
   double set_member_bw(std::uint32_t container, double bw_bps);
 
-  // Observability: pool-occupancy gauges kept in sync on every mutation
-  // (all four may be null; typically wired from an obs::Observer's
-  // pool.cpu/mem_allocated/unallocated handles).
-  void set_obs_gauges(obs::Gauge* cpu_allocated, obs::Gauge* cpu_unallocated,
-                      obs::Gauge* mem_allocated, obs::Gauge* mem_unallocated);
-
-  // Bandwidth-pool gauges, wired separately so pre-bandwidth callers keep
-  // the four-argument overload above.
-  void set_bw_gauges(obs::Gauge* bw_allocated, obs::Gauge* bw_unallocated);
+  // Observability: the observer's pool.cpu/mem/bw_allocated/unallocated
+  // gauges are kept in sync on every mutation. Null detaches.
+  void set_observer(const obs::Observer* observer);
 
  private:
   void sync_gauges() const;
@@ -122,12 +116,7 @@ class DistributedContainer {
   // while the slot is live (intern zero-fills on reuse).
   ContainerIndex index_;
   std::vector<Member> members_;
-  obs::Gauge* gauge_cpu_allocated_ = nullptr;
-  obs::Gauge* gauge_cpu_unallocated_ = nullptr;
-  obs::Gauge* gauge_mem_allocated_ = nullptr;
-  obs::Gauge* gauge_mem_unallocated_ = nullptr;
-  obs::Gauge* gauge_bw_allocated_ = nullptr;
-  obs::Gauge* gauge_bw_unallocated_ = nullptr;
+  const obs::Observer* obs_ = nullptr;
 };
 
 }  // namespace escra::core

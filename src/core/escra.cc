@@ -11,16 +11,55 @@ EscraSystem::EscraSystem(sim::Simulation& sim, net::Network& network,
       config_(config),
       app_(global_cpu_cores, global_mem),
       allocator_(config_, app_),
-      controller_(sim, network, config_, allocator_),
-      deployer_(cluster, controller_, config_),
-      watcher_(cluster, controller_) {
+      controller_(sim, network, config_, allocator_) {
   if (config_.credit_defense) {
     allocator_.set_credit_ledger(&controller_.credits());
   }
 }
 
+EscraSystem::~EscraSystem() { unwatch(); }
+
+EscraSystem::Bootstrap EscraSystem::bootstrap(std::size_t count) {
+  const auto n = static_cast<double>(count);
+  if (bandwidth_enabled() && app_.bw_limit() > 0.0) {
+    controller_.set_bw_plan(app_.bw_limit() / n);  // Eq. 1, bandwidth analogue
+  }
+  return {app_.cpu_limit() / n,  // Eq. 1
+          static_cast<memcg::Bytes>(static_cast<double>(app_.mem_limit()) *
+                                    (1.0 - config_.sigma) / n)};  // Eq. 2
+}
+
 std::vector<cluster::Container*> EscraSystem::deploy(const AppSpec& spec) {
-  return deployer_.deploy(spec);
+  if (spec.containers.empty()) {
+    throw std::invalid_argument("deploy: empty application");
+  }
+  const Bootstrap b = bootstrap(spec.containers.size());
+  std::vector<cluster::Container*> deployed;
+  deployed.reserve(spec.containers.size());
+  for (const cluster::ContainerSpec& cs : spec.containers) {
+    cluster::Container& c = cluster_.create_container(cs, b.cores, b.mem);
+    controller_.register_container(c, *cluster_.node_of(c.id()), b.cores,
+                                   b.mem);
+    deployed.push_back(&c);
+  }
+  return deployed;
+}
+
+void EscraSystem::watch() {
+  if (watching_) return;
+  watching_ = true;
+  cluster_.set_container_observer(
+      [this](cluster::Container& c, cluster::Node& node) {
+        // Late joiner: zero limits ask the Controller to apply the
+        // late-join defaults clamped to the unallocated pool.
+        controller_.register_container(c, node, 0.0, 0);
+      });
+}
+
+void EscraSystem::unwatch() {
+  if (!watching_) return;
+  watching_ = false;
+  cluster_.set_container_observer(nullptr);
 }
 
 void EscraSystem::enable_bandwidth(bw::ClusterShaper& shaper,
@@ -31,17 +70,11 @@ void EscraSystem::enable_bandwidth(bw::ClusterShaper& shaper,
 
 void EscraSystem::manage(const std::vector<cluster::Container*>& containers) {
   if (containers.empty()) throw std::invalid_argument("manage: no containers");
-  const auto n = static_cast<double>(containers.size());
-  const double cpu0 = app_.cpu_limit() / n;  // Eq. 1
-  const auto mem0 = static_cast<memcg::Bytes>(
-      static_cast<double>(app_.mem_limit()) * (1.0 - config_.sigma) / n);  // Eq. 2
-  if (bandwidth_enabled() && app_.bw_limit() > 0.0) {
-    controller_.set_bw_plan(app_.bw_limit() / n);  // Eq. 1, bandwidth analogue
-  }
+  const Bootstrap b = bootstrap(containers.size());
   for (cluster::Container* c : containers) {
     cluster::Node* node = cluster_.node_of(c->id());
     if (node == nullptr) throw std::invalid_argument("manage: unknown container");
-    controller_.register_container(*c, *node, cpu0, mem0);
+    controller_.register_container(*c, *node, b.cores, b.mem);
   }
 }
 

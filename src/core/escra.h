@@ -1,7 +1,8 @@
 // EscraSystem: the one-object public API.
 //
-// Bundles the Distributed Container, Resource Allocator, Controller,
-// Deployer, and Container Watcher into a single facade. A typical use:
+// Bundles the Distributed Container, Resource Allocator, and Controller
+// into a single facade, and plays the Application Deployer and Container
+// Watcher (Figure 1 circle 1; Section IV-A) itself. A typical use:
 //
 //   sim::Simulation simulation;
 //   net::Network network(simulation);
@@ -16,29 +17,51 @@
 //
 // Containers created later (serverless pods) are picked up automatically
 // once `watch()` is enabled.
+//
+// Deployment ingests a Distributed Container configuration (the paper's
+// YAML set): a list of container specs under the global application
+// CPU/memory limits the system was built with. Each container's initial
+// limits follow Equations 1-2:
+//
+//     cpu_0 = global_cpu_limit / #containers                      (1)
+//     mem_0 = global_mem_limit * (1 - sigma) / #containers        (2)
+//
+// where σ is the fraction of global memory withheld for OOM events. (The
+// paper prints Eq. 2 as `global·σ/n` while describing σ as the *withheld*
+// percentage; we follow the description — see DESIGN.md.)
 #pragma once
 
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "core/allocator.h"
 #include "core/config.h"
 #include "core/controller.h"
-#include "core/deployer.h"
 #include "core/distributed_container.h"
 #include "net/network.h"
 #include "sim/event_queue.h"
 
 namespace escra::core {
 
+// The "set of YAML files": what the operator hands the Deployer.
+struct AppSpec {
+  std::string name;
+  std::vector<cluster::ContainerSpec> containers;
+};
+
 class EscraSystem {
  public:
   EscraSystem(sim::Simulation& sim, net::Network& network,
               cluster::Cluster& cluster, double global_cpu_cores,
               memcg::Bytes global_mem, EscraConfig config = EscraConfig{});
+  ~EscraSystem();
 
-  // Deploys an application under Escra management (Deployer path, Eq. 1-2).
+  EscraSystem(const EscraSystem&) = delete;
+  EscraSystem& operator=(const EscraSystem&) = delete;
+
+  // Deploys every container in the spec (spread across nodes), registers
+  // each with the Controller with Eq. 1-2 initial limits, and returns them.
   std::vector<cluster::Container*> deploy(const AppSpec& spec);
 
   // Takes over already-deployed containers as one application, applying the
@@ -48,8 +71,8 @@ class EscraSystem {
 
   // Enables the Container Watcher: containers created in the cluster from
   // now on are adopted as late joiners.
-  void watch() { watcher_.enable(); }
-  void unwatch() { watcher_.disable(); }
+  void watch();
+  void unwatch();
 
   // Adopts an already-running container (manual Watcher path).
   void adopt(cluster::Container& container);
@@ -111,13 +134,21 @@ class EscraSystem {
   const EscraConfig& config() const { return config_; }
 
  private:
+  // Eq. 1-2 initial limits for each container of an application.
+  struct Bootstrap {
+    double cores;
+    memcg::Bytes mem;
+  };
+  // Computes Eq. 1-2 for an application of `count` containers and, with
+  // bandwidth armed, plans each container's equal share of the pool.
+  Bootstrap bootstrap(std::size_t count);
+
   cluster::Cluster& cluster_;
   EscraConfig config_;
   DistributedContainer app_;
   ResourceAllocator allocator_;
   Controller controller_;
-  Deployer deployer_;
-  ContainerWatcher watcher_;
+  bool watching_ = false;
 };
 
 }  // namespace escra::core

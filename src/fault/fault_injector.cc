@@ -6,6 +6,22 @@
 
 namespace escra::fault {
 
+namespace {
+// Ranges schedule_random draws every fault from, whatever the profile.
+// Fault-window duration range.
+constexpr sim::Duration kMinDuration = sim::milliseconds(200);
+constexpr sim::Duration kMaxDuration = sim::seconds(3);
+// Probabilistic-fault rate range.
+constexpr double kMinRate = 0.05;
+constexpr double kMaxRate = 0.40;
+// Delay-spike extra latency range.
+constexpr sim::Duration kMinSpike = sim::milliseconds(1);
+constexpr sim::Duration kMaxSpike = sim::milliseconds(20);
+// Faults are clamped to end at least this long before `end`, so every
+// run includes a recovery window the checker can hold to account.
+constexpr sim::Duration kRecoveryMargin = sim::seconds(1);
+}  // namespace
+
 const char* fault_kind_name(FaultKind kind) {
   switch (kind) {
     case FaultKind::kPartition:
@@ -200,16 +216,13 @@ void FaultInjector::schedule_random(sim::Rng& rng, sim::TimePoint end,
     const double kind_draw = rng.uniform(0.0, total_weight);
     const cluster::NodeId node = static_cast<cluster::NodeId>(
         node_count > 0 ? rng.uniform_int(0, node_count - 1) : 0);
-    const sim::Duration duration =
-        rng.uniform_int(profile.min_duration, profile.max_duration);
-    const double rate = rng.uniform(profile.min_rate, profile.max_rate);
-    const sim::Duration spike =
-        rng.uniform_int(profile.min_spike, profile.max_spike);
+    const sim::Duration duration = rng.uniform_int(kMinDuration, kMaxDuration);
+    const double rate = rng.uniform(kMinRate, kMaxRate);
+    const sim::Duration spike = rng.uniform_int(kMinSpike, kMaxSpike);
     const net::Channel channel =
         kFaultChannels[rng.uniform_int(0, channel_max)];
     // Clamp the window so recovery fits before `end`.
-    const sim::TimePoint latest_start =
-        end - duration - profile.recovery_margin;
+    const sim::TimePoint latest_start = end - duration - kRecoveryMargin;
     if (latest_start <= now) continue;  // run too short for this fault
     const sim::TimePoint start = rng.uniform_int(now, latest_start);
 

@@ -94,15 +94,6 @@ class FaultInjector {
     double rpc_drop_weight = 0.20;
     double rpc_duplicate_weight = 0.10;
     double delay_spike_weight = 0.10;
-    // Fault-window duration range.
-    sim::Duration min_duration = sim::milliseconds(200);
-    sim::Duration max_duration = sim::seconds(3);
-    // Probabilistic-fault rate range.
-    double min_rate = 0.05;
-    double max_rate = 0.40;
-    // Delay-spike extra latency range.
-    sim::Duration min_spike = sim::milliseconds(1);
-    sim::Duration max_spike = sim::milliseconds(20);
     // Weight of permanent leader kills (kLeaderKill). Zero by default: the
     // fault only makes sense with a warm-standby pool attached, and keeping
     // it out of the draw preserves existing seed streams.
@@ -111,9 +102,6 @@ class FaultInjector {
     // replication channel (WAL stream / lease announcements), so drop and
     // delay faults can starve the standbys' view of the lease.
     bool target_ha_channel = false;
-    // Faults are clamped to end at least this long before `end`, so every
-    // run includes a recovery window the checker can hold to account.
-    sim::Duration recovery_margin = sim::seconds(1);
   };
 
   // Profile for hammering the replicated-controller path: leader kills

@@ -18,6 +18,22 @@ net::EndpointId node_ep(cluster::NodeId node) {
 // after a long outage without stalling catch-up (128 records / 50 ms).
 constexpr std::uint64_t kRetransmitBatch = 128;
 
+// Leader -> standby lease announcement period (also the retransmit /
+// ack-cursor exchange tick).
+constexpr sim::Duration kLeaseInterval = sim::milliseconds(50);
+static_assert(kLeaseInterval < kLeaseTimeout,
+              "a live leader must announce within every lease timeout");
+// Election stagger between standby ranks: rank k waits an extra
+// k * kTakeoverStagger, so a successful takeover (whose new lease
+// announcements arrive within one RTT) always preempts lower ranks.
+constexpr sim::Duration kTakeoverStagger = sim::milliseconds(100);
+// How long a deposed (split-brain) leader keeps retransmitting its
+// in-flight updates before noticing the higher epoch and abdicating.
+constexpr sim::Duration kGhostAbdicate = sim::milliseconds(500);
+// Standby ack cursors further than this many records behind the log head
+// at a lease tick are traced as kWalLag.
+constexpr std::uint64_t kWalLagThreshold = 64;
+
 }  // namespace
 
 HaControlPlane::HaControlPlane(core::EscraSystem& escra, net::Network& net,
@@ -75,8 +91,7 @@ void HaControlPlane::start() {
   if (started_) return;
   started_ = true;
   const sim::TimePoint now = sim_.now();
-  lease_loop_ = sim_.schedule_every(now + config_.lease_interval,
-                                    config_.lease_interval,
+  lease_loop_ = sim_.schedule_every(now + kLeaseInterval, kLeaseInterval,
                                     [this] { leader_tick(); });
   for (const auto& standby : standbys_) {
     standby->last_leader_contact = now;
@@ -210,7 +225,7 @@ void HaControlPlane::leader_tick() {
       for (std::uint64_t i = from; i < to; ++i) stream_record(s, log_.at(i));
     }
     const std::uint64_t lag = log_.next_index() - s.acked;
-    if (lag > config_.wal_lag_threshold) {
+    if (lag > kWalLagThreshold) {
       obs::Observer* obs = observer();
       if (obs != nullptr) {
         obs->h.ha_wal_lag_events->inc();
@@ -295,10 +310,8 @@ void HaControlPlane::send_snapshot(Standby& standby) {
 void HaControlPlane::arm_watchdog(Standby& standby) {
   Standby* s = &standby;
   standby.watchdog =
-      sim_.schedule_every(sim_.now() + config_.lease_interval,
-                          config_.lease_interval, [this, s] {
-                            standby_check(*s);
-                          });
+      sim_.schedule_every(sim_.now() + kLeaseInterval, kLeaseInterval,
+                          [this, s] { standby_check(*s); });
 }
 
 void HaControlPlane::standby_check(Standby& standby) {
@@ -306,7 +319,7 @@ void HaControlPlane::standby_check(Standby& standby) {
   // Controller liveness sweep: contact at exactly the expiry instant still
   // holds the lease.
   const sim::Duration deadline =
-      config_.lease_timeout + rank_of(standby) * config_.takeover_stagger;
+      kLeaseTimeout + rank_of(standby) * kTakeoverStagger;
   if (sim_.now() - standby.last_leader_contact > deadline) promote(standby);
 }
 
@@ -459,7 +472,7 @@ void HaControlPlane::promote(Standby& standby) {
 void HaControlPlane::spawn_ghost() {
   auto ghost = std::make_unique<Ghost>();
   ghost->epoch = book_.epoch;
-  ghost->abdicate_at = sim_.now() + config_.ghost_abdicate;
+  ghost->abdicate_at = sim_.now() + kGhostAbdicate;
   ghost->slots.reserve(book_.slots.size());
   for (const auto& [key, sl] : book_.slots) {
     const auto id = static_cast<cluster::ContainerId>(key / 4);
@@ -470,8 +483,8 @@ void HaControlPlane::spawn_ghost() {
   }
   Ghost* g = ghost.get();
   ghost->timer =
-      sim_.schedule_every(sim_.now() + config_.lease_interval,
-                          config_.lease_interval, [this, g] { ghost_tick(*g); });
+      sim_.schedule_every(sim_.now() + kLeaseInterval, kLeaseInterval,
+                          [this, g] { ghost_tick(*g); });
   ghosts_.push_back(std::move(ghost));
 }
 

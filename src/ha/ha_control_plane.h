@@ -2,12 +2,12 @@
 //
 // The active leader streams the Controller's decision/state WAL (src/ha/
 // wal.h) to N standby replicas over net::Channel::kHaReplication, and
-// announces its leadership lease every `lease_interval`. Each standby folds
+// announces its leadership lease every 50 ms. Each standby folds
 // the delivered records into a ReplicaState — the exact image a new leader
 // needs: registered containers with their current shadow limits, every
 // still-open desired-state slot, and the node liveness/incarnation map.
 //
-// When the lease goes silent for `lease_timeout` (+ rank * takeover_stagger,
+// When the lease goes silent for kLeaseTimeout (+ rank * a 100 ms stagger,
 // so elections are staggered and at most one standby moves at a time), the
 // standby fences the old epoch and takes over:
 //
@@ -24,8 +24,8 @@
 //      machinery), so the ghost can never move a cgroup after the handoff:
 //      epochs resolve split brain, divergent limits are never applied.
 //   4. The fence/replay traffic doubles as controller contact, so a
-//      takeover that beats the Agents' lease watchdog (lease_timeout <<
-//      agent lease) keeps every node out of fail-static entirely.
+//      takeover that beats the Agents' lease watchdog (kLeaseTimeout <<
+//      core::kAgentLease) keeps every node out of fail-static entirely.
 //
 // The promoted standby's seat is the Controller singleton itself (the seat
 // is a role, not a process); a fresh standby immediately replaces it, so
@@ -46,25 +46,15 @@
 
 namespace escra::ha {
 
+// Silence after which a standby declares the leader dead. Must sit well
+// under the Agents' fail-static lease (core::kAgentLease, 500 ms) for
+// takeover to keep nodes live.
+inline constexpr sim::Duration kLeaseTimeout = sim::milliseconds(200);
+static_assert(kLeaseTimeout < core::kAgentLease,
+              "takeover must beat the Agents' fail-static lease");
+
 struct HaConfig {
   int standbys = 1;
-  // Leader -> standby lease announcement period (also the retransmit /
-  // ack-cursor exchange tick).
-  sim::Duration lease_interval = sim::milliseconds(50);
-  // Silence after which a standby declares the leader dead. Must sit well
-  // under the Agents' fail-static lease (default 500 ms) for takeover to
-  // keep nodes live.
-  sim::Duration lease_timeout = sim::milliseconds(200);
-  // Election stagger between standby ranks: rank k waits an extra
-  // k * takeover_stagger, so a successful takeover (whose new lease
-  // announcements arrive within one RTT) always preempts lower ranks.
-  sim::Duration takeover_stagger = sim::milliseconds(100);
-  // How long a deposed (split-brain) leader keeps retransmitting its
-  // in-flight updates before noticing the higher epoch and abdicating.
-  sim::Duration ghost_abdicate = sim::milliseconds(500);
-  // Standby ack cursors further than this many records behind the log head
-  // at a lease tick are traced as kWalLag.
-  std::uint64_t wal_lag_threshold = 64;
   // Standby-endpoint addresses this plane hands out: the k-th standby it
   // creates (replacements after a takeover included) answers at
   // net::standby_endpoint(endpoint_base + k * endpoint_stride). A sharded

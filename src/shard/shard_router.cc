@@ -6,6 +6,12 @@
 
 namespace escra::shard {
 
+namespace {
+// Ring points per shard (more points = better balance; 64 keeps the
+// max/min application load ratio under ~1.3).
+constexpr int kVirtualNodes = 64;
+}  // namespace
+
 std::uint64_t ShardRouter::hash(std::string_view s) {
   std::uint64_t h = 14695981039346656037ULL;  // FNV-1a offset basis
   for (const char c : s) {
@@ -24,14 +30,11 @@ std::uint64_t ShardRouter::hash(std::string_view s) {
   return h;
 }
 
-ShardRouter::ShardRouter(int shards, int virtual_nodes)
-    : shards_(shards), virtual_nodes_(virtual_nodes) {
+ShardRouter::ShardRouter(int shards) : shards_(shards) {
   if (shards < 1) throw std::invalid_argument("ShardRouter: shards < 1");
-  if (virtual_nodes < 1)
-    throw std::invalid_argument("ShardRouter: virtual_nodes < 1");
-  ring_.reserve(static_cast<std::size_t>(shards) * virtual_nodes);
+  ring_.reserve(static_cast<std::size_t>(shards) * kVirtualNodes);
   for (int s = 0; s < shards; ++s) {
-    for (int v = 0; v < virtual_nodes; ++v) {
+    for (int v = 0; v < kVirtualNodes; ++v) {
       const std::string point =
           "shard-" + std::to_string(s) + "#" + std::to_string(v);
       ring_.emplace_back(hash(point), s);

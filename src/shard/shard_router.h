@@ -5,7 +5,7 @@
 // shard, so the Distributed Container's app-level aggregate limits never
 // straddle a shard boundary and each shard's Resource Allocator reasons
 // over a complete pool. The mapping is a classic consistent-hash ring —
-// each shard owns `virtual_nodes` points hashed onto a 64-bit ring, and an
+// each shard owns a fixed number of points hashed onto a 64-bit ring, and an
 // application maps to the owner of the first point clockwise of its own
 // hash. Growing the ring from N to N+1 shards therefore only moves the
 // applications the new shard's points capture (~1/(N+1) of them); every
@@ -25,22 +25,19 @@ namespace escra::shard {
 
 class ShardRouter {
  public:
-  // `shards` >= 1; `virtual_nodes` points per shard (more points = better
-  // balance; 64 keeps the max/min application load ratio under ~1.3).
-  explicit ShardRouter(int shards, int virtual_nodes = 64);
+  // `shards` >= 1.
+  explicit ShardRouter(int shards);
 
   // The shard owning `app`, in [0, shard_count()).
   int shard_for_app(std::string_view app) const;
 
   int shard_count() const { return shards_; }
-  int virtual_nodes() const { return virtual_nodes_; }
 
   // FNV-1a 64-bit, the ring's hash (exposed for tests).
   static std::uint64_t hash(std::string_view s);
 
  private:
   int shards_;
-  int virtual_nodes_;
   // Ring points sorted by hash; ties (astronomically unlikely) resolve to
   // the lower shard id via pair ordering, keeping the ring deterministic.
   std::vector<std::pair<std::uint64_t, int>> ring_;

@@ -30,6 +30,23 @@ std::uint64_t double_bits(double d) {
   return v;
 }
 
+// Cadence of the surplus-advertisement / borrow / return tick. Off the
+// CFS period on purpose: borrowing is pool maintenance, not a control
+// loop, and 500 ms keeps its traffic negligible next to telemetry.
+constexpr sim::Duration kAdvertiseInterval = sim::milliseconds(500);
+// Fraction of a shard's pool slice it always withholds from lending —
+// headroom for its own next scale-up burst.
+constexpr double kReserveFrac = 0.10;
+// A borrower asks for enough to refill its unallocated pool to this
+// fraction of its slice.
+constexpr double kTargetFrac = 0.15;
+// A borrower starts repaying once its unallocated pool exceeds
+// kReturnFrac of its slice (hysteresis: target < return keeps a
+// borrow/return pair from oscillating every tick).
+constexpr double kReturnFrac = 0.40;
+static_assert(kTargetFrac < kReturnFrac,
+              "a refilled borrower must not qualify to repay at once");
+
 }  // namespace
 
 ShardedControlPlane::ShardedControlPlane(sim::Simulation& sim,
@@ -42,7 +59,7 @@ ShardedControlPlane::ShardedControlPlane(sim::Simulation& sim,
       net_(net),
       cluster_(cluster),
       config_(config),
-      router_(config.shards, config.virtual_nodes) {
+      router_(config.shards) {
   if (config_.shards < 1)
     throw std::invalid_argument("ShardedControlPlane: shards < 1");
   const int n = config_.shards;
@@ -113,7 +130,7 @@ void ShardedControlPlane::start() {
   for (auto& state : shards_) state.escra->start();
   if (shard_count() > 1) {
     advert_loop_ = sim_.schedule_every(
-        sim_.now() + config_.advertise_interval, config_.advertise_interval,
+        sim_.now() + kAdvertiseInterval, kAdvertiseInterval,
         [this] { advertise_tick(); });
   }
 }
@@ -145,11 +162,11 @@ void ShardedControlPlane::export_merged_trace(std::ostream& out) const {
   obs::export_merged_jsonl(buffers, out);
 }
 
-void ShardedControlPlane::enable_ha(int standbys, ha::HaConfig base) {
+void ShardedControlPlane::enable_ha(int standbys) {
   if (!started_)
     throw std::logic_error("ShardedControlPlane::enable_ha before start()");
   for (int s = 0; s < shard_count(); ++s) {
-    ha::HaConfig config = base;
+    ha::HaConfig config;
     config.standbys = standbys;
     config.endpoint_base = s;
     config.endpoint_stride = shard_count();
@@ -207,8 +224,7 @@ void ShardedControlPlane::resize_pool(int s, int res, double new_limit,
 }
 
 double ShardedControlPlane::lendable_surplus(int s, int res) const {
-  double surplus =
-      unalloc_of(s, res) - config_.reserve_frac * limit_of(s, res);
+  double surplus = unalloc_of(s, res) - kReserveFrac * limit_of(s, res);
   if (res == kResCpu) {
     // Admitted RT floors are promised capacity even while the unallocated
     // figure still covers them (a floor not yet drawn is still owed):
@@ -272,7 +288,7 @@ void ShardedControlPlane::maybe_return(int s) {
     }
     if (lender < 0) continue;
     const double limit = limit_of(s, res);
-    if (unalloc_of(s, res) <= config_.return_frac * limit) continue;
+    if (unalloc_of(s, res) <= kReturnFrac * limit) continue;
     double amount = std::min(owed, lendable_surplus(s, res));
     if (res == kResMem) amount = std::floor(amount);
     if (amount < min_transfer(res)) continue;
@@ -299,7 +315,7 @@ void ShardedControlPlane::maybe_return(int s) {
     p.peer = lender;
     p.seq = seq;
     p.amount = amount;
-    p.backoff = config_.borrow_retry_timeout;
+    p.backoff = core::kRpcRetryTimeout;
     send_return(s, res);
     arm_retransmit(s, res);
   }
@@ -313,7 +329,7 @@ void ShardedControlPlane::maybe_borrow(int s) {
     if (limit <= 0.0) continue;  // resource not armed on this shard
     const double unalloc = unalloc_of(s, res);
     if (unalloc >= config_.low_frac * limit) continue;
-    double want = config_.target_frac * limit - unalloc;
+    double want = kTargetFrac * limit - unalloc;
     if (res == kResMem) want = std::ceil(want);
     if (want < min_transfer(res)) continue;
     // Best advertiser: highest advertised surplus, ties to the lowest
@@ -343,7 +359,7 @@ void ShardedControlPlane::maybe_borrow(int s) {
     p.peer = peer;
     p.seq = seq;
     p.amount = want;
-    p.backoff = config_.borrow_retry_timeout;
+    p.backoff = core::kRpcRetryTimeout;
     send_borrow(s, res);
     arm_retransmit(s, res);
   }
@@ -446,7 +462,7 @@ void ShardedControlPlane::on_retransmit_timer(int s, int res,
                                               std::uint64_t seq) {
   Pending& p = shards_[s].pending[res];
   if (!p.active || p.seq != seq) return;  // op completed meanwhile
-  p.backoff = std::min(p.backoff * 2, config_.borrow_backoff_max);
+  p.backoff = std::min(p.backoff * 2, core::kRpcBackoffMax);
   if (!crashed(s)) {
     // A crashed originator can't transmit; keep the timer alive so the op
     // resumes (idempotently, against the receiver caches) after restart.

@@ -68,28 +68,11 @@ namespace escra::shard {
 
 struct ShardPlaneConfig {
   int shards = 1;
-  // Consistent-hash ring points per shard (see shard_router.h).
-  int virtual_nodes = 64;
-  // Cadence of the surplus-advertisement / borrow / return tick. Off the
-  // CFS period on purpose: borrowing is pool maintenance, not a control
-  // loop, and 500 ms keeps its traffic negligible next to telemetry.
-  sim::Duration advertise_interval = sim::milliseconds(500);
-  // Fraction of a shard's pool slice it always withholds from lending —
-  // headroom for its own next scale-up burst.
-  double reserve_frac = 0.10;
   // A shard borrows when its unallocated pool drops below low_frac of its
-  // slice, and asks for enough to refill to target_frac.
+  // slice, and asks for enough to refill to a fixed target fraction
+  // (kTargetFrac in sharded_control_plane.cc).
   double low_frac = 0.05;
-  double target_frac = 0.15;
-  // A borrower starts repaying once its unallocated pool exceeds
-  // return_frac of its slice (hysteresis: target < return keeps a
-  // borrow/return pair from oscillating every tick).
-  double return_frac = 0.40;
-  // First retransmit of an unacked borrow/return op, then exponential
-  // backoff to the cap (mirrors EscraConfig::rpc_retry_timeout).
-  sim::Duration borrow_retry_timeout = sim::milliseconds(2);
-  sim::Duration borrow_backoff_max = sim::milliseconds(128);
-  // Per-shard EscraSystem tunables (κ/γ/Υ, periods, reliability knobs).
+  // Per-shard EscraSystem tunables (κ/γ/Υ, periods, memory and bandwidth).
   core::EscraConfig escra;
 };
 
@@ -135,9 +118,8 @@ class ShardedControlPlane {
   // Arms a warm-standby HA group per shard (call after start()). Shard i's
   // k-th standby, replacements after a takeover included, answers at
   // net::standby_endpoint(i + k * shard_count()): the shards interleave, so
-  // partitions and failovers stay per shard. `base` seeds every per-shard
-  // HaConfig (standbys, endpoint_base and endpoint_stride are overwritten).
-  void enable_ha(int standbys, ha::HaConfig base = ha::HaConfig{});
+  // partitions and failovers stay per shard.
+  void enable_ha(int standbys);
   ha::HaControlPlane& ha(int shard);
   bool ha_enabled() const { return ha_enabled_; }
 

@@ -254,6 +254,41 @@ TEST(BwNetworkTest, EgressQueueDelaysDeliveryByCreditWait) {
   EXPECT_EQ(second, milliseconds(50) + microseconds(80));
 }
 
+// --- Escra end to end: bootstrap split -----------------------------------
+
+// deploy() creates the containers itself but owes them the same Eq.-1-style
+// bandwidth share as manage(): an equal slice of the pool, not the
+// late-join rate (which would run the pool dry before the last member).
+TEST(BwEscraTest, DeploySplitsThePoolEqually) {
+  sim::Simulation sim;
+  net::Network network(sim);
+  cluster::Cluster k8s(sim);
+  bw::ClusterShaper shaper(sim);
+  for (int n = 0; n < 2; ++n) {
+    const cluster::Node& node = k8s.add_node(cluster::NodeConfig{.cores = 8.0});
+    shaper.add_node(node.id(), node.config().nic_bps);
+  }
+  network.set_shaper(&shaper);
+  core::EscraSystem escra(sim, network, k8s, 8.0, 4LL * memcg::kGiB);
+  escra.enable_bandwidth(shaper, /*global_bw_bps=*/40.0e6);
+
+  core::AppSpec app;
+  app.name = "shop";
+  for (int i = 0; i < 4; ++i) {
+    cluster::ContainerSpec spec;
+    spec.name = "svc" + std::to_string(i);
+    spec.base_memory = 16 * memcg::kMiB;
+    app.containers.push_back(spec);
+  }
+  const std::vector<cluster::Container*> deployed = escra.deploy(app);
+  ASSERT_EQ(deployed.size(), 4u);
+  for (const cluster::Container* c : deployed) {
+    EXPECT_DOUBLE_EQ(escra.app().member_bw(c->id()), 10.0e6) << c->name();
+    EXPECT_DOUBLE_EQ(shaper.container_rate(c->id()), 10.0e6) << c->name();
+  }
+  EXPECT_DOUBLE_EQ(escra.app().bw_unallocated(), 0.0);
+}
+
 // --- Escra end to end: saturation-driven grants --------------------------
 
 TEST(BwEscraTest, SaturationDrivesGrantsAndReclaimFundsThem) {
@@ -300,7 +335,7 @@ TEST(BwEscraTest, SaturationDrivesGrantsAndReclaimFundsThem) {
   EXPECT_GT(observer.h.bw_throttle_events->value(), 0u);
   EXPECT_GT(escra.app().member_bw(hot.id()), 7.0e6);
   EXPECT_LT(escra.app().member_bw(cold.id()), 3.0e6);
-  EXPECT_GE(escra.app().member_bw(cold.id()), cfg.bw_min_rate);
+  EXPECT_GE(escra.app().member_bw(cold.id()), core::kBwMinRate);
   // The applied shaper rate converged to the granted rate.
   EXPECT_DOUBLE_EQ(shaper.container_rate(hot.id()),
                    escra.app().member_bw(hot.id()));

@@ -1,10 +1,9 @@
 // core::ContainerIndex: the dense slot interner under every hot-path SoA
-// table. Locks the four properties the rest of the tree leans on — slot
-// reuse hands out fresh generations, stale handles are inert (never aliases
-// of the slot's next tenant), dense iteration is deterministic for a given
-// call sequence, and a controller takeover's replay rebuilds an identical
-// slot layout (slots are a pure function of registration order, so every
-// replica that folds the same log agrees).
+// table. Locks the three properties the rest of the tree leans on — a
+// released slot is reused LIFO without growing the arrays, dense iteration
+// is deterministic for a given call sequence, and a controller takeover's
+// replay rebuilds an identical slot layout (slots are a pure function of
+// registration order, so every replica that folds the same log agrees).
 #include "core/container_index.h"
 
 #include <gtest/gtest.h>
@@ -30,56 +29,30 @@ using memcg::kMiB;
 using sim::milliseconds;
 using sim::seconds;
 
-// --- generations & handles ------------------------------------------------
+// --- LIFO slot reuse ---------------------------------------------------------
 
-TEST(ContainerIndexTest, ReleaseBumpsGenerationBeforeReuse) {
+TEST(ContainerIndexTest, ReleasedSlotIsReusedLifo) {
   ContainerIndex idx;
-  const std::uint32_t a = idx.intern(10);
+  idx.intern(10);
   const std::uint32_t b = idx.intern(20);
   idx.intern(30);
   EXPECT_EQ(idx.size(), 3u);
   EXPECT_EQ(idx.capacity(), 3u);
 
-  const ContainerIndex::Handle hb = idx.handle(20);
-  EXPECT_EQ(idx.resolve(hb), b);
-  const std::uint32_t gen_before = idx.generation(b);
-
   EXPECT_EQ(idx.release(20), b);
   EXPECT_FALSE(idx.contains(20));
-  EXPECT_EQ(idx.generation(b), gen_before + 1);
 
-  // LIFO reuse: the next unknown id takes b's slot, under the new
-  // generation — a fresh tenancy, not a resurrection.
+  // LIFO reuse: the next unknown id takes b's slot as a fresh tenant.
   bool created = false;
   const std::uint32_t c = idx.intern(40, &created);
   EXPECT_TRUE(created);
   EXPECT_EQ(c, b);
-  EXPECT_EQ(idx.id_at(c), 40u);
+  EXPECT_EQ(idx.find(40), c);
   EXPECT_EQ(idx.capacity(), 3u) << "reuse must not grow the arrays";
-  EXPECT_NE(idx.handle(40).generation, hb.generation);
-  (void)a;
-}
 
-TEST(ContainerIndexTest, StaleHandlesAreInertAcrossReuseAndReintern) {
-  ContainerIndex idx;
-  idx.intern(1);
-  const std::uint32_t slot = idx.intern(2);
-  const ContainerIndex::Handle h = idx.handle(2);
-
-  idx.release(2);
-  EXPECT_EQ(idx.resolve(h), ContainerIndex::kInvalid) << "released";
-
-  // Even the *same id* coming back lands under a new generation: the old
-  // handle stays dead (its side-table rows may have been reinitialized).
-  const std::uint32_t again = idx.intern(2);
-  EXPECT_EQ(again, slot);
-  EXPECT_EQ(idx.resolve(h), ContainerIndex::kInvalid) << "stale generation";
-  EXPECT_EQ(idx.resolve(idx.handle(2)), slot) << "fresh handle resolves";
-
-  // A default handle and an out-of-range slot never resolve.
-  EXPECT_EQ(idx.resolve(ContainerIndex::Handle{}), ContainerIndex::kInvalid);
-  EXPECT_EQ(idx.resolve(ContainerIndex::Handle{99, 0}),
-            ContainerIndex::kInvalid);
+  // The same id coming back after its release re-interns into its slot.
+  EXPECT_EQ(idx.release(40), c);
+  EXPECT_EQ(idx.intern(40), c);
 }
 
 // --- deterministic dense iteration ---------------------------------------

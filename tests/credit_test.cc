@@ -138,11 +138,10 @@ TEST(CreditSettleTest, IdleMembersEarnUpToTheCap) {
   // fair share and earns. Long enough for the earliest earner to hit cap.
   rig.sim.run_until(seconds(60));
   const CreditLedger& lg = rig.escra.controller().credits();
-  const std::int64_t cap =
-      CreditLedger::to_micro(rig.escra.config().credit_cap);
+  const std::int64_t cap = CreditLedger::to_micro(core::kCreditCap);
   for (const cluster::Container* c : rig.containers) {
     EXPECT_GT(lg.balance_micro(c->id()),
-              CreditLedger::to_micro(rig.escra.config().credit_init));
+              CreditLedger::to_micro(core::kCreditInit));
     EXPECT_LE(lg.balance_micro(c->id()), cap);
   }
   EXPECT_GT(rig.observer.h.credit_refunds->value(), 0u);
@@ -170,12 +169,12 @@ TEST(CreditSettleTest, SustainedOverclaimChargesThenDecays) {
   EXPECT_GT(rig.observer.h.credit_charges->value(), 0u);
   EXPECT_GT(rig.observer.h.greedy_throttles->value(), 0u);
   EXPECT_LE(lg.balance_micro(hog->id()), 0);
-  // Debt is floored at -credit_cap.
+  // Debt is floored at -kCreditCap.
   EXPECT_GE(lg.balance_micro(hog->id()),
-            -CreditLedger::to_micro(rig.escra.config().credit_cap));
+            -CreditLedger::to_micro(core::kCreditCap));
   // The decay converged the overclaimer to (roughly) its static fair share.
   EXPECT_LE(rig.escra.app().member_cores(hog->id()),
-            fair * (1.0 + rig.escra.config().credit_tolerance) + 0.35);
+            fair * (1.0 + core::kCreditTolerance) + 0.35);
   EXPECT_TRUE(checker.ok()) << checker.report();
 }
 
@@ -305,7 +304,7 @@ TEST(CreditHaTest, BalancesSurviveLeaderFailover) {
 
   // Idle run: everyone earns above their initial grant, then the leader is
   // killed. If balances did not ride the WAL, the takeover would reopen
-  // everyone at credit_init.
+  // everyone at kCreditInit.
   std::int64_t balance_at_kill = 0;
   sim.schedule_at(seconds(10), [&] {
     balance_at_kill = escra.controller().credits().balance_micro(

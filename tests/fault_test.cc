@@ -238,7 +238,7 @@ TEST(FaultTest, PartitionDeclaresNodeDeadQuarantinesThenReclaims) {
   EXPECT_FALSE(rig.escra.controller().node_dead(0));
 
   rig.net.partition(0, net::kControllerEndpoint);
-  // liveness_timeout (350 ms) of silence: declared dead, pool share still
+  // kLivenessTimeout (350 ms) of silence: declared dead, pool share still
   // quarantined (containers stay registered through the grace window).
   rig.sim.run_until(seconds(1) + milliseconds(600));
   EXPECT_TRUE(rig.escra.controller().node_dead(0));
@@ -246,7 +246,7 @@ TEST(FaultTest, PartitionDeclaresNodeDeadQuarantinesThenReclaims) {
     EXPECT_TRUE(rig.escra.controller().is_registered(c->id()));
   }
 
-  // quarantine_grace (2 s) later the dead node's share is reclaimed.
+  // kQuarantineGrace (2 s) later the dead node's share is reclaimed.
   const double unallocated_before = rig.escra.app().cpu_unallocated();
   rig.sim.run_until(seconds(4));
   EXPECT_TRUE(rig.escra.controller().node_dead(0));
@@ -278,7 +278,7 @@ TEST(FaultTest, AgentLeaseExpiryEntersFailStaticUntilContact) {
   EXPECT_FALSE(agent->fail_static());
 
   rig.net.partition(0, net::kControllerEndpoint);
-  // agent_lease (500 ms) of Controller silence: fail-static.
+  // kAgentLease (500 ms) of Controller silence: fail-static.
   rig.sim.run_until(seconds(2));
   EXPECT_TRUE(agent->fail_static());
 

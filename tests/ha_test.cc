@@ -263,7 +263,7 @@ TEST(HaTest, DeposedLeaderIsFencedAndCanNeverMoveACgroup) {
             core::Agent::Apply::kFenced);
   EXPECT_DOUBLE_EQ(victim->cpu_cgroup().limit_cores(), limit_before);
 
-  // The ghost abdicates within ghost_abdicate (500 ms) and the cluster
+  // The ghost abdicates within kGhostAbdicate (500 ms) and the cluster
   // stays coherent throughout: no split-brain, monotonic epochs.
   rig.sim.run_until(seconds(2) + milliseconds(200));
   EXPECT_FALSE(rig.ha->ghost_active());

@@ -235,7 +235,7 @@ TEST(AdversarialTenantTest, CreditDefenseDecaysLiarToFairShare) {
   EXPECT_TRUE(checker.ok()) << checker.report();
   // The liar holds no more than fair share plus the settle tolerance band.
   EXPECT_LE(rig.escra.app().member_cores(rig.containers[0]->id()),
-            fair * (1.0 + rig.escra.config().credit_tolerance) + 0.35);
+            fair * (1.0 + core::kCreditTolerance) + 0.35);
 }
 
 TEST(AdversarialTenantTest, PhantomOomFarmingIsChargedAndGated) {

@@ -501,17 +501,17 @@ int main(int argc, char** argv) {
   // standby group per shard on disjoint endpoint bands.
   std::optional<ha::HaControlPlane> ha;
   if (opts.standbys > 0) {
-    ha::HaConfig ha_cfg;
-    ha_cfg.standbys = opts.standbys;
     if (plane.has_value()) {
-      plane->enable_ha(opts.standbys, ha_cfg);
+      plane->enable_ha(opts.standbys);
       std::printf("ha: %d warm standby(ies) per shard, lease %.0f ms\n",
-                  opts.standbys, sim::to_seconds(ha_cfg.lease_timeout) * 1e3);
+                  opts.standbys, sim::to_seconds(ha::kLeaseTimeout) * 1e3);
     } else {
+      ha::HaConfig ha_cfg;
+      ha_cfg.standbys = opts.standbys;
       ha.emplace(*escra_opt, network, ha_cfg);
       ha->start();
       std::printf("ha: %d warm standby(ies), lease %.0f ms\n", opts.standbys,
-                  sim::to_seconds(ha_cfg.lease_timeout) * 1e3);
+                  sim::to_seconds(ha::kLeaseTimeout) * 1e3);
     }
   }
 
