@@ -278,10 +278,9 @@ void InvariantChecker::on_event(const obs::TraceEvent& ev) {
       if (ev.detail != 0) {
         const std::uint64_t seq = static_cast<std::uint64_t>(ev.detail);
         // `before` is the resource flag (0/1/2): one slot per (container,
-        // resource), matching the controller's update_key packing.
-        const std::uint64_t key =
-            static_cast<std::uint64_t>(ev.container) * 4 +
-            static_cast<std::uint64_t>(ev.before);
+        // resource), keyed like the controller's desired-state slots.
+        const std::uint64_t key = core::ReplicaState::slot_key(
+            ev.container, static_cast<core::Resource>(ev.before));
         AppliedSeq& slot = applied_seq_[key];
         if (slot.seq != 0 && seq <= slot.seq) {
           add("no-split-brain", ev.container,

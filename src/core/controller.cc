@@ -195,16 +195,12 @@ void Controller::register_impl(cluster::Container& container,
     }
     admit_bw(container, node, bw_want, mode);
   }
-  {
-    ReplicationEvent rev;
-    rev.kind = ReplicationEvent::Kind::kRegister;
-    rev.container = container.id();
-    rev.node = node.id();
-    rev.cores = cores;
-    rev.mem = mem;
-    rev.bw_bps = allocator_.app().member_bw(container.id());
-    emit_repl(rev);
-  }
+  emit_repl({.kind = ReplicationEvent::Kind::kRegister,
+             .container = container.id(),
+             .node = node.id(),
+             .cores = cores,
+             .mem = mem,
+             .bw_bps = allocator_.app().member_bw(container.id())});
 
   if (mode == RegisterMode::kBootstrap) {
     // Registration message on the container's new kernel socket.
@@ -646,20 +642,14 @@ void Controller::push_limit(cluster::ContainerId id, Resource resource,
                       static_cast<double>(resource), value,
                       static_cast<std::int64_t>(kLimitUpdateRpcBytes),
                       ctx.cause);
-  {
-    using Kind = ReplicationEvent::Kind;
-    ReplicationEvent rev;
-    rev.kind = resource == Resource::kCpu   ? Kind::kCpuSlot
-               : resource == Resource::kMem ? Kind::kMemSlot
-                                            : Kind::kBwSlot;
-    rev.container = id;
-    rev.node = entry.agent->node().id();
-    rev.seq = p.seq;
-    rev.resource = resource;
-    rev.set_slot_value(value);
-    emit_repl(rev);
-  }
-  dispatch_update(update_key(id, resource), entry.agent->node().id());
+  emit_repl({.kind = ReplicationEvent::Kind::kSlot,
+             .container = id,
+             .node = entry.agent->node().id(),
+             .seq = p.seq,
+             .resource = resource,
+             .value = value});
+  dispatch_update(ReplicaState::slot_key(id, resource),
+                  entry.agent->node().id());
 }
 
 void Controller::dispatch_update(std::uint64_t key, cluster::NodeId node) {
@@ -695,7 +685,7 @@ void Controller::flush_node_batch(cluster::NodeId node) {
   for (const std::uint64_t key : keys) {
     Pending* p = find_pending(key);
     if (p == nullptr) continue;  // acked or canceled before the flush
-    Entry* entry = find_entry(static_cast<cluster::ContainerId>(key >> 2));
+    Entry* entry = find_entry(ReplicaState::slot_container(key));
     if (entry->agent == nullptr) {
       p->queued = false;
       continue;
@@ -709,7 +699,7 @@ void Controller::flush_node_batch(cluster::NodeId node) {
     }
     p->queued = false;
     agent = entry->agent;
-    entries.push_back({key, static_cast<cluster::ContainerId>(key >> 2),
+    entries.push_back({key, ReplicaState::slot_container(key),
                        p->seq, p->resource, p->value, p->rpc_event, p->ctx,
                        node_tag(*entry)});
   }
@@ -793,17 +783,12 @@ void Controller::on_update_ack(std::uint64_t key, std::uint64_t seq,
   Pending* p = find_pending(key);
   if (p == nullptr || p->seq != seq) return;  // superseded
   sim_.cancel(p->timer);
-  {
-    ReplicationEvent rev;
-    rev.kind = ReplicationEvent::Kind::kAckSlot;
-    rev.container = static_cast<cluster::ContainerId>(key >> 2);
-    rev.node = node;
-    rev.seq = seq;
-    rev.resource = p->resource;
-    emit_repl(rev);
-  }
-  const std::uint32_t slot =
-      index_.find(static_cast<cluster::ContainerId>(key >> 2));
+  emit_repl({.kind = ReplicationEvent::Kind::kAckSlot,
+             .container = ReplicaState::slot_container(key),
+             .node = node,
+             .seq = seq,
+             .resource = p->resource});
+  const std::uint32_t slot = index_.find(ReplicaState::slot_container(key));
   pending_open_[static_cast<std::size_t>(slot) * kResources + (key & 3)] = 0;
   --open_pending_;
 }
@@ -815,7 +800,7 @@ void Controller::on_update_timeout(std::uint64_t key, std::uint64_t seq) {
   Pending& p = *pp;
   ++p.attempts;
   ++retransmits_;
-  const auto id = static_cast<cluster::ContainerId>(key >> 2);
+  const auto id = ReplicaState::slot_container(key);
   if (obs_ != nullptr) obs_->h.retransmits->inc();
   trace(obs::EventKind::kRetransmit, id, static_cast<double>(p.resource),
         p.value, p.attempts, p.rpc_event);
@@ -1113,61 +1098,32 @@ bool Controller::handle_oom(cluster::Container& container, memcg::Bytes charge,
   return saved;
 }
 
-std::vector<Controller::TakeoverContainer> Controller::registry_snapshot() {
-  std::vector<TakeoverContainer> out;
-  out.reserve(index_.size());
-  index_.for_each([&](std::uint32_t, cluster::ContainerId id) {
-    TakeoverContainer c;
-    c.id = id;
-    c.cores = allocator_.app().member_cores(id);
-    c.mem = allocator_.app().member_mem(id);
-    c.bw_bps = allocator_.app().member_bw(id);
-    const auto rt = rt_.find(id);
-    if (rt != rt_.end()) {
-      c.rt = rt->second.spec;
-      c.rt_bw_bps = rt->second.bw_bps;
-    }
-    out.push_back(c);
-  });
-  std::sort(out.begin(), out.end(),
-            [](const TakeoverContainer& a, const TakeoverContainer& b) {
-              return a.id < b.id;
-            });
-  return out;
-}
-
-std::vector<Controller::TakeoverSlot> Controller::pending_slots() const {
-  std::vector<TakeoverSlot> out;
-  out.reserve(open_pending_);
+ReplicaState Controller::image() const {
+  ReplicaState out;
+  out.epoch = incarnation_;
+  for (const auto& [node, h] : health_) {
+    out.nodes[node] = ReplicaState::NodeState{h.agent_incarnation, h.dead};
+  }
   index_.for_each([&](std::uint32_t slot, cluster::ContainerId id) {
+    out.containers[id] = ReplicaState::ContainerState{
+        allocator_.app().member_cores(id), allocator_.app().member_mem(id),
+        registry_[slot].agent->node().id(), allocator_.app().member_bw(id)};
     for (std::size_t r = 0; r < kResources; ++r) {
       const std::size_t idx = static_cast<std::size_t>(slot) * kResources + r;
       if (pending_open_[idx] == 0) continue;
       const Pending& p = pending_[idx];
-      out.push_back(TakeoverSlot{id, p.resource, p.value, p.seq});
+      out.slots[ReplicaState::slot_key(id, p.resource)] =
+          ReplicaState::SlotState{p.seq, p.resource, p.value};
     }
   });
-  std::sort(out.begin(), out.end(),
-            [](const TakeoverSlot& a, const TakeoverSlot& b) {
-              return a.id != b.id ? a.id < b.id : a.resource < b.resource;
-            });
-  return out;
-}
-
-std::vector<Controller::TakeoverNode> Controller::health_snapshot() const {
-  std::vector<TakeoverNode> out;
-  out.reserve(health_.size());
-  for (const auto& [node, h] : health_) {
-    TakeoverNode n;
-    n.node = node;
-    n.agent_incarnation = h.agent_incarnation;
-    n.dead = h.dead;
-    out.push_back(n);
+  for (const auto& [id, acct] : credits_.accounts()) {
+    out.credits[id] = acct.micro;
   }
-  std::sort(out.begin(), out.end(),
-            [](const TakeoverNode& a, const TakeoverNode& b) {
-              return a.node < b.node;
-            });
+  out.credit_minted = credits_.minted_micro();
+  out.credit_burned = credits_.burned_micro();
+  for (const auto& [id, info] : rt_) {
+    out.rt[id] = ReplicaState::RtState{info.spec, info.bw_bps};
+  }
   return out;
 }
 
@@ -1178,11 +1134,8 @@ std::vector<Agent*> Controller::agents() {
   return out;
 }
 
-void Controller::takeover(std::uint64_t epoch,
-                          const std::vector<TakeoverContainer>& containers,
-                          const std::vector<TakeoverSlot>& slots,
-                          const std::vector<TakeoverNode>& nodes,
-                          obs::EventId cause) {
+void Controller::takeover(std::uint64_t epoch, const ReplicaState& replica,
+                          cluster::Cluster& cluster, obs::EventId cause) {
   // A live (deposed) leader is crashed first by the caller; a dead one is
   // simply re-seated. Either way the seat starts from the replica, not from
   // Agent snapshots.
@@ -1196,35 +1149,36 @@ void Controller::takeover(std::uint64_t epoch,
   // Node health first, so registration sees liveness state. Dead nodes
   // restart their quarantine clock under the new leader — the share is
   // reclaimed `kQuarantineGrace` after takeover, not retroactively.
-  for (const TakeoverNode& n : nodes) {
-    NodeHealth& h = health_[n.node];
+  for (const auto& [node, n] : replica.nodes) {
+    NodeHealth& h = health_[node];
     h.last_heartbeat = sim_.now();
     h.agent_incarnation = n.agent_incarnation;
     h.dead = n.dead;
     if (n.dead) {
-      const cluster::NodeId node = n.node;
       h.reclaim_timer = sim_.schedule_after(
           kQuarantineGrace, [this, node] { reclaim_dead_node(node); });
     }
-    ReplicationEvent rev;
-    rev.kind = ReplicationEvent::Kind::kNodeHealth;
-    rev.node = n.node;
-    rev.agent_incarnation = n.agent_incarnation;
-    rev.node_dead = n.dead;
-    emit_repl(rev);
+    emit_health(node, n.agent_incarnation, n.dead);
   }
 
   // Rebuild the registry and pool book from the replicated shadow limits.
   // The values were committed against the same pool by the old epoch, so
   // re-committing them in sorted order reproduces the book exactly — no
   // cgroup writes, no bootstrap traffic (kTakeover behaves like kResync on
-  // the wire: the node-side state is whatever fail-static preserved).
-  for (const TakeoverContainer& c : containers) {
-    if (c.container == nullptr || c.node == nullptr) continue;
-    if (index_.contains(c.container->id())) continue;
-    register_impl(*c.container, *c.node, c.cores, c.mem,
-                  RegisterMode::kTakeover, c.bw_bps,
-                  c.rt.valid() ? &c.rt : nullptr, c.rt_bw_bps);
+  // the wire: the node-side state is whatever fail-static preserved). A
+  // container that left the cluster while the replica was in flight is
+  // skipped.
+  for (const auto& [id, c] : replica.containers) {
+    cluster::Container* container = cluster.find_container(id);
+    cluster::Node* node = cluster.node_of(id);
+    if (container == nullptr || node == nullptr || index_.contains(id)) {
+      continue;
+    }
+    const auto rt = replica.rt.find(id);
+    const bool has_rt = rt != replica.rt.end();
+    register_impl(*container, *node, c.cores, c.mem, RegisterMode::kTakeover,
+                  c.bw_bps, has_rt ? &rt->second.spec : nullptr,
+                  has_rt ? rt->second.bw_bps : 0.0);
   }
 
   // Replay every still-open desired-state slot with a fresh epoch-packed
@@ -1234,11 +1188,12 @@ void Controller::takeover(std::uint64_t epoch,
   std::vector<cluster::ContainerId> bw_slotted;
   LoopCtx ctx;
   ctx.cause = cause;
-  for (const TakeoverSlot& s : slots) {
-    if (!index_.contains(s.id)) continue;
-    if (s.resource == Resource::kCpu) cpu_slotted.push_back(s.id);
-    if (s.resource == Resource::kBw) bw_slotted.push_back(s.id);
-    push_limit(s.id, s.resource, s.value, ctx);
+  for (const auto& [key, s] : replica.slots) {
+    const cluster::ContainerId id = ReplicaState::slot_container(key);
+    if (!index_.contains(id)) continue;
+    if (s.resource == Resource::kCpu) cpu_slotted.push_back(id);
+    if (s.resource == Resource::kBw) bw_slotted.push_back(id);
+    push_limit(id, s.resource, s.value, ctx);
   }
 
   // A node's applied limit may sit above the book this seat just rebuilt:
@@ -1278,6 +1233,15 @@ void Controller::takeover(std::uint64_t epoch,
   // Admissions queued during the vacancy, answered against the fully
   // rebuilt book (takeover is synchronous, unlike restart's async resync).
   drain_deferred_registrations();
+
+  // Credit-ledger image (Karma defense): replace the fresh init accounts
+  // re-registration opened with the replicated balances, so a greedy tenant
+  // cannot launder its debt through a failover. Skipped when the replica
+  // carries no credit state (defense off in this run).
+  if (!replica.credits.empty() || replica.credit_minted != 0 ||
+      replica.credit_burned != 0) {
+    install_credits(replica);
+  }
 }
 
 void Controller::drain_deferred_registrations() {
@@ -1419,8 +1383,7 @@ void Controller::charge_credits(cluster::ContainerId id, std::int64_t want,
   emit_credit(id, /*removed=*/false);
 }
 
-void Controller::install_credits(
-    const std::vector<CreditLedger::Snapshot>& accounts, std::int64_t burned) {
+void Controller::install_credits(const ReplicaState& replica) {
   // Takeover re-registration already opened init accounts for every member
   // it could rebuild; the replicated image replaces those wholesale.
   // Accounts for containers the takeover could not re-register (vanished
@@ -1429,27 +1392,23 @@ void Controller::install_credits(
   std::vector<cluster::ContainerId> live;
   live.reserve(credits_.size());
   for (const auto& [id, acct] : credits_.accounts()) live.push_back(id);
-  std::vector<CreditLedger::Snapshot> kept;
-  kept.reserve(accounts.size());
+  std::map<cluster::ContainerId, std::int64_t> kept;
   std::int64_t dropped = 0;
-  for (const CreditLedger::Snapshot& s : accounts) {
-    if (index_.find(s.id) != ContainerIndex::kInvalid) {
-      kept.push_back(s);
+  for (const auto& [id, micro] : replica.credits) {
+    if (index_.contains(id)) {
+      kept.emplace_hint(kept.end(), id, micro);
     } else {
-      dropped += s.micro;
+      dropped += micro;
     }
   }
   // Under replication faults the image's totals and its account map can be
   // stale relative to each other: a lost kCredit record drops an account's
   // open (or close) while later records overwrite the totals with values
-  // that include it. The balances are the authoritative part, so re-derive
-  // the minted total from them and enforce conservation structurally. In a
-  // clean failover the image is self-consistent and this reproduces the
-  // replicated minted total exactly.
-  const std::int64_t total_burned = burned + dropped;
-  std::int64_t outstanding = 0;
-  for (const CreditLedger::Snapshot& s : kept) outstanding += s.micro;
-  credits_.install(kept, total_burned + outstanding, total_burned);
+  // that include it. The balances are the authoritative part, so the
+  // ledger re-derives the minted total from them (conservation holds by
+  // construction). In a clean failover the image is self-consistent and
+  // this reproduces the replicated minted total exactly.
+  credits_.install(kept, replica.credit_burned + dropped);
   // A live member missing from the image (its open record never reached
   // the replicated WAL) starts over from the init grant — the same account
   // the takeover re-registration gave it before the install replaced it.
@@ -1607,11 +1566,8 @@ void Controller::emit_rt(cluster::ContainerId id, bool removed) {
   rev.container = id;
   const auto it = rt_.find(id);
   if (it != rt_.end()) {
-    rev.cores = it->second.floor;
     rev.bw_bps = it->second.bw_bps;
-    rev.rt_runtime = it->second.spec.runtime;
-    rev.rt_deadline = it->second.spec.deadline;
-    rev.rt_period = it->second.spec.period;
+    rev.rt = it->second.spec;
   }
   rev.rt_removed = removed;
   emit_repl(rev);

@@ -28,6 +28,7 @@
 
 #include "bw/shaper.h"
 #include "cfs/rt.h"
+#include "cluster/cluster.h"
 #include "cluster/container.h"
 #include "cluster/node.h"
 #include "core/agent.h"
@@ -36,6 +37,7 @@
 #include "core/container_index.h"
 #include "core/credit_ledger.h"
 #include "core/messages.h"
+#include "core/replica_state.h"
 #include "net/network.h"
 #include "obs/observer.h"
 #include "sim/event_queue.h"
@@ -79,132 +81,42 @@ class Controller {
 
   // --- warm-standby replication (controller HA, src/ha) ---
   //
-  // Every durable state change the leader makes — container registration /
-  // deregistration (pool commitments), desired-state slot opens and acks,
-  // shadow-limit moves, node-liveness transitions — is mirrored to an
-  // optional replication hook as a flat record. src/ha turns the stream into
-  // a sequence-numbered WAL shipped to the standbys; core stays ignorant of
+  // Every durable state change the leader makes is mirrored to an optional
+  // replication hook as a flat ReplicationEvent (core/replica_state.h),
+  // stamped with the emitting epoch. src/ha turns the stream into a
+  // sequence-numbered WAL shipped to the standbys; core stays ignorant of
   // the transport.
-  struct ReplicationEvent {
-    enum class Kind : std::uint8_t {
-      kEpochStart,  // new leadership epoch (written by src/ha, not by core)
-      kRegister,    // container joined: committed cores/mem/bw
-      kDeregister,  // container left (deregistered or quarantine-reclaimed)
-      kCpuSlot,     // desired-state CPU slot opened/superseded (seq, cores)
-      kMemSlot,     // desired-state memory slot opened/superseded (seq, mem)
-      kAckSlot,     // slot acked by the Agent (seq closed it)
-      kMemShadow,   // shadow memory limit moved without a slot (reclaim)
-      kNodeHealth,  // node liveness / agent-incarnation transition
-      kBwSlot,      // desired-state bandwidth slot opened/superseded (seq, bw)
-      kCredit,      // credit-ledger account moved (balance + totals image)
-      kRt,          // RT reservation admitted (absolute image) or revoked
-    };
-    Kind kind = Kind::kRegister;
-    cluster::ContainerId container = 0;
-    cluster::NodeId node = 0;
-    std::uint64_t seq = 0;  // slot sequence number (k*Slot/kAckSlot)
-    Resource resource = Resource::kCpu;  // slot resource (k*Slot/kAckSlot)
-    double cores = 0.0;
-    memcg::Bytes mem = 0;
-    double bw_bps = 0.0;                  // kRegister / kBwSlot
-    // A slot record keeps its value in its resource's own field (cores, mem
-    // or bw_bps), so every record kind shares one layout.
-    double slot_value() const {
-      switch (resource) {
-        case Resource::kCpu:
-          return cores;
-        case Resource::kMem:
-          return static_cast<double>(mem);
-        case Resource::kBw:
-          return bw_bps;
-      }
-      return 0.0;
-    }
-    void set_slot_value(double value) {
-      switch (resource) {
-        case Resource::kCpu:
-          cores = value;
-          break;
-        case Resource::kMem:
-          mem = static_cast<memcg::Bytes>(value);
-          break;
-        case Resource::kBw:
-          bw_bps = value;
-          break;
-      }
-    }
-    std::uint64_t agent_incarnation = 0;  // kNodeHealth
-    bool node_dead = false;               // kNodeHealth
-    // kCredit: the account's absolute balance plus the ledger's running
-    // mint/burn totals (absolute images keep WAL replay a pure fold).
-    std::int64_t credit_micro = 0;
-    std::int64_t credit_minted = 0;
-    std::int64_t credit_burned = 0;
-    bool credit_removed = false;  // account closed (container left)
-    // kRt: the reservation's absolute (runtime, deadline, period) image —
-    // `cores` carries the admitted floor, `bw_bps` the bandwidth
-    // reservation. rt_removed marks an explicit eviction.
-    sim::Duration rt_runtime = 0;
-    sim::Duration rt_deadline = 0;
-    sim::Duration rt_period = 0;
-    bool rt_removed = false;
-  };
   using ReplicationHook = std::function<void(const ReplicationEvent&)>;
   void set_replication_hook(ReplicationHook hook) {
     repl_hook_ = std::move(hook);
   }
 
-  // Takeover: a standby installs its replicated state into this controller
-  // seat and assumes leadership under `epoch` (strictly above every epoch
-  // this seat has used). Unlike restart(), no snapshot round-trips to the
-  // Agents are needed: the registry, pool commitments and node health are
-  // rebuilt from the replica, and every still-open desired-state slot is
-  // re-issued with a fresh `epoch`-packed sequence — the corrective updates
-  // double as the convergence traffic, so takeover cost is one one-way RPC
-  // per divergent container instead of a full resync. Works on a crashed
-  // seat (leader death) or a live one (a deposed leader being superseded:
-  // crash() first). `cause` threads the kLeaderElected trace event into the
-  // replayed updates' causal chains.
-  struct TakeoverContainer {
-    cluster::ContainerId id = 0;
-    double cores = 0.0;
-    memcg::Bytes mem = 0;
-    double bw_bps = 0.0;  // replicated shadow bandwidth rate; 0 = unshaped
-    // Replicated RT reservation (rt.valid() false when best-effort); the
-    // bandwidth arm of the reservation rides rt_bw_bps.
-    cfs::RtSpec rt;
-    double rt_bw_bps = 0.0;
-    // Resolved by the caller (the replica carries ids; src/ha resolves them
-    // against the Cluster before installing). Entries with a null pointer —
-    // the container vanished while the replica was in flight — are skipped.
-    cluster::Container* container = nullptr;
-    cluster::Node* node = nullptr;
-  };
-  struct TakeoverSlot {
-    cluster::ContainerId id = 0;
-    Resource resource = Resource::kCpu;
-    double value = 0.0;  // cores, bytes or bytes/s, per `resource`
-    // The slot's current sequence number. Informational for takeover()
-    // (replay always stamps fresh new-epoch sequences); used by src/ha to
-    // seed its book and to model a deposed leader's in-flight retransmits.
-    std::uint64_t seq = 0;
-  };
-  struct TakeoverNode {
-    cluster::NodeId node = 0;
-    std::uint64_t agent_incarnation = 0;
-    bool dead = false;
-  };
-  void takeover(std::uint64_t epoch,
-                const std::vector<TakeoverContainer>& containers,
-                const std::vector<TakeoverSlot>& slots,
-                const std::vector<TakeoverNode>& nodes,
-                obs::EventId cause = 0);
+  // The seat's book as the replication stream folds it: registry and
+  // shadow commitments (each container's node from this registry), every
+  // still-open desired-state slot with its real sequence, node health,
+  // credit balances with the mint/burn totals, and the admitted RT
+  // reservations. src/ha seeds its leader book from it when attaching to a
+  // live system.
+  ReplicaState image() const;
 
-  // Leader-side state snapshots (sorted, deterministic), used by src/ha to
-  // seed the replication book when attaching to a live system.
-  std::vector<TakeoverContainer> registry_snapshot();
-  std::vector<TakeoverSlot> pending_slots() const;
-  std::vector<TakeoverNode> health_snapshot() const;
+  // Takeover: a standby installs its replica into this controller seat and
+  // assumes leadership under `epoch` (strictly above every epoch this seat
+  // has used). Unlike restart(), no snapshot round-trips to the Agents are
+  // needed: node health, the registry, pool commitments and RT
+  // reservations are rebuilt from the replica (ids resolved through
+  // `cluster`; containers that vanished meanwhile are skipped), and every
+  // still-open desired-state slot is re-issued with a fresh `epoch`-packed
+  // sequence — the corrective updates double as the convergence traffic,
+  // so takeover cost is one one-way RPC per divergent container instead of
+  // a full resync. Then the vacancy's deferred registrations are answered
+  // and, when the replica carries credit state, its balances replace the
+  // fresh accounts re-registration opened. Works on a crashed seat (leader
+  // death) or a live one (a deposed leader being superseded: crash()
+  // first). `cause` threads the kLeaderElected trace event into the
+  // replayed updates' causal chains.
+  void takeover(std::uint64_t epoch, const ReplicaState& replica,
+                cluster::Cluster& cluster, obs::EventId cause = 0);
+
   std::vector<Agent*> agents();
 
   // The controller epoch stamped into update sequence numbers. Advances on
@@ -296,12 +208,6 @@ class Controller {
   // sweep every CFS period), the trace, and the replication stream; the
   // allocator reads it via a const pointer to Υ-gate grants.
   const CreditLedger& credits() const { return credits_; }
-  // Warm-standby takeover installs the replicated balances (call right
-  // after takeover(); synchronous, so no settle tick intervenes). Re-emits
-  // one kCredit record per account so the new leader's stream rebuilds the
-  // standbys' images. The minted total is re-derived from the balances.
-  void install_credits(const std::vector<CreditLedger::Snapshot>& accounts,
-                       std::int64_t burned);
 
   // --- real-time admission control (mixed-criticality class) ---
   //
@@ -479,6 +385,9 @@ class Controller {
   void open_credit_account(cluster::ContainerId id);
   void close_credit_account(cluster::ContainerId id);
   void emit_credit(cluster::ContainerId id, bool removed);
+  // Takeover's last step: the replica's balances replace the init accounts
+  // re-registration opened (synchronous, so no settle tick intervenes).
+  void install_credits(const ReplicaState& replica);
   // Burns min(want, balance + kCreditCap) micro-credits (debt is floored at
   // -kCreditCap), tracing kCreditCharge and replicating the balance.
   void charge_credits(cluster::ContainerId id, std::int64_t want,
@@ -523,10 +432,6 @@ class Controller {
   }
 
   // --- reliability internals ---
-  static std::uint64_t update_key(cluster::ContainerId id, Resource r) {
-    return static_cast<std::uint64_t>(id) * 4 +
-           static_cast<std::uint64_t>(r);
-  }
   std::uint64_t next_seq() {
     // The per-epoch counter lives in the low 48 bits. Rolling it over into
     // the epoch field would make a later update compare *lower* than an
@@ -539,8 +444,10 @@ class Controller {
     }
     return pack_update_seq(incarnation_, ++update_seq_);
   }
-  void emit_repl(const ReplicationEvent& ev) {
-    if (repl_hook_) repl_hook_(ev);
+  void emit_repl(ReplicationEvent ev) {
+    if (!repl_hook_) return;
+    ev.epoch = incarnation_;
+    repl_hook_(ev);
   }
   static net::EndpointId ep(cluster::NodeId node) {
     return static_cast<net::EndpointId>(node);
@@ -553,8 +460,7 @@ class Controller {
   }
   // Open desired-state slot for an external key, or nullptr.
   Pending* find_pending(std::uint64_t key) {
-    const std::uint32_t slot =
-        index_.find(static_cast<cluster::ContainerId>(key >> 2));
+    const std::uint32_t slot = index_.find(ReplicaState::slot_container(key));
     if (slot == ContainerIndex::kInvalid) return nullptr;
     const std::size_t idx =
         static_cast<std::size_t>(slot) * kResources + (key & 3);

@@ -72,23 +72,16 @@ void CreditLedger::clear() {
   outstanding_ = 0;
 }
 
-void CreditLedger::install(const std::vector<Snapshot>& accounts,
-                           std::int64_t minted, std::int64_t burned) {
+void CreditLedger::install(
+    const std::map<cluster::ContainerId, std::int64_t>& balances,
+    std::int64_t burned) {
   clear();
-  for (const Snapshot& s : accounts) {
-    Account& a = accounts_[s.id];
-    a.micro = s.micro;
-    outstanding_ += s.micro;
+  for (const auto& [id, micro] : balances) {
+    accounts_[id].micro = micro;
+    outstanding_ += micro;
   }
-  minted_ = minted;
   burned_ = burned;
-}
-
-std::vector<CreditLedger::Snapshot> CreditLedger::snapshot() const {
-  std::vector<Snapshot> out;
-  out.reserve(accounts_.size());
-  for (const auto& [id, a] : accounts_) out.push_back(Snapshot{id, a.micro});
-  return out;
+  minted_ = burned + outstanding_;
 }
 
 }  // namespace escra::core

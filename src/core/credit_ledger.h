@@ -36,7 +36,6 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "cluster/container.h"
 
@@ -59,12 +58,6 @@ class CreditLedger {
     std::int64_t micro = 0;        // balance; negative = debt
     std::int32_t above_streak = 0; // consecutive settle sweeps above fair
                                    // share (drives the decay grace)
-  };
-
-  // Flat balance image, used for WAL-replicated takeover installs.
-  struct Snapshot {
-    cluster::ContainerId id = 0;
-    std::int64_t micro = 0;
   };
 
   // --- membership ---
@@ -96,12 +89,12 @@ class CreditLedger {
 
   // --- whole-ledger operations (crash / takeover) ---
   void clear();
-  // Replaces every account and the mint/burn totals with a replicated
-  // image (warm-standby takeover). Streaks reset — the grace restarts
-  // under the new leader.
-  void install(const std::vector<Snapshot>& accounts, std::int64_t minted,
+  // Replaces every account with a replicated balance image (warm-standby
+  // takeover) and the burned total with `burned`; the minted total is
+  // re-derived as burned + Σ balances, so conservation holds by
+  // construction. Streaks reset — the grace restarts under the new leader.
+  void install(const std::map<cluster::ContainerId, std::int64_t>& balances,
                std::int64_t burned);
-  std::vector<Snapshot> snapshot() const;
 
   // --- conservation (invariant checker) ---
   std::int64_t minted_micro() const { return minted_; }
@@ -109,7 +102,7 @@ class CreditLedger {
   // Σ balances, maintained incrementally (exact).
   std::int64_t outstanding_micro() const { return outstanding_; }
 
-  // std::map: deterministic iteration for settle sweeps, snapshots, and
+  // std::map: deterministic iteration for settle sweeps, images, and
   // replication — identical-seed runs settle in identical order.
   const std::map<cluster::ContainerId, Account>& accounts() const {
     return accounts_;

@@ -43,24 +43,10 @@ HaControlPlane::HaControlPlane(core::EscraSystem& escra, net::Network& net,
       net_(net),
       config_(config) {
   core::Controller& controller = escra_.controller();
-  epoch_ = controller.epoch();
-  book_.epoch = epoch_;
-
-  // Seed the leader book from the live system (attaching mid-run is legal):
-  // node health, then containers with their current shadow commitments,
-  // then every still-open desired-state slot with its real sequence.
-  for (const auto& n : controller.health_snapshot()) {
-    book_.nodes[n.node] = ReplicaState::NodeState{n.agent_incarnation, n.dead};
-  }
-  for (const auto& c : controller.registry_snapshot()) {
-    cluster::Node* node = escra_.cluster().node_of(c.id);
-    book_.containers[c.id] = ReplicaState::ContainerState{
-        c.cores, c.mem, node != nullptr ? node->id() : 0, c.bw_bps};
-  }
-  for (const auto& s : controller.pending_slots()) {
-    book_.slots[ReplicaState::slot_key(s.id, s.resource)] =
-        ReplicaState::SlotState{s.seq, s.resource, s.value};
-  }
+  // Seed the leader book from the live seat (attaching mid-run is legal):
+  // the same image a takeover installs.
+  book_ = controller.image();
+  epoch_ = book_.epoch;
 
   // Log origin: the current epoch's start. Standbys never replay across
   // this (they bootstrap from a book snapshot), but every later record
@@ -71,9 +57,7 @@ HaControlPlane::HaControlPlane(core::EscraSystem& escra, net::Network& net,
   log_.append(origin);
 
   controller.set_replication_hook(
-      [this](const core::Controller::ReplicationEvent& ev) {
-        on_repl_event(ev);
-      });
+      [this](const core::ReplicationEvent& ev) { on_repl_event(ev); });
 
   for (int i = 0; i < config_.standbys; ++i) add_standby();
 }
@@ -127,9 +111,8 @@ int HaControlPlane::rank_of(const Standby& standby) const {
 
 // --- replication stream (leader side) ---
 
-void HaControlPlane::on_repl_event(
-    const core::Controller::ReplicationEvent& ev) {
-  append_and_stream(WalRecord{ev, escra_.controller().epoch()});
+void HaControlPlane::on_repl_event(const core::ReplicationEvent& ev) {
+  append_and_stream(WalRecord{ev});
 }
 
 void HaControlPlane::append_and_stream(WalRecord record) {
@@ -392,65 +375,17 @@ void HaControlPlane::promote(Standby& standby) {
     sp->last_seen_epoch = std::max(sp->last_seen_epoch, new_epoch);
   }
 
-  // Fresh book for the new epoch: the takeover replay below re-fires the
-  // replication hook for every container, slot, and node, repopulating the
-  // book and streaming the rebuilt state to the surviving standbys (which
-  // reset on the kEpochStart record).
-  book_ = ReplicaState{};
-  book_.epoch = new_epoch;
+  // Fresh book for the new epoch: the kEpochStart record resets it, and the
+  // takeover below re-fires the replication hook for every node, container,
+  // slot, reservation and credit account, repopulating the book and
+  // streaming the rebuilt state to the surviving standbys (which reset on
+  // the same record).
   WalRecord start;
   start.kind = WalKind::kEpochStart;
   start.epoch = new_epoch;
   append_and_stream(start);
 
-  std::vector<core::Controller::TakeoverContainer> containers;
-  containers.reserve(s.replica.containers.size());
-  for (const auto& [id, cs] : s.replica.containers) {
-    core::Controller::TakeoverContainer c;
-    c.id = id;
-    c.cores = cs.cores;
-    c.mem = cs.mem;
-    c.bw_bps = cs.bw_bps;
-    // Replicated RT reservation: the new leader re-installs the admitted
-    // set exactly-once (install_rt re-emits kRt into this epoch's stream).
-    const auto rt = s.replica.rt.find(id);
-    if (rt != s.replica.rt.end()) {
-      c.rt = cfs::RtSpec{rt->second.runtime, rt->second.deadline,
-                         rt->second.period};
-      c.rt_bw_bps = rt->second.bw_bps;
-    }
-    c.container = escra_.cluster().find_container(id);
-    c.node = escra_.cluster().node_of(id);
-    containers.push_back(c);
-  }
-  std::vector<core::Controller::TakeoverSlot> slots;
-  slots.reserve(s.replica.slots.size());
-  for (const auto& [key, sl] : s.replica.slots) {
-    slots.push_back(core::Controller::TakeoverSlot{
-        static_cast<cluster::ContainerId>(key / 4), sl.resource, sl.value,
-        sl.seq});
-  }
-  std::vector<core::Controller::TakeoverNode> nodes;
-  nodes.reserve(s.replica.nodes.size());
-  for (const auto& [node, ns] : s.replica.nodes) {
-    nodes.push_back(core::Controller::TakeoverNode{
-        node, ns.agent_incarnation, ns.dead});
-  }
-
-  controller.takeover(new_epoch, containers, slots, nodes, cause);
-  // Credit-ledger image (Karma defense): takeover re-registration opened
-  // fresh init accounts; replace them with the replicated balances so a
-  // greedy tenant cannot launder its debt through a failover. Skipped when
-  // the replica carries no credit state (defense off in this run).
-  if (!s.replica.credits.empty() || s.replica.credit_minted != 0 ||
-      s.replica.credit_burned != 0) {
-    std::vector<core::CreditLedger::Snapshot> credit_accounts;
-    credit_accounts.reserve(s.replica.credits.size());
-    for (const auto& [id, micro] : s.replica.credits) {
-      credit_accounts.push_back(core::CreditLedger::Snapshot{id, micro});
-    }
-    controller.install_credits(credit_accounts, s.replica.credit_burned);
-  }
+  controller.takeover(new_epoch, s.replica, escra_.cluster(), cause);
   epoch_ = controller.epoch();
   if (obs != nullptr) obs->h.ha_epoch->set(static_cast<double>(epoch_));
 
@@ -475,7 +410,7 @@ void HaControlPlane::spawn_ghost() {
   ghost->abdicate_at = sim_.now() + kGhostAbdicate;
   ghost->slots.reserve(book_.slots.size());
   for (const auto& [key, sl] : book_.slots) {
-    const auto id = static_cast<cluster::ContainerId>(key / 4);
+    const cluster::ContainerId id = ReplicaState::slot_container(key);
     const auto it = book_.containers.find(id);
     if (it == book_.containers.end()) continue;
     ghost->slots.push_back(

@@ -5,7 +5,9 @@
 // announces its leadership lease every 50 ms. Each standby folds
 // the delivered records into a ReplicaState — the exact image a new leader
 // needs: registered containers with their current shadow limits, every
-// still-open desired-state slot, and the node liveness/incarnation map.
+// still-open desired-state slot, the node liveness/incarnation map, credit
+// balances and RT reservations. The leader's own book starts from
+// Controller::image(), the same type a takeover installs.
 //
 // When the lease goes silent for kLeaseTimeout (+ rank * a 100 ms stagger,
 // so elections are staggered and at most one standby moves at a time), the
@@ -16,9 +18,9 @@
 //      the old leader lives on briefly as a "ghost" that keeps
 //      retransmitting its in-flight old-epoch updates until it abdicates.
 //   2. Controller::takeover installs the replica: registry, pool
-//      commitments and node health rebuild from the book — no Agent
-//      resync round-trips — and every open slot is replayed with a fresh
-//      epoch-packed sequence.
+//      commitments, node health, RT reservations and credit balances
+//      rebuild from the book — no Agent resync round-trips — and every
+//      open slot is replayed with a fresh epoch-packed sequence.
 //   3. A fence broadcast tells every Agent the new epoch. Agents discard
 //      any lower-epoch update (Apply::kFenced, reusing the incarnation/seq
 //      machinery), so the ghost can never move a cgroup after the handoff:
@@ -68,7 +70,7 @@ struct HaConfig {
 class HaControlPlane {
  public:
   // Attaches to a (possibly already running) system: hooks the Controller's
-  // replication stream, seeds the leader book from its live snapshots, and
+  // replication stream, seeds the leader book from Controller::image(), and
   // creates `config.standbys` warm standbys. `net` must be the same network
   // the system's control plane runs on.
   HaControlPlane(core::EscraSystem& escra, net::Network& net,
@@ -125,7 +127,7 @@ class HaControlPlane {
     sim::EventHandle timer;
   };
 
-  void on_repl_event(const core::Controller::ReplicationEvent& ev);
+  void on_repl_event(const core::ReplicationEvent& ev);
   void append_and_stream(WalRecord record);
   void stream_record(Standby& standby, const WalRecord& record);
   void deliver_record(Standby& standby, const WalRecord& record);

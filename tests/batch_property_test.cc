@@ -66,13 +66,9 @@ struct SlotModel {
   // The open slot for `key`, or 0 when closed. kRpcIssued and kRetransmit
   // fire synchronously from the slot's owner, so this snapshot is exact.
   std::uint64_t open_seq(std::uint64_t key) const {
-    for (const core::Controller::TakeoverSlot& s :
-         controller->pending_slots()) {
-      const std::uint64_t k = static_cast<std::uint64_t>(s.id) * 4 +
-                              static_cast<std::uint64_t>(s.resource);
-      if (k == key) return s.seq;
-    }
-    return 0;
+    const core::ReplicaState image = controller->image();
+    const auto it = image.slots.find(key);
+    return it != image.slots.end() ? it->second.seq : 0;
   }
 
   void on_event(const obs::TraceEvent& e) {

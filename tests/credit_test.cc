@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -82,18 +83,19 @@ TEST(CreditLedgerTest, OpenIsIdempotentAndInstallReplaces) {
   EXPECT_EQ(lg.balance_micro(1), CreditLedger::to_micro(2.0));
   EXPECT_EQ(lg.minted_micro(), CreditLedger::to_micro(2.0));
 
-  std::vector<CreditLedger::Snapshot> image = {
+  const std::map<cluster::ContainerId, std::int64_t> image = {
       {7, CreditLedger::to_micro(1.25)},
       {9, CreditLedger::to_micro(-0.5)},
   };
-  const std::int64_t minted = CreditLedger::to_micro(4.0);
-  const std::int64_t burned = minted - CreditLedger::to_micro(0.75);
-  lg.install(image, minted, burned);
+  const std::int64_t burned = CreditLedger::to_micro(3.25);
+  lg.install(image, burned);
   EXPECT_FALSE(lg.contains(1));
   EXPECT_EQ(lg.balance_micro(7), CreditLedger::to_micro(1.25));
   EXPECT_EQ(lg.balance_micro(9), CreditLedger::to_micro(-0.5));
   EXPECT_EQ(lg.outstanding_micro(), CreditLedger::to_micro(0.75));
-  EXPECT_EQ(lg.minted_micro(), lg.burned_micro() + lg.outstanding_micro());
+  EXPECT_EQ(lg.burned_micro(), burned);
+  // The minted total is re-derived from the image: burned + outstanding.
+  EXPECT_EQ(lg.minted_micro(), CreditLedger::to_micro(4.0));
 }
 
 // --- settle-loop tests against a live system ---
@@ -320,6 +322,29 @@ TEST(CreditHaTest, BalancesSurviveLeaderFailover) {
   EXPECT_EQ(lg.minted_micro(), lg.burned_micro() + lg.outstanding_micro());
   EXPECT_GE(ha->failovers(), 1u);
   EXPECT_TRUE(checker.ok()) << checker.report();
+  ha.reset();
+}
+
+TEST(CreditHaTest, AttachAfterEarningKeepsTheBalances) {
+  // Balances earned before the HA plane attaches are part of the book it
+  // seeds: no settle sweep re-emits an account that sits at the cap, so a
+  // seed without them would reopen everyone at kCreditInit on takeover.
+  CreditRig rig;
+  rig.sim.run_until(seconds(90));
+  const CreditLedger& lg = rig.escra.controller().credits();
+  const cluster::ContainerId id = rig.containers[0]->id();
+  const std::int64_t balance_at_attach = lg.balance_micro(id);
+  EXPECT_EQ(balance_at_attach, CreditLedger::to_micro(core::kCreditCap));
+
+  std::optional<ha::HaControlPlane> ha;
+  ha.emplace(rig.escra, rig.net, ha::HaConfig{.standbys = 2});
+  ha->start();
+  rig.sim.schedule_at(seconds(91), [&] { ha->kill_leader(); });
+  rig.sim.run_until(seconds(93));
+
+  ASSERT_EQ(ha->failovers(), 1u);
+  EXPECT_GE(lg.balance_micro(id), balance_at_attach);
+  EXPECT_EQ(lg.minted_micro(), lg.burned_micro() + lg.outstanding_micro());
   ha.reset();
 }
 

@@ -109,7 +109,7 @@ TEST(FaultTest, OddByteMemoryLimitLandsExactlyThroughBatchedPush) {
   sim::Simulation sim;
   net::Network net(sim);
   cluster::Cluster k8s(sim);
-  cluster::Node& node = k8s.add_node({});
+  k8s.add_node({});
   core::EscraSystem escra(sim, net, k8s, 16.0, 8 * kGiB);
   cluster::Container& c = make_container(k8s, "a");
   escra.manage({&c});
@@ -117,20 +117,12 @@ TEST(FaultTest, OddByteMemoryLimitLandsExactlyThroughBatchedPush) {
   sim.run_until(milliseconds(500));
 
   core::Controller& controller = escra.controller();
-  std::vector<core::Controller::TakeoverContainer> containers =
-      controller.registry_snapshot();
-  for (core::Controller::TakeoverContainer& tc : containers) {
-    tc.container = &c;
-    tc.node = &node;
-  }
-  const auto nodes = controller.health_snapshot();
+  core::ReplicaState replica = controller.image();
   const memcg::Bytes odd = 256 * kGiB + 4097;
+  replica.slots = {{core::ReplicaState::slot_key(c.id(), core::Resource::kMem),
+                    {0, core::Resource::kMem, static_cast<double>(odd)}}};
   controller.crash();
-  controller.takeover(
-      controller.epoch() + 1, containers,
-      {core::Controller::TakeoverSlot{c.id(), core::Resource::kMem,
-                                      static_cast<double>(odd), 0}},
-      nodes);
+  controller.takeover(controller.epoch() + 1, replica, k8s);
   sim.run_until(milliseconds(600));
   EXPECT_EQ(controller.pending_updates(), 0u) << "the push was acked";
   EXPECT_EQ(c.mem_cgroup().limit(), odd);

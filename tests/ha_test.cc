@@ -68,30 +68,21 @@ struct HaRig {
   }
 };
 
+// Whole-state equality (ReplicaState's defaulted operator==); on a mismatch
+// the failure names each differing section.
 void expect_replica_equals(const ha::ReplicaState& a,
                            const ha::ReplicaState& b) {
-  EXPECT_EQ(a.epoch, b.epoch);
-  ASSERT_EQ(a.containers.size(), b.containers.size());
-  for (const auto& [id, cs] : a.containers) {
-    const auto it = b.containers.find(id);
-    ASSERT_NE(it, b.containers.end()) << "container " << id;
-    EXPECT_DOUBLE_EQ(cs.cores, it->second.cores) << "container " << id;
-    EXPECT_EQ(cs.mem, it->second.mem) << "container " << id;
-    EXPECT_EQ(cs.node, it->second.node) << "container " << id;
-  }
-  ASSERT_EQ(a.slots.size(), b.slots.size());
-  for (const auto& [key, sl] : a.slots) {
-    const auto it = b.slots.find(key);
-    ASSERT_NE(it, b.slots.end()) << "slot " << key;
-    EXPECT_EQ(sl.seq, it->second.seq) << "slot " << key;
-  }
-  ASSERT_EQ(a.nodes.size(), b.nodes.size());
-  for (const auto& [id, ns] : a.nodes) {
-    const auto it = b.nodes.find(id);
-    ASSERT_NE(it, b.nodes.end()) << "node " << id;
-    EXPECT_EQ(ns.agent_incarnation, it->second.agent_incarnation);
-    EXPECT_EQ(ns.dead, it->second.dead);
-  }
+  EXPECT_TRUE(a == b) << "replicas differ in:"
+                      << (a.epoch != b.epoch ? " epoch" : "")
+                      << (a.containers != b.containers ? " containers" : "")
+                      << (a.slots != b.slots ? " slots" : "")
+                      << (a.nodes != b.nodes ? " nodes" : "")
+                      << (a.credits != b.credits ? " credits" : "")
+                      << (a.credit_minted != b.credit_minted ||
+                                  a.credit_burned != b.credit_burned
+                              ? " credit totals"
+                              : "")
+                      << (a.rt != b.rt ? " rt" : "");
 }
 
 // --- WAL replication ----------------------------------------------------
@@ -129,11 +120,11 @@ TEST(HaTest, DeterministicReplayIsAPureFoldOfTheLog) {
     r.mem = 256 * kMiB;
     records.push_back(r);
     r = {};
-    r.kind = ha::WalKind::kCpuSlot;
+    r.kind = ha::WalKind::kSlot;
     r.epoch = 3;
     r.container = 7;
     r.seq = core::pack_update_seq(3, 41);
-    r.cores = 3.0;
+    r.value = 3.0;
     records.push_back(r);
     r = {};
     r.kind = ha::WalKind::kAckSlot;

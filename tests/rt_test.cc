@@ -480,7 +480,7 @@ TEST(RtHaTest, TakeoverRebuildsTheAdmittedSetExactlyOnce) {
 
   // The reservations rode the WAL: every standby's replica carries them.
   ASSERT_EQ(ha.standby_replica(0).rt.size(), 2u);
-  EXPECT_EQ(ha.standby_replica(0).rt.at(containers[0]->id()).runtime,
+  EXPECT_EQ(ha.standby_replica(0).rt.at(containers[0]->id()).spec.runtime,
             milliseconds(20));
 
   sim.schedule_at(seconds(2) + milliseconds(1), [&] { ha.kill_leader(); });
@@ -500,6 +500,32 @@ TEST(RtHaTest, TakeoverRebuildsTheAdmittedSetExactlyOnce) {
   EXPECT_EQ(containers[0]->deadline_misses(), 0u);
   EXPECT_EQ(containers[1]->deadline_misses(), 0u);
   EXPECT_TRUE(checker.ok()) << checker.report();
+}
+
+TEST(RtHaTest, AttachAfterAdmissionKeepsTheReservation) {
+  // The reservation predates the HA plane, so no kRt record carries it:
+  // only the book seeded at attach can hand it to the new leader.
+  RtRig rig;
+  cluster::Container* rt = rig.containers[0];
+  rig.sim.run_until(seconds(1));
+  ASSERT_EQ(rig.escra.admit_rt(*rt, spec_ms(20, 50, 100)),
+            Controller::RtAdmit::kAdmitted);
+  rig.sim.run_until(seconds(2));
+
+  std::optional<ha::HaControlPlane> ha;
+  ha.emplace(rig.escra, rig.net, ha::HaConfig{.standbys = 2});
+  ha->start();
+  rig.sim.schedule_at(seconds(3), [&] { ha->kill_leader(); });
+  rig.sim.run_until(seconds(5));
+
+  ASSERT_EQ(ha->failovers(), 1u);
+  EXPECT_TRUE(rig.escra.rt_admitted(rt->id()));
+  EXPECT_DOUBLE_EQ(rig.escra.controller().rt_floor_of(rt->id()), 0.4);
+  EXPECT_DOUBLE_EQ(rig.escra.rt_reserved_cores(), 0.4);
+  EXPECT_GE(rig.escra.app().member_cores(rt->id()), 0.4 - 1e-6);
+  EXPECT_EQ(rig.observer.h.rt_admitted->value(), 1u)
+      << "takeover re-installs; it does not re-admit";
+  ha.reset();
 }
 
 // --- shards --------------------------------------------------------------
