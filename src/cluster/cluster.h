@@ -41,21 +41,39 @@ class Cluster {
   void set_container_observer(ContainerObserver obs) { observer_ = std::move(obs); }
 
   const std::vector<std::unique_ptr<Node>>& nodes() const { return nodes_; }
+  // Live containers in creation (ascending-id) order.
   std::vector<Container*> containers() const;
-  Container* find_container(ContainerId id) const;
-  Node* node_of(ContainerId id) const;
-  std::size_t container_count() const { return container_nodes_.size(); }
+  // O(1) lookups by id; nullptr for an unknown or removed container.
+  Container* find_container(ContainerId id) const {
+    const Placement* p = placement(id);
+    return p != nullptr ? p->container.get() : nullptr;
+  }
+  Node* node_of(ContainerId id) const {
+    const Placement* p = placement(id);
+    return p != nullptr ? p->node : nullptr;
+  }
+  std::size_t container_count() const { return live_; }
 
   sim::Simulation& simulation() { return sim_; }
 
  private:
+  struct Placement {
+    std::unique_ptr<Container> container;  // null once removed
+    Node* node = nullptr;
+  };
+  const Placement* placement(ContainerId id) const {
+    return id >= 1 && id <= placements_.size() ? &placements_[id - 1]
+                                               : nullptr;
+  }
+
   sim::Simulation& sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<std::unique_ptr<Container>> containers_;
-  // Parallel map: container id -> owning node (index aligned with containers_).
-  std::vector<std::pair<Container*, Node*>> container_nodes_;
+  // Indexed by id - 1: ids are handed out densely from 1, so the id is the
+  // container's position in creation order. A removed container leaves an
+  // empty row behind (ids are never reused).
+  std::vector<Placement> placements_;
+  std::size_t live_ = 0;
   ContainerObserver observer_;
-  ContainerId next_id_ = 1;
   NodeId next_node_id_ = 0;
 };
 

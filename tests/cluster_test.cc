@@ -96,6 +96,7 @@ TEST(ClusterTest, RemoveDetachesAndDestroys) {
   const ContainerId id = c.id();
   cluster.remove_container(c);
   EXPECT_EQ(cluster.find_container(id), nullptr);
+  EXPECT_EQ(cluster.node_of(id), nullptr);
   EXPECT_EQ(node.container_count(), 0u);
   EXPECT_EQ(cluster.container_count(), 0u);
 }
@@ -118,11 +119,18 @@ TEST(ClusterTest, ContainersListMatchesCreation) {
   Cluster cluster(sim);
   cluster.add_node({});
   cluster.create_container(spec("a"), 1.0, kMiB);
-  cluster.create_container(spec("b"), 1.0, kMiB);
+  Container& b = cluster.create_container(spec("b"), 1.0, kMiB);
   const auto all = cluster.containers();
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0]->name(), "a");
   EXPECT_EQ(all[1]->name(), "b");
+  // A removal leaves a gap that the list skips; creation order holds.
+  cluster.remove_container(b);
+  cluster.create_container(spec("c"), 1.0, kMiB);
+  const auto rest = cluster.containers();
+  ASSERT_EQ(rest.size(), 2u);
+  EXPECT_EQ(rest[0]->name(), "a");
+  EXPECT_EQ(rest[1]->name(), "c");
 }
 
 }  // namespace
