@@ -10,11 +10,15 @@
 
 namespace escra::shard {
 
+using core::Resource;
+
 namespace {
 
 // Smallest transfer worth shipping: whole bytes for memory, a nano-core /
 // nano-bps for the continuous resources (below that the pool math is noise).
-double min_transfer(int res) { return res == 1 ? 1.0 : 1e-9; }
+double min_transfer(Resource res) {
+  return res == Resource::kMem ? 1.0 : 1e-9;
+}
 
 std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -190,49 +194,49 @@ int ShardedControlPlane::shard_of_container(cluster::ContainerId id) const {
 
 // --- pool slice accessors -------------------------------------------------
 
-double ShardedControlPlane::limit_of(int s, int res) const {
+double ShardedControlPlane::limit_of(int s, Resource res) const {
   core::DistributedContainer& app = shards_[s].escra->app();
   switch (res) {
-    case kResCpu: return app.cpu_limit();
-    case kResMem: return static_cast<double>(app.mem_limit());
+    case Resource::kCpu: return app.cpu_limit();
+    case Resource::kMem: return static_cast<double>(app.mem_limit());
     default: return app.bw_limit();
   }
 }
 
-double ShardedControlPlane::unalloc_of(int s, int res) const {
+double ShardedControlPlane::unalloc_of(int s, Resource res) const {
   core::DistributedContainer& app = shards_[s].escra->app();
   switch (res) {
-    case kResCpu: return app.cpu_unallocated();
-    case kResMem: return static_cast<double>(app.mem_unallocated());
+    case Resource::kCpu: return app.cpu_unallocated();
+    case Resource::kMem: return static_cast<double>(app.mem_unallocated());
     default: return app.bw_unallocated();
   }
 }
 
-void ShardedControlPlane::resize_pool(int s, int res, double new_limit,
+void ShardedControlPlane::resize_pool(int s, Resource res, double new_limit,
                                       std::uint64_t cause) {
   core::DistributedContainer& app = shards_[s].escra->app();
   const double old_limit = limit_of(s, res);
   switch (res) {
-    case kResCpu: app.set_cpu_limit(new_limit); break;
-    case kResMem: app.set_mem_limit(std::llround(new_limit)); break;
+    case Resource::kCpu: app.set_cpu_limit(new_limit); break;
+    case Resource::kMem: app.set_mem_limit(std::llround(new_limit)); break;
     default: app.set_bw_limit(new_limit); break;
   }
   ++pool_resizes_;
   bump(s, &obs::Observer::Handles::shard_pool_resizes);
-  record_event(s, obs::EventKind::kShardPoolResize, old_limit, new_limit, res,
-               cause);
+  record_event(s, obs::EventKind::kShardPoolResize, old_limit, new_limit,
+               static_cast<std::int64_t>(res), cause);
 }
 
-double ShardedControlPlane::lendable_surplus(int s, int res) const {
+double ShardedControlPlane::lendable_surplus(int s, Resource res) const {
   double surplus = unalloc_of(s, res) - kReserveFrac * limit_of(s, res);
-  if (res == kResCpu) {
+  if (res == Resource::kCpu) {
     // Admitted RT floors are promised capacity even while the unallocated
     // figure still covers them (a floor not yet drawn is still owed):
     // lending it out would let a later raise_to_rt_floor find the pool dry.
     surplus -= shards_[s].escra->controller().rt_reserved_cores();
   }
   if (surplus <= 0.0) return 0.0;
-  return res == kResMem ? std::floor(surplus) : surplus;
+  return res == Resource::kMem ? std::floor(surplus) : surplus;
 }
 
 // --- advertise / borrow / return tick -------------------------------------
@@ -252,13 +256,15 @@ void ShardedControlPlane::advertise_tick() {
 void ShardedControlPlane::broadcast_adverts(int s) {
   Advert advert;
   advert.heard = true;
-  for (int res = 0; res < kResCount; ++res)
-    advert.surplus[res] = lendable_surplus(s, res);
+  for (std::size_t r = 0; r < core::kResources; ++r)
+    advert.surplus[r] = lendable_surplus(s, static_cast<Resource>(r));
   ++adverts_sent_;
   bump(s, &obs::Observer::Handles::shard_adverts);
-  record_event(s, obs::EventKind::kShardAdvertise, advert.surplus[kResCpu],
-               advert.surplus[kResMem],
-               static_cast<std::int64_t>(advert.surplus[kResBw]));
+  record_event(
+      s, obs::EventKind::kShardAdvertise,
+      advert.surplus[ix(Resource::kCpu)],
+      advert.surplus[ix(Resource::kMem)],
+      static_cast<std::int64_t>(advert.surplus[ix(Resource::kBw)]));
   for (int peer = 0; peer < shard_count(); ++peer) {
     if (peer == s) continue;
     // Fire-and-forget datagram: a lost advert just delays borrowing one
@@ -273,8 +279,9 @@ void ShardedControlPlane::broadcast_adverts(int s) {
 
 void ShardedControlPlane::maybe_return(int s) {
   ShardState& state = shards_[s];
-  for (int res = 0; res < kResCount; ++res) {
-    if (state.pending[res].active) continue;
+  for (std::size_t r = 0; r < core::kResources; ++r) {
+    const auto res = static_cast<Resource>(r);
+    if (state.pending[ix(res)].active) continue;
     // Largest outstanding debt first; ties go to the lowest lender id so
     // the repayment order is deterministic.
     int lender = -1;
@@ -290,7 +297,7 @@ void ShardedControlPlane::maybe_return(int s) {
     const double limit = limit_of(s, res);
     if (unalloc_of(s, res) <= kReturnFrac * limit) continue;
     double amount = std::min(owed, lendable_surplus(s, res));
-    if (res == kResMem) amount = std::floor(amount);
+    if (res == Resource::kMem) amount = std::floor(amount);
     if (amount < min_transfer(res)) continue;
 
     const std::uint64_t seq = ++state.next_seq[lender];
@@ -301,15 +308,15 @@ void ShardedControlPlane::maybe_return(int s) {
     ++borrows_returned_;
     bump(s, &obs::Observer::Handles::shard_borrow_returns);
     const obs::EventId ev =
-        record_event(s, obs::EventKind::kBorrowReturn, res, amount,
-                     pack_detail(lender, seq));
+        record_event(s, obs::EventKind::kBorrowReturn, static_cast<double>(res),
+                     amount, pack_detail(lender, seq));
     // Shrink-before-raise: the capacity leaves this shard's slice the
     // instant the notice ships, so the conservation sum never double
     // counts it while the notice (or its retransmits) are in flight.
     resize_pool(s, res, limit - amount, ev);
-    inflight_[res] += amount;
+    inflight_[ix(res)] += amount;
 
-    Pending& p = state.pending[res];
+    Pending& p = state.pending[ix(res)];
     p.active = true;
     p.is_return = true;
     p.peer = lender;
@@ -323,14 +330,15 @@ void ShardedControlPlane::maybe_return(int s) {
 
 void ShardedControlPlane::maybe_borrow(int s) {
   ShardState& state = shards_[s];
-  for (int res = 0; res < kResCount; ++res) {
-    if (state.pending[res].active) continue;
+  for (std::size_t r = 0; r < core::kResources; ++r) {
+    const auto res = static_cast<Resource>(r);
+    if (state.pending[ix(res)].active) continue;
     const double limit = limit_of(s, res);
     if (limit <= 0.0) continue;  // resource not armed on this shard
     const double unalloc = unalloc_of(s, res);
     if (unalloc >= config_.low_frac * limit) continue;
     double want = kTargetFrac * limit - unalloc;
-    if (res == kResMem) want = std::ceil(want);
+    if (res == Resource::kMem) want = std::ceil(want);
     if (want < min_transfer(res)) continue;
     // Best advertiser: highest advertised surplus, ties to the lowest
     // shard id. Currently-dead peers are skipped (their adverts are stale
@@ -341,8 +349,8 @@ void ShardedControlPlane::maybe_borrow(int s) {
       if (candidate == s || crashed(candidate)) continue;
       const Advert& advert = state.heard[candidate];
       if (!advert.heard) continue;
-      if (advert.surplus[res] > best) {
-        best = advert.surplus[res];
+      if (advert.surplus[ix(res)] > best) {
+        best = advert.surplus[ix(res)];
         peer = candidate;
       }
     }
@@ -351,9 +359,9 @@ void ShardedControlPlane::maybe_borrow(int s) {
     const std::uint64_t seq = ++state.next_seq[peer];
     ++borrows_requested_;
     bump(s, &obs::Observer::Handles::shard_borrow_requests);
-    record_event(s, obs::EventKind::kBorrowRequest, res, want,
-                 pack_detail(peer, seq));
-    Pending& p = state.pending[res];
+    record_event(s, obs::EventKind::kBorrowRequest, static_cast<double>(res),
+                 want, pack_detail(peer, seq));
+    Pending& p = state.pending[ix(res)];
     p.active = true;
     p.is_return = false;
     p.peer = peer;
@@ -365,8 +373,8 @@ void ShardedControlPlane::maybe_borrow(int s) {
   }
 }
 
-void ShardedControlPlane::send_borrow(int s, int res) {
-  const Pending& p = shards_[s].pending[res];
+void ShardedControlPlane::send_borrow(int s, Resource res) {
+  const Pending& p = shards_[s].pending[ix(res)];
   const int peer = p.peer;
   const std::uint64_t seq = p.seq;
   const double want = p.amount;
@@ -384,7 +392,7 @@ void ShardedControlPlane::send_borrow(int s, int res) {
           // advert the borrower acted on may be a tick stale).
           const double limit = limit_of(peer, res);
           double granted = std::min(want, lendable_surplus(peer, res));
-          if (res == kResMem) granted = std::floor(granted);
+          if (res == Resource::kMem) granted = std::floor(granted);
           if (granted < min_transfer(res)) granted = 0.0;
           cache.seq = seq;
           cache.granted = granted;
@@ -392,17 +400,18 @@ void ShardedControlPlane::send_borrow(int s, int res) {
             ++borrows_granted_;
             bump(peer, &obs::Observer::Handles::shard_borrow_grants);
             const obs::EventId ev =
-                record_event(peer, obs::EventKind::kBorrowGrant, res, granted,
+                record_event(peer, obs::EventKind::kBorrowGrant,
+                             static_cast<double>(res), granted,
                              pack_detail(s, seq));
             resize_pool(peer, res, limit - granted, ev);
-            inflight_[res] += granted;
+            inflight_[ix(res)] += granted;
           }
         }
         return true;
       },
       // Response leg, runs back at the borrower: apply the grant once.
       [this, s, res, seq] {
-        Pending& p = shards_[s].pending[res];
+        Pending& p = shards_[s].pending[ix(res)];
         if (!p.active || p.is_return || p.seq != seq) return;  // stale/dup
         if (crashed(s)) return;  // hold: a retransmit re-asks the cache
         const int peer = p.peer;
@@ -414,14 +423,14 @@ void ShardedControlPlane::send_borrow(int s, int res) {
         const double granted = it->second.granted;
         if (granted > 0.0) {
           resize_pool(s, res, limit_of(s, res) + granted, 0);
-          inflight_[res] -= granted;
+          inflight_[ix(res)] -= granted;
           shards_[s].owed[{peer, res}] += granted;
         }
       });
 }
 
-void ShardedControlPlane::send_return(int s, int res) {
-  const Pending& p = shards_[s].pending[res];
+void ShardedControlPlane::send_return(int s, Resource res) {
+  const Pending& p = shards_[s].pending[ix(res)];
   const int peer = p.peer;
   const std::uint64_t seq = p.seq;
   const double amount = p.amount;
@@ -436,13 +445,13 @@ void ShardedControlPlane::send_return(int s, int res) {
         if (seq > applied) {
           applied = seq;
           resize_pool(peer, res, limit_of(peer, res) + amount, 0);
-          inflight_[res] -= amount;
+          inflight_[ix(res)] -= amount;
         }
         return true;
       },
       // Ack back at the returner: close the op.
       [this, s, res, seq] {
-        Pending& p = shards_[s].pending[res];
+        Pending& p = shards_[s].pending[ix(res)];
         if (p.active && p.is_return && p.seq == seq) {
           sim_.cancel(p.timer);
           p = Pending{};
@@ -450,17 +459,17 @@ void ShardedControlPlane::send_return(int s, int res) {
       });
 }
 
-void ShardedControlPlane::arm_retransmit(int s, int res) {
-  Pending& p = shards_[s].pending[res];
+void ShardedControlPlane::arm_retransmit(int s, Resource res) {
+  Pending& p = shards_[s].pending[ix(res)];
   p.timer = sim_.schedule_after(
       p.backoff, [this, s, res, seq = p.seq] {
         on_retransmit_timer(s, res, seq);
       });
 }
 
-void ShardedControlPlane::on_retransmit_timer(int s, int res,
+void ShardedControlPlane::on_retransmit_timer(int s, Resource res,
                                               std::uint64_t seq) {
-  Pending& p = shards_[s].pending[res];
+  Pending& p = shards_[s].pending[ix(res)];
   if (!p.active || p.seq != seq) return;  // op completed meanwhile
   p.backoff = std::min(p.backoff * 2, core::kRpcBackoffMax);
   if (!crashed(s)) {

@@ -165,9 +165,9 @@ class ShardedControlPlane {
   double cluster_cpu_limit() const { return cluster_cpu_limit_; }
   memcg::Bytes cluster_mem_limit() const { return cluster_mem_limit_; }
   double cluster_bw_limit() const { return cluster_bw_limit_; }
-  double inflight_cpu() const { return inflight_[0]; }
-  double inflight_mem() const { return inflight_[1]; }
-  double inflight_bw() const { return inflight_[2]; }
+  double inflight_cpu() const { return inflight_[ix(core::Resource::kCpu)]; }
+  double inflight_mem() const { return inflight_[ix(core::Resource::kMem)]; }
+  double inflight_bw() const { return inflight_[ix(core::Resource::kBw)]; }
 
   std::uint64_t adverts_sent() const { return adverts_sent_; }
   std::uint64_t borrows_requested() const { return borrows_requested_; }
@@ -177,18 +177,18 @@ class ShardedControlPlane {
   std::uint64_t pool_resizes() const { return pool_resizes_; }
 
  private:
-  // Resource axes of the borrow protocol; indexes inflight_[] and the
-  // per-resource pending slots. Matches the trace convention (Rpc* /
-  // Borrow* events carry 0 = CPU, 1 = memory, 2 = bandwidth in `before`).
-  static constexpr int kResCpu = 0;
-  static constexpr int kResMem = 1;
-  static constexpr int kResBw = 2;
-  static constexpr int kResCount = 3;
+  // The borrow protocol runs on core::Resource's axis: its numbering
+  // (0 = CPU, 1 = memory, 2 = bandwidth) indexes inflight_[] and the
+  // per-resource slots, and is what Rpc* / Borrow* trace events carry in
+  // `before` (kShardPoolResize: in `detail`).
+  static std::size_t ix(core::Resource res) {
+    return static_cast<std::size_t>(res);
+  }
 
   // Latest surplus advertisement heard from a peer. Amounts are in the
   // resource's natural unit; memory surplus is always whole bytes.
   struct Advert {
-    double surplus[kResCount] = {0.0, 0.0, 0.0};
+    double surplus[core::kResources] = {0.0, 0.0, 0.0};
     bool heard = false;
   };
 
@@ -216,35 +216,37 @@ class ShardedControlPlane {
     obs::Observer* observer = nullptr;
     std::unique_ptr<ha::HaControlPlane> ha;
     std::vector<Advert> heard;  // indexed by peer shard
-    Pending pending[kResCount];
+    Pending pending[core::kResources];
     // Per-peer monotonic sequence for ops this shard originates (shared
     // across resources and op types; per-(peer, resource) streams are
     // serialized, so they see strictly increasing sequences).
     std::map<int, std::uint64_t> next_seq;
-    std::map<std::pair<int, int>, GrantCache> grant_cache;  // (peer, res)
+    // Keyed (peer, resource).
+    std::map<std::pair<int, core::Resource>, GrantCache> grant_cache;
     // Receiver-side exactly-once ledger for return notices: the newest
     // applied sequence per (returner, resource).
-    std::map<std::pair<int, int>, std::uint64_t> return_applied;
+    std::map<std::pair<int, core::Resource>, std::uint64_t> return_applied;
     // What this shard currently owes each lender, per resource — the
     // return pass repays these balances.
-    std::map<std::pair<int, int>, double> owed;  // (lender, res)
+    std::map<std::pair<int, core::Resource>, double> owed;  // (lender, res)
   };
 
   bool crashed(int s) const { return shards_[s].escra->crashed(); }
-  double limit_of(int s, int res) const;
-  double unalloc_of(int s, int res) const;
+  double limit_of(int s, core::Resource res) const;
+  double unalloc_of(int s, core::Resource res) const;
   // Resizes shard s's pool slice for `res`, recording kShardPoolResize.
-  void resize_pool(int s, int res, double new_limit, std::uint64_t cause);
-  double lendable_surplus(int s, int res) const;
+  void resize_pool(int s, core::Resource res, double new_limit,
+                   std::uint64_t cause);
+  double lendable_surplus(int s, core::Resource res) const;
 
   void advertise_tick();
   void broadcast_adverts(int s);
   void maybe_return(int s);
   void maybe_borrow(int s);
-  void send_borrow(int s, int res);
-  void send_return(int s, int res);
-  void arm_retransmit(int s, int res);
-  void on_retransmit_timer(int s, int res, std::uint64_t seq);
+  void send_borrow(int s, core::Resource res);
+  void send_return(int s, core::Resource res);
+  void arm_retransmit(int s, core::Resource res);
+  void on_retransmit_timer(int s, core::Resource res, std::uint64_t seq);
 
   obs::EventId record_event(int s, obs::EventKind kind, double before,
                             double after, std::int64_t detail,
@@ -271,7 +273,7 @@ class ShardedControlPlane {
   double cluster_bw_limit_ = 0.0;
   // Transfer amounts shipped but not yet landed, per resource (memory held
   // as whole bytes in the double — exact up to 2^53).
-  double inflight_[kResCount] = {0.0, 0.0, 0.0};
+  double inflight_[core::kResources] = {0.0, 0.0, 0.0};
 
   std::uint64_t adverts_sent_ = 0;
   std::uint64_t borrows_requested_ = 0;
