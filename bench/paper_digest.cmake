@@ -1,0 +1,20 @@
+# Pins a paper bench's stdout across commits.
+#
+# Runs the bench once with no arguments and fails unless it exits 0 and its
+# stdout hashes to DIGEST, the SHA-256 recorded at an earlier commit. Invoked
+# via `cmake -DBENCH=<binary> -DDIGEST=<sha256> -P` from a ctest entry, the
+# way tools/fuzz_jobs_diff.cmake pins the fuzz sweeps.
+if(NOT DEFINED BENCH OR NOT DEFINED DIGEST)
+  message(FATAL_ERROR "paper_digest: pass -DBENCH=<binary> -DDIGEST=<sha256>")
+endif()
+
+execute_process(COMMAND ${BENCH} OUTPUT_VARIABLE out RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "paper_digest: ${BENCH} failed (rc ${rc})\n${out}")
+endif()
+string(SHA256 digest "${out}")
+if(NOT digest STREQUAL DIGEST)
+  message(FATAL_ERROR "paper_digest: ${BENCH} stdout SHA-256 ${digest} "
+                      "differs from the pinned ${DIGEST}\n${out}")
+endif()
+message(STATUS "paper_digest: ${BENCH} stdout matches the pinned SHA-256")
