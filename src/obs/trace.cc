@@ -209,34 +209,6 @@ void export_merged_jsonl(const std::vector<const TraceBuffer*>& shards,
   }
 }
 
-void TraceBuffer::export_csv(std::ostream& out) const {
-  out << "id,t_us,kind,container,node,before,after,cause,detail\n";
-  std::string line;
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    const TraceEvent& e = at(i);
-    line.clear();
-    line += std::to_string(e.id);
-    line += ',';
-    line += std::to_string(e.time);
-    line += ',';
-    line += event_kind_name(e.kind);
-    line += ',';
-    line += std::to_string(e.container);
-    line += ',';
-    line += std::to_string(e.node);
-    line += ',';
-    append_double(line, e.before);
-    line += ',';
-    append_double(line, e.after);
-    line += ',';
-    line += std::to_string(e.cause);
-    line += ',';
-    line += std::to_string(e.detail);
-    line += '\n';
-    out << line;
-  }
-}
-
 namespace {
 
 // Extracts the raw text of `"key":<value>` from a JSONL line produced by

@@ -14,7 +14,7 @@
 // the paper's sub-second control-loop claim (Sections IV, VI-I).
 //
 // Event ids are assigned in record order by the deterministic simulation,
-// so two identical-seed runs produce byte-identical JSONL/CSV exports. At
+// so two identical-seed runs produce byte-identical JSONL exports. At
 // capacity the oldest event is evicted (its id is never reused; causal
 // walks simply stop when a cause has been evicted).
 #pragma once
@@ -191,7 +191,6 @@ class TraceBuffer {
   // depends only on the recorded events, so identical-seed runs export
   // byte-identical files.
   void export_jsonl(std::ostream& out) const;
-  void export_csv(std::ostream& out) const;
 
   // Parses a file produced by export_jsonl (used by the escra-trace CLI).
   // Throws std::runtime_error on malformed lines. The `shard` field is
