@@ -33,16 +33,15 @@ core::UsageBill run(bool with_escra) {
                                      .memory_capacity = 64LL * memcg::kGiB});
   }
 
-  serverless::OpenWhiskConfig ow_cfg;
-  ow_cfg.max_pods = 115;
+  constexpr std::size_t kMaxPods = 115;
   std::unique_ptr<core::EscraSystem> escra;
   if (with_escra) {
     core::EscraConfig ec;
     ec.upsilon = 20.0;
     escra = std::make_unique<core::EscraSystem>(
         simulation, network, k8s,
-        ow_cfg.pod_cpu * static_cast<double>(ow_cfg.max_pods),
-        static_cast<memcg::Bytes>(ow_cfg.pod_mem) * ow_cfg.max_pods, ec);
+        serverless::kPodCpu * static_cast<double>(kMaxPods),
+        serverless::kPodMem * kMaxPods, ec);
     escra->watch();
     escra->start();
   }
@@ -53,7 +52,7 @@ core::UsageBill run(bool with_escra) {
     accountant.track(c, "gridsearch");
   });
 
-  serverless::OpenWhisk openwhisk(simulation, k8s, ow_cfg, sim::Rng(31));
+  serverless::OpenWhisk openwhisk(simulation, k8s, kMaxPods, sim::Rng(31));
   openwhisk.set_pod_reap_hook([&](cluster::Container& c) {
     accountant.untrack(c.id());
     if (escra) escra->release(c);

@@ -48,8 +48,7 @@ int main() {
   // granting (throttle-driven) and shrinking (slack-driven) all run long.
   workload::LoadGenerator loadgen(
       simulation,
-      std::make_unique<workload::BurstArrivals>(
-          workload::BurstArrivals::Params{}, sim::Rng(11)),
+      std::make_unique<workload::BurstArrivals>(sim::Rng(11)),
       [&application](workload::LoadGenerator::Done done) {
         application.submit_request(std::move(done));
       });

@@ -15,9 +15,7 @@ int main() {
   exp::print_section("Figure 7a: ImageProcess request latency CDF (ms)");
   for (const auto mode :
        {exp::ServerlessMode::kOpenWhisk, exp::ServerlessMode::kEscra}) {
-    exp::ImageProcessConfig cfg;
-    cfg.mode = mode;
-    const exp::ImageProcessResult r = exp::run_image_process(cfg);
+    const exp::ImageProcessResult r = exp::run_image_process(mode);
     exp::print_latency_cdf(exp::serverless_mode_name(mode), r.latency, 15);
     std::printf("   n=%llu fail=%llu cold-starts=%llu mean=%.0fms p99=%.0fms\n",
                 static_cast<unsigned long long>(r.completed),

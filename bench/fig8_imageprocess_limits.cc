@@ -11,13 +11,10 @@
 using namespace escra;
 
 int main() {
-  exp::ImageProcessConfig ow_cfg;
-  ow_cfg.mode = exp::ServerlessMode::kOpenWhisk;
-  exp::ImageProcessConfig escra_cfg;
-  escra_cfg.mode = exp::ServerlessMode::kEscra;
-
-  const exp::ImageProcessResult ow = exp::run_image_process(ow_cfg);
-  const exp::ImageProcessResult es = exp::run_image_process(escra_cfg);
+  const exp::ImageProcessResult ow =
+      exp::run_image_process(exp::ServerlessMode::kOpenWhisk);
+  const exp::ImageProcessResult es =
+      exp::run_image_process(exp::ServerlessMode::kEscra);
 
   exp::print_section(
       "Figure 8: ImageProcess aggregate limits per second (4-iteration mean)");

@@ -62,17 +62,6 @@ struct ArmResult {
   std::uint64_t events = 0;  // determinism anchor
 };
 
-workload::FanoutWorkload::Config workload_config() {
-  workload::FanoutWorkload::Config cfg;
-  cfg.fanout = 4;
-  cfg.request_bytes = 1'500;
-  cfg.response_bytes = 32'000;
-  cfg.hot_multiplier = 8.0;
-  cfg.hot_rotate = sim::seconds(5);
-  cfg.lambda = 30.0;
-  return cfg;
-}
-
 // Builds the identical cluster + shaper for both arms. Returns container
 // ids: [0] = frontend, rest = backends in placement order.
 struct Topology {
@@ -139,7 +128,7 @@ ArmResult run_static(sim::Duration issue_window) {
 
   workload::FanoutWorkload fw(sim, network, topo.frontend->id(),
                               topo.frontend_endpoint, topo.backends,
-                              workload_config(), sim::Rng(kSeed));
+                              sim::Rng(kSeed));
   fw.run(sim::seconds(1), sim::seconds(1) + issue_window);
   sim.run_until(sim::seconds(1) + issue_window + sim::seconds(8));
 
@@ -181,7 +170,7 @@ ArmResult run_escra(sim::Duration issue_window, std::uint64_t* bw_grants,
 
   workload::FanoutWorkload fw(sim, network, topo.frontend->id(),
                               topo.frontend_endpoint, topo.backends,
-                              workload_config(), sim::Rng(kSeed));
+                              sim::Rng(kSeed));
   fw.run(sim::seconds(1), sim::seconds(1) + issue_window);
   sim.run_until(sim::seconds(1) + issue_window + sim::seconds(8));
 

@@ -35,18 +35,17 @@ int main() {
 
   // The openwhisk namespace as one Distributed Container: the invoker's
   // containerPool allows 16 pods x (1 vCPU, 256 MiB).
-  serverless::OpenWhiskConfig ow_cfg;
-  ow_cfg.max_pods = 16;
+  constexpr std::size_t kMaxPods = 16;
   core::EscraConfig escra_cfg;
   escra_cfg.upsilon = 35.0;  // short-lived actions: scale up faster (VI-F)
   core::EscraSystem escra(
       simulation, network, k8s,
-      ow_cfg.pod_cpu * static_cast<double>(ow_cfg.max_pods),
-      static_cast<memcg::Bytes>(ow_cfg.pod_mem) * ow_cfg.max_pods, escra_cfg);
+      serverless::kPodCpu * static_cast<double>(kMaxPods),
+      serverless::kPodMem * kMaxPods, escra_cfg);
   escra.watch();   // adopt pods as they are created
   escra.start();   // reclamation loop on
 
-  serverless::OpenWhisk openwhisk(simulation, k8s, ow_cfg, sim::Rng(21));
+  serverless::OpenWhisk openwhisk(simulation, k8s, kMaxPods, sim::Rng(21));
   openwhisk.set_pod_reap_hook(
       [&](cluster::Container& c) { escra.release(c); });
   openwhisk.register_action(serverless::make_image_process_action());

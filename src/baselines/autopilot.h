@@ -15,8 +15,9 @@
 // container restart.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,50 +35,20 @@ struct AutopilotModel {
   double margin = 1.15;        // safety margin
 };
 
-struct AutopilotConfig {
-  sim::Duration sample_interval = sim::seconds(1);
-  sim::Duration update_interval = sim::seconds(1);  // best case per the paper
-  // Bandit cost weights: overrun (demand above proposed limit) vs underrun
-  // (slack). "Some parameters used in the Autopilot algorithm are manually
-  // tuned by their engineers (w_o, w_u, etc.)" — these values were tuned for
-  // best performance on our benchmarks, as the paper did.
-  double w_overrun = 8.0;
-  double w_underrun = 1.0;
-  double cost_half_life_s = 120.0;
-  // Candidate CPU arms; defaults mirror the EuroSys paper's grid of decay
-  // half-lives x percentiles x margins.
-  std::vector<AutopilotModel> models = {
-      {30.0, 90.0, 1.10},  {30.0, 95.0, 1.15},  {30.0, 98.0, 1.30},
-      {120.0, 90.0, 1.10}, {120.0, 95.0, 1.15}, {120.0, 98.0, 1.30},
-      {480.0, 95.0, 1.15}, {480.0, 98.0, 1.30},
-  };
-  // Memory arms. Autopilot's memory recommenders are peak-oriented (an OOM
-  // costs a restart, so the default recommender tracks the decayed window
-  // maximum rather than a mid percentile); arms differ in how fast the peak
-  // is forgotten and in the safety margin.
-  std::vector<AutopilotModel> mem_models = {
-      {60.0, 100.0, 1.10},  {60.0, 100.0, 1.25},
-      {240.0, 100.0, 1.10}, {240.0, 100.0, 1.25},
-      {960.0, 100.0, 1.40},
-  };
-  // Histogram geometry.
-  double cpu_max_cores = 16.0;
-  std::size_t cpu_buckets = 128;
-  double mem_max_bytes = 4.0 * 1024 * 1024 * 1024;
-  std::size_t mem_buckets = 128;
-  // Number of usage samples required before the recommender overrides the
-  // deployed limits (Autopilot does not act without data).
-  std::size_t warmup_samples = 5;
-  // Floors so a freshly idle container is not scaled to zero.
-  double min_cores = 0.05;
-  memcg::Bytes min_mem = 32 * memcg::kMiB;
-};
+// Candidate CPU arms: the EuroSys paper's grid of decay half-lives x
+// percentiles x margins.
+inline constexpr std::array<AutopilotModel, 8> kAutopilotCpuModels = {{
+    {30.0, 90.0, 1.10},  {30.0, 95.0, 1.15},  {30.0, 98.0, 1.30},
+    {120.0, 90.0, 1.10}, {120.0, 95.0, 1.15}, {120.0, 98.0, 1.30},
+    {480.0, 95.0, 1.15}, {480.0, 98.0, 1.30},
+}};
 
 class AutopilotPolicy final : public Policy {
  public:
+  // `update_interval` is how often the winning arm's proposal is applied.
   AutopilotPolicy(sim::Simulation& sim,
                   std::vector<cluster::Container*> containers,
-                  AutopilotConfig config);
+                  sim::Duration update_interval);
   ~AutopilotPolicy() override;
 
   void start() override;
@@ -106,16 +77,17 @@ class AutopilotPolicy final : public Policy {
     ResourceState mem;
   };
 
-  ResourceState make_resource_state(const std::vector<AutopilotModel>& models,
-                                    double max_value, std::size_t buckets) const;
+  static ResourceState make_resource_state(
+      std::span<const AutopilotModel> models, double max_value,
+      std::size_t buckets);
   void on_sample();
   void on_update();
-  double model_proposal(const std::vector<AutopilotModel>& models,
-                        const ResourceState& rs, std::size_t model) const;
-  std::size_t argmin_cost(const ResourceState& rs) const;
+  static double model_proposal(std::span<const AutopilotModel> models,
+                               const ResourceState& rs, std::size_t model);
+  static std::size_t argmin_cost(const ResourceState& rs);
 
   sim::Simulation& sim_;
-  AutopilotConfig config_;
+  sim::Duration update_interval_;
   std::vector<ContainerState> states_;
   sim::EventHandle sample_loop_;
   sim::EventHandle update_loop_;

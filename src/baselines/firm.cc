@@ -6,14 +6,20 @@
 
 namespace escra::baselines {
 
+namespace {
+constexpr sim::Duration kInterval = sim::seconds(1);  // feedback loop period
+constexpr double kHighWatermark = 0.85;  // utilization above: wants more CPU
+constexpr double kLowWatermark = 0.50;   // below: capacity can be harvested
+static_assert(kLowWatermark < kHighWatermark, "firm: watermarks inverted");
+// Fraction of a donor's excess (limit - usage/target) harvested per cycle.
+constexpr double kHarvestRate = 0.5;
+constexpr double kMinCores = 0.1;
+}  // namespace
+
 FirmPolicy::FirmPolicy(sim::Simulation& sim,
-                       std::vector<cluster::Container*> containers,
-                       FirmConfig config)
-    : sim_(sim), config_(config) {
+                       std::vector<cluster::Container*> containers)
+    : sim_(sim) {
   if (containers.empty()) throw std::invalid_argument("firm: no containers");
-  if (config_.low_watermark >= config_.high_watermark) {
-    throw std::invalid_argument("firm: watermarks inverted");
-  }
   states_.reserve(containers.size());
   for (cluster::Container* c : containers) {
     State st;
@@ -32,7 +38,7 @@ void FirmPolicy::start() {
   for (const State& st : states_) {
     budget_ += st.container->cpu_cgroup().limit_cores();
   }
-  loop_ = sim_.schedule_every(sim_.now() + config_.interval, config_.interval,
+  loop_ = sim_.schedule_every(sim_.now() + kInterval, kInterval,
                               [this] { on_cycle(); });
 }
 
@@ -52,23 +58,21 @@ void FirmPolicy::on_cycle() {
     State& st = states_[i];
     const sim::Duration consumed = st.container->cpu_cgroup().total_consumed();
     st.used_cores = static_cast<double>(consumed - st.prev_consumed) /
-                    static_cast<double>(config_.interval);
+                    static_cast<double>(kInterval);
     st.prev_consumed = consumed;
     if (!st.container->running()) continue;
     const double limit = st.container->cpu_cgroup().limit_cores();
     const double util = limit > 0.0 ? st.used_cores / limit : 1.0;
-    if (util >= config_.high_watermark) {
+    if (util >= kHighWatermark) {
       // The critical path: ask for enough to bring utilization to the
       // midpoint of the band.
-      const double target_util =
-          (config_.high_watermark + config_.low_watermark) / 2.0;
+      const double target_util = (kHighWatermark + kLowWatermark) / 2.0;
       deficit[i] = st.used_cores / target_util - limit;
       wanted += std::max(0.0, deficit[i]);
-    } else if (util < config_.low_watermark) {
+    } else if (util < kLowWatermark) {
       // A donor: part of its headroom can move to the critical path.
-      const double excess = limit - std::max(st.used_cores / 0.7,
-                                             config_.min_cores);
-      surplus[i] = std::max(0.0, excess * config_.harvest_rate);
+      const double excess = limit - std::max(st.used_cores / 0.7, kMinCores);
+      surplus[i] = std::max(0.0, excess * kHarvestRate);
       harvestable += surplus[i];
     }
   }
@@ -81,8 +85,8 @@ void FirmPolicy::on_cycle() {
     cluster::Container* c = states_[i].container;
     if (surplus[i] > 0.0) {
       const double share = surplus[i] / harvestable * moved;
-      c->cpu_cgroup().set_limit_cores(std::max(
-          config_.min_cores, c->cpu_cgroup().limit_cores() - share));
+      c->cpu_cgroup().set_limit_cores(
+          std::max(kMinCores, c->cpu_cgroup().limit_cores() - share));
     } else if (deficit[i] > 0.0) {
       const double share = deficit[i] / wanted * moved;
       c->cpu_cgroup().set_limit_cores(c->cpu_cgroup().limit_cores() + share);

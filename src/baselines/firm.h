@@ -25,19 +25,9 @@
 
 namespace escra::baselines {
 
-struct FirmConfig {
-  sim::Duration interval = sim::seconds(1);  // the feedback loop period
-  double high_watermark = 0.85;  // utilization above this: wants more CPU
-  double low_watermark = 0.50;   // below this: capacity can be harvested
-  // Fraction of a donor's excess (limit - usage/target) harvested per cycle.
-  double harvest_rate = 0.5;
-  double min_cores = 0.1;
-};
-
 class FirmPolicy final : public Policy {
  public:
-  FirmPolicy(sim::Simulation& sim, std::vector<cluster::Container*> containers,
-             FirmConfig config);
+  FirmPolicy(sim::Simulation& sim, std::vector<cluster::Container*> containers);
   ~FirmPolicy() override;
 
   void start() override;
@@ -57,7 +47,6 @@ class FirmPolicy final : public Policy {
   void on_cycle();
 
   sim::Simulation& sim_;
-  FirmConfig config_;
   std::vector<State> states_;
   double budget_ = 0.0;
   sim::EventHandle loop_;

@@ -6,20 +6,25 @@
 
 namespace escra::baselines {
 
+namespace {
+constexpr double kTargetUtilization = 0.5;  // resize so usage/limit == target
+constexpr double kUpperBound = 0.75;  // scale up when usage/limit exceeds this
+constexpr double kLowerBound = 0.25;  // scale down when below this
+static_assert(kLowerBound < kUpperBound, "vpa: bounds inverted");
+constexpr double kMinCores = 0.1;
+constexpr memcg::Bytes kMinMem = 64 * memcg::kMiB;
+}  // namespace
+
 VpaPolicy::VpaPolicy(sim::Simulation& sim,
-                     std::vector<cluster::Container*> containers,
-                     VpaConfig config)
-    : sim_(sim), config_(config) {
+                     std::vector<cluster::Container*> containers)
+    : sim_(sim) {
   if (containers.empty()) throw std::invalid_argument("vpa: no containers");
-  if (config_.lower_bound >= config_.upper_bound) {
-    throw std::invalid_argument("vpa: bounds inverted");
-  }
   states_.reserve(containers.size());
   for (cluster::Container* c : containers) {
     State st;
     st.container = c;
     st.prev_consumed = c->cpu_cgroup().total_consumed();
-    st.last_resize = -config_.cooldown;  // allow an immediate first resize
+    st.last_resize = -kVpaCooldown;  // allow an immediate first resize
     states_.push_back(st);
   }
 }
@@ -29,8 +34,8 @@ VpaPolicy::~VpaPolicy() { stop(); }
 void VpaPolicy::start() {
   if (running_) return;
   running_ = true;
-  loop_ = sim_.schedule_every(sim_.now() + config_.check_interval,
-                              config_.check_interval, [this] { on_check(); });
+  loop_ = sim_.schedule_every(sim_.now() + kVpaCheckInterval,
+                              kVpaCheckInterval, [this] { on_check(); });
 }
 
 void VpaPolicy::stop() {
@@ -45,10 +50,10 @@ void VpaPolicy::on_check() {
     cluster::Container& c = *st.container;
     const sim::Duration consumed = c.cpu_cgroup().total_consumed();
     st.cpu_used_cores = static_cast<double>(consumed - st.prev_consumed) /
-                        static_cast<double>(config_.check_interval);
+                        static_cast<double>(kVpaCheckInterval);
     st.prev_consumed = consumed;
     if (!c.running()) continue;
-    if (now - st.last_resize < config_.cooldown) continue;
+    if (now - st.last_resize < kVpaCooldown) continue;
 
     const double cpu_limit = c.cpu_cgroup().limit_cores();
     const double cpu_util =
@@ -57,19 +62,17 @@ void VpaPolicy::on_check() {
     const auto mem_limit_d = static_cast<double>(c.mem_cgroup().limit());
     const double mem_util = mem_limit_d > 0.0 ? mem_usage / mem_limit_d : 1.0;
 
-    const bool out_of_band = cpu_util > config_.upper_bound ||
-                             cpu_util < config_.lower_bound ||
-                             mem_util > config_.upper_bound ||
-                             mem_util < config_.lower_bound;
+    const bool out_of_band = cpu_util > kUpperBound || cpu_util < kLowerBound ||
+                             mem_util > kUpperBound || mem_util < kLowerBound;
     if (!out_of_band) continue;
 
     // Resize both resources toward the target. This is a pod restart:
     // in-flight work is dropped and the container cold-starts.
-    const double new_cores = std::max(
-        config_.min_cores, st.cpu_used_cores / config_.target_utilization);
+    const double new_cores =
+        std::max(kMinCores, st.cpu_used_cores / kTargetUtilization);
     const auto new_mem = std::max<memcg::Bytes>(
-        config_.min_mem, static_cast<memcg::Bytes>(
-                             std::llround(mem_usage / config_.target_utilization)));
+        kMinMem, static_cast<memcg::Bytes>(
+                     std::llround(mem_usage / kTargetUtilization)));
     c.evict_restart(new_cores, new_mem);
     st.last_resize = now;
     ++restarts_;

@@ -18,20 +18,14 @@
 
 namespace escra::baselines {
 
-struct VpaConfig {
-  double target_utilization = 0.5;  // resize so usage/limit == target
-  double upper_bound = 0.75;        // scale up when usage/limit exceeds this
-  double lower_bound = 0.25;        // scale down when below this
-  sim::Duration check_interval = sim::seconds(30);
-  sim::Duration cooldown = sim::kMinute;  // "at most once per minute"
-  double min_cores = 0.1;
-  memcg::Bytes min_mem = 64 * memcg::kMiB;
-};
+// How often VPA checks usage against its bounds, and the cool-down between
+// two resizes of one container ("at most once per minute").
+inline constexpr sim::Duration kVpaCheckInterval = sim::seconds(30);
+inline constexpr sim::Duration kVpaCooldown = sim::kMinute;
 
 class VpaPolicy final : public Policy {
  public:
-  VpaPolicy(sim::Simulation& sim, std::vector<cluster::Container*> containers,
-            VpaConfig config);
+  VpaPolicy(sim::Simulation& sim, std::vector<cluster::Container*> containers);
   ~VpaPolicy() override;
 
   void start() override;
@@ -50,7 +44,6 @@ class VpaPolicy final : public Policy {
   void on_check();
 
   sim::Simulation& sim_;
-  VpaConfig config_;
   std::vector<State> states_;
   sim::EventHandle loop_;
   bool running_ = false;

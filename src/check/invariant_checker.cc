@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -28,61 +29,107 @@ std::string fmt3(const char* format, double a, double b, double c) {
   return buf;
 }
 
+// The obs counters that mirror the decision trace one-for-one, in report
+// order (counter-consistency): each counter's advance since the checker
+// attached must equal the number of `kind` events it saw. Two rows count
+// something else on the trace side: reclaim.bytes_total matches the bytes
+// the kReclaim events report, and agent.fail_static_entries matches the
+// kFailStatic events that enter fail-static (detail 1).
+struct CounterRow {
+  const char* what;
+  obs::Counter* obs::Observer::Handles::*counter;
+  obs::EventKind kind;
+};
+using H = obs::Observer::Handles;
+constexpr CounterRow kCounterRows[] = {
+    {"allocator.cpu_grants vs cpu-grant events",
+     &H::cpu_grants, obs::EventKind::kCpuGrant},
+    {"allocator.cpu_shrinks vs cpu-shrink events",
+     &H::cpu_shrinks, obs::EventKind::kCpuShrink},
+    {"allocator.mem_grants vs mem-grant-on-oom events",
+     &H::mem_grants, obs::EventKind::kMemGrantOnOom},
+    {"controller.rpcs_issued vs rpc-issued events",
+     &H::rpcs_issued, obs::EventKind::kRpcIssued},
+    {"controller.rpcs_applied vs rpc-applied events",
+     &H::rpcs_applied, obs::EventKind::kRpcApplied},
+    {"containers.registered_total vs container-registered events",
+     &H::registrations, obs::EventKind::kContainerRegistered},
+    {"containers.deregistered_total vs container-killed events",
+     &H::deregistrations, obs::EventKind::kContainerKilled},
+    {"cfs.throttled_periods_total vs throttle-observed events",
+     &H::cfs_throttled_periods, obs::EventKind::kThrottleObserved},
+    {"reclaim.bytes_total vs reclaim event details",
+     &H::reclaim_bytes, obs::EventKind::kReclaim},
+    {"controller.retransmits vs retransmit events",
+     &H::retransmits, obs::EventKind::kRetransmit},
+    {"agent.duplicates_suppressed vs duplicate-suppressed events",
+     &H::dup_suppressed, obs::EventKind::kDuplicateSuppressed},
+    {"controller.resyncs vs resync events",
+     &H::resyncs, obs::EventKind::kResync},
+    {"controller.nodes_declared_dead vs node-dead events",
+     &H::nodes_dead, obs::EventKind::kNodeDead},
+    {"controller.nodes_recovered vs node-alive events",
+     &H::nodes_alive, obs::EventKind::kNodeAlive},
+    {"agent.fail_static_entries vs fail-static enter events",
+     &H::fail_static_entries, obs::EventKind::kFailStatic},
+    {"fault.injected vs fault-injected events",
+     &H::faults_injected, obs::EventKind::kFaultInjected},
+    {"fault.cleared vs fault-cleared events",
+     &H::faults_cleared, obs::EventKind::kFaultCleared},
+    {"ha.elections vs leader-elected events",
+     &H::ha_elections, obs::EventKind::kLeaderElected},
+    {"ha.fenced_updates vs epoch-fenced events",
+     &H::ha_fenced_updates, obs::EventKind::kEpochFenced},
+    {"ha.wal_lag_events vs wal-lag events",
+     &H::ha_wal_lag_events, obs::EventKind::kWalLag},
+    {"bw.throttle_events vs bw-throttled events",
+     &H::bw_throttle_events, obs::EventKind::kBwThrottled},
+    {"controller.bw_saturation_events vs bw-saturation events",
+     &H::bw_saturation, obs::EventKind::kBwSaturation},
+    {"allocator.bw_grants vs bw-grant events",
+     &H::bw_grants, obs::EventKind::kBwGrant},
+    {"allocator.bw_shrinks vs bw-shrink events",
+     &H::bw_shrinks, obs::EventKind::kBwShrink},
+    {"controller.telemetry_rejected vs telemetry-rejected events",
+     &H::telemetry_rejected, obs::EventKind::kTelemetryRejected},
+    {"controller.credit_charges vs credit-charge events",
+     &H::credit_charges, obs::EventKind::kCreditCharge},
+    {"controller.credit_refunds vs credit-refund events",
+     &H::credit_refunds, obs::EventKind::kCreditRefund},
+    {"controller.greedy_throttles vs greedy-throttle events",
+     &H::greedy_throttles, obs::EventKind::kGreedyThrottle},
+    {"controller.rt_admitted vs rt-admitted events",
+     &H::rt_admitted, obs::EventKind::kRtAdmitted},
+    {"controller.rt_rejected vs rt-rejected events",
+     &H::rt_rejected, obs::EventKind::kRtRejected},
+    {"controller.rt_evicted vs rt-evicted events",
+     &H::rt_evicted, obs::EventKind::kRtEvicted},
+    {"cfs.deadline_misses vs deadline-miss events",
+     &H::deadline_misses, obs::EventKind::kDeadlineMiss},
+};
+
 }  // namespace
 
 InvariantChecker::InvariantChecker(core::EscraSystem& escra,
                                    net::Network& network,
-                                   obs::Observer& observer, Config config)
+                                   obs::Observer& observer)
     : escra_(escra),
       net_(network),
       obs_(observer),
       cluster_(escra.cluster()),
-      sim_(escra.cluster().simulation()),
-      config_(config) {
+      sim_(escra.cluster().simulation()) {
   if (escra_.controller().observer() != &observer) {
     throw std::invalid_argument(
         "InvariantChecker: observer is not attached to this EscraSystem "
         "(call EscraSystem::attach_observer first)");
   }
-  if (config_.sweep_interval <= 0) {
-    throw std::invalid_argument("InvariantChecker: sweep_interval <= 0");
-  }
 
   last_event_time_ = sim_.now();
 
-  const obs::Observer::Handles& h = obs_.h;
-  base_cpu_grants_ = h.cpu_grants->value();
-  base_cpu_shrinks_ = h.cpu_shrinks->value();
-  base_mem_grants_ = h.mem_grants->value();
-  base_rpcs_issued_ = h.rpcs_issued->value();
-  base_rpcs_applied_ = h.rpcs_applied->value();
-  base_registrations_ = h.registrations->value();
-  base_deregistrations_ = h.deregistrations->value();
-  base_throttled_periods_ = h.cfs_throttled_periods->value();
-  base_reclaim_bytes_ = h.reclaim_bytes->value();
-  base_retransmits_ = h.retransmits->value();
-  base_dup_suppressed_ = h.dup_suppressed->value();
-  base_resyncs_ = h.resyncs->value();
-  base_nodes_dead_ = h.nodes_dead->value();
-  base_nodes_alive_ = h.nodes_alive->value();
-  base_fail_static_ = h.fail_static_entries->value();
-  base_faults_injected_ = h.faults_injected->value();
-  base_faults_cleared_ = h.faults_cleared->value();
-  base_ha_elections_ = h.ha_elections->value();
-  base_ha_fenced_ = h.ha_fenced_updates->value();
-  base_ha_wal_lag_ = h.ha_wal_lag_events->value();
-  base_bw_throttles_ = h.bw_throttle_events->value();
-  base_bw_saturation_ = h.bw_saturation->value();
-  base_bw_grants_ = h.bw_grants->value();
-  base_bw_shrinks_ = h.bw_shrinks->value();
-  base_telemetry_rejected_ = h.telemetry_rejected->value();
-  base_credit_charges_ = h.credit_charges->value();
-  base_credit_refunds_ = h.credit_refunds->value();
-  base_greedy_throttles_ = h.greedy_throttles->value();
-  base_rt_admitted_ = h.rt_admitted->value();
-  base_rt_rejected_ = h.rt_rejected->value();
-  base_rt_evicted_ = h.rt_evicted->value();
-  base_deadline_misses_ = h.deadline_misses->value();
+  counter_base_.reserve(std::size(kCounterRows));
+  for (const CounterRow& row : kCounterRows) {
+    counter_base_.push_back((obs_.h.*row.counter)->value());
+  }
 
   // Network mirrors exist only once Network::attach_metrics has run against
   // this observer's registry; absent counters disable the net check.
@@ -111,9 +158,8 @@ InvariantChecker::InvariantChecker(core::EscraSystem& escra,
 
   obs_.trace().set_record_hook(
       [this](const obs::TraceEvent& event) { on_event(event); });
-  sweep_event_ = sim_.schedule_every(sim_.now() + config_.sweep_interval,
-                                     config_.sweep_interval,
-                                     [this] { sweep(); });
+  sweep_event_ = sim_.schedule_every(sim_.now() + kSweepInterval,
+                                     kSweepInterval, [this] { sweep(); });
 }
 
 InvariantChecker::~InvariantChecker() {
@@ -388,9 +434,10 @@ void InvariantChecker::on_event(const obs::TraceEvent& ev) {
         rt_floor_track_.erase(rt);
       }
       cpu_track_.erase(ev.container);
-      applied_seq_.erase(static_cast<std::uint64_t>(ev.container) * 4);
-      applied_seq_.erase(static_cast<std::uint64_t>(ev.container) * 4 + 1);
-      applied_seq_.erase(static_cast<std::uint64_t>(ev.container) * 4 + 2);
+      for (std::size_t res = 0; res < core::kResources; ++res) {
+        applied_seq_.erase(core::ReplicaState::slot_key(
+            ev.container, static_cast<core::Resource>(res)));
+      }
       break;
 
     case obs::EventKind::kLeaderElected: {
@@ -922,7 +969,7 @@ void InvariantChecker::check_credits() {
     if (acct.micro > 0 && cores < fair * (1.0 - tol) - kCpuEps) {
       const auto it = last_throttle_.find(id);
       if (it != last_throttle_.end() &&
-          sim_.now() - it->second <= 2 * config_.sweep_interval) {
+          sim_.now() - it->second <= 2 * kSweepInterval) {
         starving_honest = true;
         starved_id = id;
       }
@@ -944,118 +991,21 @@ void InvariantChecker::check_credits() {
 }
 
 void InvariantChecker::check_counters() {
-  const obs::Observer::Handles& h = obs_.h;
-  const auto seen = [this](obs::EventKind kind) {
-    return seen_[static_cast<std::size_t>(kind)];
-  };
-  struct Pair {
-    const char* what;
-    std::uint64_t counter_delta;
-    std::uint64_t trace_count;
-  };
-  const Pair pairs[] = {
-      {"allocator.cpu_grants vs cpu-grant events",
-       h.cpu_grants->value() - base_cpu_grants_,
-       seen(obs::EventKind::kCpuGrant)},
-      {"allocator.cpu_shrinks vs cpu-shrink events",
-       h.cpu_shrinks->value() - base_cpu_shrinks_,
-       seen(obs::EventKind::kCpuShrink)},
-      {"allocator.mem_grants vs mem-grant-on-oom events",
-       h.mem_grants->value() - base_mem_grants_,
-       seen(obs::EventKind::kMemGrantOnOom)},
-      {"controller.rpcs_issued vs rpc-issued events",
-       h.rpcs_issued->value() - base_rpcs_issued_,
-       seen(obs::EventKind::kRpcIssued)},
-      {"controller.rpcs_applied vs rpc-applied events",
-       h.rpcs_applied->value() - base_rpcs_applied_,
-       seen(obs::EventKind::kRpcApplied)},
-      {"containers.registered_total vs container-registered events",
-       h.registrations->value() - base_registrations_,
-       seen(obs::EventKind::kContainerRegistered)},
-      {"containers.deregistered_total vs container-killed events",
-       h.deregistrations->value() - base_deregistrations_,
-       seen(obs::EventKind::kContainerKilled)},
-      {"cfs.throttled_periods_total vs throttle-observed events",
-       h.cfs_throttled_periods->value() - base_throttled_periods_,
-       seen(obs::EventKind::kThrottleObserved)},
-      {"reclaim.bytes_total vs reclaim event details",
-       h.reclaim_bytes->value() - base_reclaim_bytes_,
-       static_cast<std::uint64_t>(reclaim_bytes_seen_)},
-      {"controller.retransmits vs retransmit events",
-       h.retransmits->value() - base_retransmits_,
-       seen(obs::EventKind::kRetransmit)},
-      {"agent.duplicates_suppressed vs duplicate-suppressed events",
-       h.dup_suppressed->value() - base_dup_suppressed_,
-       seen(obs::EventKind::kDuplicateSuppressed)},
-      {"controller.resyncs vs resync events",
-       h.resyncs->value() - base_resyncs_, seen(obs::EventKind::kResync)},
-      {"controller.nodes_declared_dead vs node-dead events",
-       h.nodes_dead->value() - base_nodes_dead_,
-       seen(obs::EventKind::kNodeDead)},
-      {"controller.nodes_recovered vs node-alive events",
-       h.nodes_alive->value() - base_nodes_alive_,
-       seen(obs::EventKind::kNodeAlive)},
-      {"agent.fail_static_entries vs fail-static enter events",
-       h.fail_static_entries->value() - base_fail_static_,
-       fail_static_entries_seen_},
-      {"fault.injected vs fault-injected events",
-       h.faults_injected->value() - base_faults_injected_,
-       seen(obs::EventKind::kFaultInjected)},
-      {"fault.cleared vs fault-cleared events",
-       h.faults_cleared->value() - base_faults_cleared_,
-       seen(obs::EventKind::kFaultCleared)},
-      {"ha.elections vs leader-elected events",
-       h.ha_elections->value() - base_ha_elections_,
-       seen(obs::EventKind::kLeaderElected)},
-      {"ha.fenced_updates vs epoch-fenced events",
-       h.ha_fenced_updates->value() - base_ha_fenced_,
-       seen(obs::EventKind::kEpochFenced)},
-      {"ha.wal_lag_events vs wal-lag events",
-       h.ha_wal_lag_events->value() - base_ha_wal_lag_,
-       seen(obs::EventKind::kWalLag)},
-      {"bw.throttle_events vs bw-throttled events",
-       h.bw_throttle_events->value() - base_bw_throttles_,
-       seen(obs::EventKind::kBwThrottled)},
-      {"controller.bw_saturation_events vs bw-saturation events",
-       h.bw_saturation->value() - base_bw_saturation_,
-       seen(obs::EventKind::kBwSaturation)},
-      {"allocator.bw_grants vs bw-grant events",
-       h.bw_grants->value() - base_bw_grants_,
-       seen(obs::EventKind::kBwGrant)},
-      {"allocator.bw_shrinks vs bw-shrink events",
-       h.bw_shrinks->value() - base_bw_shrinks_,
-       seen(obs::EventKind::kBwShrink)},
-      {"controller.telemetry_rejected vs telemetry-rejected events",
-       h.telemetry_rejected->value() - base_telemetry_rejected_,
-       seen(obs::EventKind::kTelemetryRejected)},
-      {"controller.credit_charges vs credit-charge events",
-       h.credit_charges->value() - base_credit_charges_,
-       seen(obs::EventKind::kCreditCharge)},
-      {"controller.credit_refunds vs credit-refund events",
-       h.credit_refunds->value() - base_credit_refunds_,
-       seen(obs::EventKind::kCreditRefund)},
-      {"controller.greedy_throttles vs greedy-throttle events",
-       h.greedy_throttles->value() - base_greedy_throttles_,
-       seen(obs::EventKind::kGreedyThrottle)},
-      {"controller.rt_admitted vs rt-admitted events",
-       h.rt_admitted->value() - base_rt_admitted_,
-       seen(obs::EventKind::kRtAdmitted)},
-      {"controller.rt_rejected vs rt-rejected events",
-       h.rt_rejected->value() - base_rt_rejected_,
-       seen(obs::EventKind::kRtRejected)},
-      {"controller.rt_evicted vs rt-evicted events",
-       h.rt_evicted->value() - base_rt_evicted_,
-       seen(obs::EventKind::kRtEvicted)},
-      {"cfs.deadline_misses vs deadline-miss events",
-       h.deadline_misses->value() - base_deadline_misses_,
-       seen(obs::EventKind::kDeadlineMiss)},
-  };
-  for (const Pair& p : pairs) {
-    if (p.counter_delta != p.trace_count) {
+  for (std::size_t i = 0; i < std::size(kCounterRows); ++i) {
+    const CounterRow& row = kCounterRows[i];
+    const std::uint64_t counter_delta =
+        (obs_.h.*row.counter)->value() - counter_base_[i];
+    std::uint64_t trace_count = seen_[static_cast<std::size_t>(row.kind)];
+    if (row.kind == obs::EventKind::kReclaim) {
+      trace_count = static_cast<std::uint64_t>(reclaim_bytes_seen_);
+    } else if (row.kind == obs::EventKind::kFailStatic) {
+      trace_count = fail_static_entries_seen_;
+    }
+    if (counter_delta != trace_count) {
       add("counter-consistency", 0,
-          std::string(p.what) + ": counter advanced " +
-              std::to_string(p.counter_delta) + ", trace saw " +
-              std::to_string(p.trace_count));
+          std::string(row.what) + ": counter advanced " +
+              std::to_string(counter_delta) + ", trace saw " +
+              std::to_string(trace_count));
     }
   }
 }

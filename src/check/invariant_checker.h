@@ -18,7 +18,7 @@
 //                              container the allocator judged grantable)
 //     - mem-reclaim            reclamation shrinks, respects min_mem, and
 //                              reports freed bytes consistently
-//   per sweep (every sweep_interval, default one CFS period):
+//   per sweep (every kSweepInterval, one CFS period):
 //     - node-cpu-conservation  per-node scheduled core-time <= node cores
 //     - cpu-conservation       sum of *applied* cgroup CPU limits over
 //                              registered containers <= global limit, plus
@@ -127,28 +127,22 @@ struct Violation {
 inline constexpr std::size_t kMaxViolations = 64;
 // Absolute tolerance for CPU-core comparisons (doubles).
 inline constexpr double kCpuEps = 1e-6;
+// Sweep cadence of both checkers: the CFS period, so system-wide checks run
+// at every period boundary.
+inline constexpr sim::Duration kSweepInterval = sim::milliseconds(100);
+static_assert(kSweepInterval > 0, "sweep interval must be positive");
 
 class InvariantChecker {
  public:
-  struct Config {
-    // Sweep cadence; the default matches the CFS period so system-wide
-    // checks run at every period boundary.
-    sim::Duration sweep_interval = sim::milliseconds(100);
-  };
-
   // The observer must already be attached to `escra`
   // (EscraSystem::attach_observer) — the checker validates the decision
   // stream that attachment produces and throws std::invalid_argument
   // otherwise. Installs itself as the observer's TraceBuffer record hook
   // (replacing any previous hook) and schedules the periodic sweep; both are
   // undone by the destructor. The checker must not outlive any of its
-  // arguments. (Two constructors instead of a defaulted `Config{}` argument
-  // for the same incomplete-class reason as obs::Observer.)
+  // arguments.
   InvariantChecker(core::EscraSystem& escra, net::Network& network,
-                   obs::Observer& observer)
-      : InvariantChecker(escra, network, observer, Config{}) {}
-  InvariantChecker(core::EscraSystem& escra, net::Network& network,
-                   obs::Observer& observer, Config config);
+                   obs::Observer& observer);
   ~InvariantChecker();
 
   InvariantChecker(const InvariantChecker&) = delete;
@@ -207,7 +201,6 @@ class InvariantChecker {
   obs::Observer& obs_;
   cluster::Cluster& cluster_;
   sim::Simulation& sim_;
-  Config config_;
   sim::EventHandle sweep_event_;
 
   // --- per-event state ---
@@ -244,40 +237,9 @@ class InvariantChecker {
   std::unordered_map<std::uint64_t, AppliedSeq> applied_seq_;
   std::uint64_t last_elected_epoch_ = 0;
 
-  // --- counter baselines captured at construction (the checker may attach
-  //     to a system that has already been running) ---
-  std::uint64_t base_cpu_grants_ = 0;
-  std::uint64_t base_cpu_shrinks_ = 0;
-  std::uint64_t base_mem_grants_ = 0;
-  std::uint64_t base_rpcs_issued_ = 0;
-  std::uint64_t base_rpcs_applied_ = 0;
-  std::uint64_t base_registrations_ = 0;
-  std::uint64_t base_deregistrations_ = 0;
-  std::uint64_t base_throttled_periods_ = 0;
-  std::uint64_t base_reclaim_bytes_ = 0;
-  std::uint64_t base_retransmits_ = 0;
-  std::uint64_t base_dup_suppressed_ = 0;
-  std::uint64_t base_resyncs_ = 0;
-  std::uint64_t base_nodes_dead_ = 0;
-  std::uint64_t base_nodes_alive_ = 0;
-  std::uint64_t base_fail_static_ = 0;
-  std::uint64_t base_faults_injected_ = 0;
-  std::uint64_t base_faults_cleared_ = 0;
-  std::uint64_t base_ha_elections_ = 0;
-  std::uint64_t base_ha_fenced_ = 0;
-  std::uint64_t base_ha_wal_lag_ = 0;
-  std::uint64_t base_bw_throttles_ = 0;
-  std::uint64_t base_bw_saturation_ = 0;
-  std::uint64_t base_bw_grants_ = 0;
-  std::uint64_t base_bw_shrinks_ = 0;
-  std::uint64_t base_telemetry_rejected_ = 0;
-  std::uint64_t base_credit_charges_ = 0;
-  std::uint64_t base_credit_refunds_ = 0;
-  std::uint64_t base_greedy_throttles_ = 0;
-  std::uint64_t base_rt_admitted_ = 0;
-  std::uint64_t base_rt_rejected_ = 0;
-  std::uint64_t base_rt_evicted_ = 0;
-  std::uint64_t base_deadline_misses_ = 0;
+  // Counter values captured at construction (the checker may attach to a
+  // system that has already been running), one per kCounterRows row.
+  std::vector<std::uint64_t> counter_base_;
 
   // Admitted RT containers and their reservation floors, tracked from
   // kRtAdmitted/kRtEvicted events and re-armed from controller introspection

@@ -6,8 +6,6 @@
 namespace escra::check {
 
 namespace {
-// Sweep cadence: one CFS period, like the per-shard checkers' default.
-constexpr sim::Duration kSweepInterval = sim::milliseconds(100);
 constexpr double kBwEps = 1e-3;  // bytes/s pools are ~1e9-scale
 }  // namespace
 

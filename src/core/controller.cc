@@ -783,13 +783,13 @@ void Controller::on_update_ack(std::uint64_t key, std::uint64_t seq,
   Pending* p = find_pending(key);
   if (p == nullptr || p->seq != seq) return;  // superseded
   sim_.cancel(p->timer);
+  const auto idx = static_cast<std::size_t>(p - pending_.data());
   emit_repl({.kind = ReplicationEvent::Kind::kAckSlot,
              .container = ReplicaState::slot_container(key),
              .node = node,
              .seq = seq,
              .resource = p->resource});
-  const std::uint32_t slot = index_.find(ReplicaState::slot_container(key));
-  pending_open_[static_cast<std::size_t>(slot) * kResources + (key & 3)] = 0;
+  pending_open_[idx] = 0;
   --open_pending_;
 }
 

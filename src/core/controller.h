@@ -463,7 +463,8 @@ class Controller {
     const std::uint32_t slot = index_.find(ReplicaState::slot_container(key));
     if (slot == ContainerIndex::kInvalid) return nullptr;
     const std::size_t idx =
-        static_cast<std::size_t>(slot) * kResources + (key & 3);
+        static_cast<std::size_t>(slot) * kResources +
+        static_cast<std::size_t>(ReplicaState::slot_resource(key));
     return pending_open_[idx] != 0 ? &pending_[idx] : nullptr;
   }
   // Routes an opened slot to the wire through the node's coalescing batch.

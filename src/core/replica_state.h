@@ -118,6 +118,9 @@ struct ReplicaState {
   static cluster::ContainerId slot_container(std::uint64_t key) {
     return static_cast<cluster::ContainerId>(key / 4);
   }
+  static Resource slot_resource(std::uint64_t key) {
+    return static_cast<Resource>(key % 4);
+  }
 
   void apply(const ReplicationEvent& r) {
     using Kind = ReplicationEvent::Kind;

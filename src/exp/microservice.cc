@@ -93,10 +93,8 @@ RunResult run_microservice(const MicroserviceConfig& config) {
         containers[i]->mem_cgroup().set_limit(static_cast<memcg::Bytes>(
             1.25 * static_cast<double>(prof.containers[i].peak_mem)));
       }
-      baselines::AutopilotConfig ap;
-      ap.update_interval = config.autopilot_period;
       baseline = std::make_unique<baselines::AutopilotPolicy>(
-          simulation, containers, ap);
+          simulation, containers, config.autopilot_period);
       break;
     }
     case PolicyKind::kVpa: {
@@ -107,8 +105,8 @@ RunResult run_microservice(const MicroserviceConfig& config) {
         containers[i]->mem_cgroup().set_limit(static_cast<memcg::Bytes>(
             1.25 * static_cast<double>(prof.containers[i].peak_mem)));
       }
-      baseline = std::make_unique<baselines::VpaPolicy>(simulation, containers,
-                                                        baselines::VpaConfig{});
+      baseline =
+          std::make_unique<baselines::VpaPolicy>(simulation, containers);
       break;
     }
     case PolicyKind::kFirm: {
@@ -120,8 +118,8 @@ RunResult run_microservice(const MicroserviceConfig& config) {
         containers[i]->mem_cgroup().set_limit(static_cast<memcg::Bytes>(
             1.25 * static_cast<double>(prof.containers[i].peak_mem)));
       }
-      baseline = std::make_unique<baselines::FirmPolicy>(
-          simulation, containers, baselines::FirmConfig{});
+      baseline =
+          std::make_unique<baselines::FirmPolicy>(simulation, containers);
       break;
     }
     case PolicyKind::kEscra: {

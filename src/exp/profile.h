@@ -18,7 +18,6 @@
 
 #include "app/benchmarks.h"
 #include "memcg/mem_cgroup.h"
-#include "sim/time.h"
 
 namespace escra::exp {
 
@@ -34,32 +33,14 @@ struct ProfileResult {
   memcg::Bytes total_peak_mem() const;
 };
 
-struct ProfileConfig {
-  // Measurement starts after the warmup skip: the profiler measures the
-  // *serving-time* maximum, the way an operator reads a dashboard once the
-  // app is steady. Startup/JIT spikes are not in the profile — and the
-  // 1-second aggregation smooths sub-second spikes — which is precisely why
-  // "1.5x the profiled max" still throttles under bursts (Section VI-C).
-  sim::Duration warmup_skip = sim::seconds(10);
-  sim::Duration duration = sim::seconds(40);
-  // The "representative workload" the operator profiles with. Deliberately
-  // below the evaluation's peak rates: a profile is an estimate made before
-  // the real traffic arrives (Section I: "will only result in accurate
-  // estimates if there is a representative workload").
-  double profile_rate_rps = 350.0;
-  std::uint64_t seed = 1234;       // a different realization than the runs
-  double generous_cores = 8.0;     // per-container profiling limits
-  memcg::Bytes generous_mem = 2 * memcg::kGiB;
-};
-
 // Profiles an arbitrary service graph (one fresh simulation; not cached).
-ProfileResult profile_graph(const app::GraphSpec& graph,
-                            const ProfileConfig& config = {});
+// The profile measures 30 s of serving time at 350 req/s under generous
+// limits (8 cores, 2 GiB per container), after a 10 s warm-up skip.
+ProfileResult profile_graph(const app::GraphSpec& graph);
 
 // Profiles a built-in benchmark application. Results are memoized per
 // benchmark for the lifetime of the process (each bench binary profiles each
 // app once).
-const ProfileResult& profile_benchmark(app::Benchmark benchmark,
-                                       const ProfileConfig& config = {});
+const ProfileResult& profile_benchmark(app::Benchmark benchmark);
 
 }  // namespace escra::exp

@@ -24,6 +24,27 @@ const char* serverless_mode_name(ServerlessMode mode) {
 
 namespace {
 
+// Worker nodes: 2x 8-core E5-2650v2 and 64 GiB each.
+constexpr double kNodeCores = 16.0;
+constexpr memcg::Bytes kNodeMem = 64LL * memcg::kGiB;
+
+// ImageProcess.
+constexpr int kImageIterations = 4;  // paper: 4 x 10 min
+constexpr sim::Duration kImageIterationLength = sim::seconds(600);
+constexpr sim::Duration kImageRequestGap = sim::milliseconds(800);  // 1 / 0.8 s
+constexpr std::size_t kImageMaxPods = 16;
+constexpr int kImageWorkerNodes = 3;  // plus infra nodes the model omits
+constexpr double kImageUpsilon = 35.0;  // Section VI-F: Y = 35 for ImageProcess
+constexpr std::uint64_t kImageSeed = 7;
+
+// GridSearch.
+constexpr std::size_t kGridTasks = 960;
+constexpr std::size_t kGridMaxPods = 115;
+constexpr int kGridWorkerNodes = 4;
+constexpr double kGridUpsilon = 20.0;  // Section VI-F: Y = 20 for GridSearch
+constexpr double kGridReducedFraction = 0.8;  // the "80% fewer cores/MiB" case
+constexpr std::uint64_t kGridSeed = 11;
+
 // Shared per-run context: cluster + platform + optional Escra.
 struct ServerlessRig {
   sim::Simulation simulation;
@@ -32,33 +53,34 @@ struct ServerlessRig {
   std::unique_ptr<serverless::OpenWhisk> openwhisk;
   std::unique_ptr<core::EscraSystem> escra;
 
-  ServerlessRig(int nodes, double cores, memcg::Bytes mem,
-                std::size_t max_pods, ServerlessMode mode, double upsilon,
-                double reduced_fraction, sim::Rng rng) {
+  ServerlessRig(int nodes, std::size_t max_pods, ServerlessMode mode,
+                double upsilon, double reduced_fraction, sim::Rng rng) {
     for (int i = 0; i < nodes; ++i) {
-      k8s.add_node(cluster::NodeConfig{.cores = cores, .memory_capacity = mem});
+      k8s.add_node(cluster::NodeConfig{.cores = kNodeCores,
+                                       .memory_capacity = kNodeMem});
     }
-    serverless::OpenWhiskConfig ow;
-    ow.max_pods = max_pods;
     if (mode != ServerlessMode::kOpenWhisk) {
       // Escra treats the openwhisk namespace as one application: the global
       // memory limit is the invoker containerPool budget, and CPU scales
       // linearly with it (Section IV-E).
       const double frac =
           mode == ServerlessMode::kEscraReduced ? reduced_fraction : 1.0;
-      const double global_cpu = ow.pod_cpu * static_cast<double>(max_pods) * frac;
+      const double global_cpu =
+          serverless::kPodCpu * static_cast<double>(max_pods) * frac;
       const auto global_mem = static_cast<memcg::Bytes>(
-          static_cast<double>(ow.pod_mem) * static_cast<double>(max_pods) * frac);
+          static_cast<double>(serverless::kPodMem) *
+          static_cast<double>(max_pods) * frac);
       core::EscraConfig ec;
       ec.upsilon = upsilon;
-      ec.late_join_cores = ow.pod_cpu;
-      ec.late_join_mem = ow.pod_mem;
+      ec.late_join_cores = serverless::kPodCpu;
+      ec.late_join_mem = serverless::kPodMem;
       escra = std::make_unique<core::EscraSystem>(simulation, network, k8s,
                                                   global_cpu, global_mem, ec);
       escra->watch();  // adopt pods as the invoker creates them
       escra->start();
     }
-    openwhisk = std::make_unique<serverless::OpenWhisk>(simulation, k8s, ow, rng);
+    openwhisk =
+        std::make_unique<serverless::OpenWhisk>(simulation, k8s, max_pods, rng);
     if (escra) {
       openwhisk->set_pod_reap_hook(
           [this](cluster::Container& c) { escra->release(c); });
@@ -68,24 +90,23 @@ struct ServerlessRig {
 
 }  // namespace
 
-ImageProcessResult run_image_process(const ImageProcessConfig& config) {
+ImageProcessResult run_image_process(ServerlessMode mode) {
   ImageProcessResult result;
   const auto seconds =
-      static_cast<std::size_t>(sim::to_seconds(config.iteration_length));
+      static_cast<std::size_t>(sim::to_seconds(kImageIterationLength));
   std::vector<double> cpu_sum(seconds, 0.0);
   std::vector<double> mem_sum(seconds, 0.0);
 
-  sim::Rng root(config.seed);
-  for (int iter = 0; iter < config.iterations; ++iter) {
+  sim::Rng root(kImageSeed);
+  for (int iter = 0; iter < kImageIterations; ++iter) {
     // Each iteration starts with a cold pool (paper: "we ensure there are
     // no ImageProcess pods running").
-    ServerlessRig rig(config.worker_nodes, config.node_cores, config.node_mem,
-                      config.max_pods, config.mode, config.upsilon,
+    ServerlessRig rig(kImageWorkerNodes, kImageMaxPods, mode, kImageUpsilon,
                       /*reduced_fraction=*/1.0, root.fork());
     rig.openwhisk->register_action(serverless::make_image_process_action());
 
-    rig.simulation.schedule_every(0, config.request_gap, [&] {
-      if (rig.simulation.now() >= config.iteration_length) return;
+    rig.simulation.schedule_every(0, kImageRequestGap, [&] {
+      if (rig.simulation.now() >= kImageIterationLength) return;
       const sim::TimePoint issued = rig.simulation.now();
       rig.openwhisk->invoke("image-process", [&, issued](bool ok) {
         if (ok) {
@@ -107,7 +128,7 @@ ImageProcessResult run_image_process(const ImageProcessConfig& config) {
                     static_cast<double>(memcg::kMiB);
     });
 
-    rig.simulation.run_until(config.iteration_length + sim::seconds(20));
+    rig.simulation.run_until(kImageIterationLength + sim::seconds(20));
     result.cold_starts += rig.openwhisk->cold_starts();
   }
 
@@ -116,8 +137,8 @@ ImageProcessResult run_image_process(const ImageProcessConfig& config) {
   for (std::size_t s = 0; s < seconds; ++s) {
     LimitPoint p;
     p.t_seconds = static_cast<double>(s + 1);
-    p.cpu_limit_cores = cpu_sum[s] / config.iterations;
-    p.mem_limit_mib = mem_sum[s] / config.iterations;
+    p.cpu_limit_cores = cpu_sum[s] / kImageIterations;
+    p.mem_limit_mib = mem_sum[s] / kImageIterations;
     result.limits.push_back(p);
     cpu_accum += p.cpu_limit_cores;
     mem_accum += p.mem_limit_mib;
@@ -132,18 +153,17 @@ ImageProcessResult run_image_process(const ImageProcessConfig& config) {
 
 GridSearchResult run_grid_search(const GridSearchConfig& config) {
   GridSearchResult result;
-  sim::Rng root(config.seed);
+  sim::Rng root(kGridSeed);
 
   for (int run = 0; run < config.runs; ++run) {
-    ServerlessRig rig(config.worker_nodes, config.node_cores, config.node_mem,
-                      config.max_pods, config.mode, config.upsilon,
-                      config.reduced_fraction, root.fork());
+    ServerlessRig rig(kGridWorkerNodes, kGridMaxPods, config.mode, kGridUpsilon,
+                      kGridReducedFraction, root.fork());
     rig.openwhisk->register_action(serverless::make_grid_task_action());
 
     bool finished = false;
     sim::Duration makespan = 0;
     serverless::GridSearchJob job(
-        rig.simulation, *rig.openwhisk, {.total_tasks = config.total_tasks},
+        rig.simulation, *rig.openwhisk, {.total_tasks = kGridTasks},
         [&](sim::Duration span) {
           finished = true;
           makespan = span;

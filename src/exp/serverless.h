@@ -8,10 +8,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "memcg/mem_cgroup.h"
 #include "sim/histogram.h"
 #include "sim/stats.h"
-#include "sim/time.h"
 
 namespace escra::exp {
 
@@ -32,19 +30,6 @@ struct LimitPoint {
 
 // ---------------------------------------------------------------- ImageProcess
 
-struct ImageProcessConfig {
-  ServerlessMode mode = ServerlessMode::kOpenWhisk;
-  int iterations = 4;                                  // paper: 4 x 10 min
-  sim::Duration iteration_length = sim::seconds(600);
-  sim::Duration request_gap = sim::milliseconds(800);  // 1 req / 0.8 s
-  std::size_t max_pods = 16;
-  int worker_nodes = 3;   // plus infra nodes the model does not need
-  double node_cores = 16.0;                            // 2x 8-core E5-2650v2
-  memcg::Bytes node_mem = 64LL * memcg::kGiB;
-  double upsilon = 35.0;  // Section VI-F: Y = 35 for ImageProcess
-  std::uint64_t seed = 7;
-};
-
 struct ImageProcessResult {
   sim::Histogram latency;             // per-invocation end-to-end, us
   std::vector<LimitPoint> limits;     // per second, averaged over iterations
@@ -56,21 +41,17 @@ struct ImageProcessResult {
   double mean_mem_limit_mib = 0.0;
 };
 
-ImageProcessResult run_image_process(const ImageProcessConfig& config);
+// Four 10-minute iterations at one request every 0.8 s, each from a cold
+// pool of at most 16 pods on 3 worker nodes (Section VI-F, Y = 35).
+ImageProcessResult run_image_process(ServerlessMode mode);
 
 // ------------------------------------------------------------------ GridSearch
 
+// Each run is one 960-task job over at most 115 pods on 4 worker nodes
+// (Section VI-F, Y = 20).
 struct GridSearchConfig {
   ServerlessMode mode = ServerlessMode::kOpenWhisk;
   int runs = 10;  // paper uses 50; the CDF shape stabilizes well before that
-  std::size_t total_tasks = 960;
-  std::size_t max_pods = 115;
-  int worker_nodes = 4;
-  double node_cores = 16.0;
-  memcg::Bytes node_mem = 64LL * memcg::kGiB;
-  double upsilon = 20.0;  // Section VI-F: Y = 20 for GridSearch
-  double reduced_fraction = 0.8;  // the "80% fewer cores/MiB" case
-  std::uint64_t seed = 11;
 };
 
 struct GridSearchResult {

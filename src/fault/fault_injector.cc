@@ -20,6 +20,27 @@ constexpr sim::Duration kMaxSpike = sim::milliseconds(20);
 // Faults are clamped to end at least this long before `end`, so every
 // run includes a recovery window the checker can hold to account.
 constexpr sim::Duration kRecoveryMargin = sim::seconds(1);
+
+// One row per FaultInjector::Profile, in enum order.
+struct ProfileSpec {
+  // Upper bound on the number of faults drawn (actual count is uniform in
+  // [0, max_faults]).
+  int max_faults;
+  // Relative weight of each fault kind, in FaultKind order from kPartition
+  // to kLeaderKill (need not sum to 1).
+  double weights[7];
+  // Widens the probabilistic-fault channel draw to include the HA
+  // replication channel (WAL stream / lease announcements), so drop and
+  // delay faults can starve the standbys' view of the lease.
+  bool target_ha_channel;
+};
+constexpr ProfileSpec kProfiles[] = {
+    // kMixed
+    {3, {0.25, 0.20, 0.15, 0.20, 0.10, 0.10, 0.0}, false},
+    // kLeaderChurn: the HA watchdog owns seat recovery, so no plain
+    // controller crash/restart.
+    {4, {0.15, 0.10, 0.0, 0.15, 0.05, 0.05, 0.50}, true},
+};
 }  // namespace
 
 const char* fault_kind_name(FaultKind kind) {
@@ -40,20 +61,6 @@ const char* fault_kind_name(FaultKind kind) {
       return "leader-kill";
   }
   return "unknown";
-}
-
-FaultInjector::Profile FaultInjector::leader_churn_profile() {
-  Profile p;
-  p.max_faults = 4;
-  p.partition_weight = 0.15;
-  p.agent_crash_weight = 0.10;
-  p.controller_crash_weight = 0.0;  // the HA watchdog owns seat recovery
-  p.rpc_drop_weight = 0.15;
-  p.rpc_duplicate_weight = 0.05;
-  p.delay_spike_weight = 0.05;
-  p.leader_kill_weight = 0.50;
-  p.target_ha_channel = true;
-  return p;
 }
 
 FaultInjector::FaultInjector(sim::Simulation& sim, net::Network& net,
@@ -193,15 +200,13 @@ void FaultInjector::inject_leader_kill(sim::TimePoint start) {
 }
 
 void FaultInjector::schedule_random(sim::Rng& rng, sim::TimePoint end,
-                                    const Profile& profile, int node_count) {
+                                    Profile profile, int node_count) {
+  const ProfileSpec& spec = kProfiles[static_cast<int>(profile)];
   const sim::TimePoint now = sim_.now();
-  const int count = static_cast<int>(
-      rng.uniform_int(0, std::max(0, profile.max_faults)));
-  const double total_weight =
-      profile.partition_weight + profile.agent_crash_weight +
-      profile.controller_crash_weight + profile.rpc_drop_weight +
-      profile.rpc_duplicate_weight + profile.delay_spike_weight +
-      profile.leader_kill_weight;
+  const int count =
+      static_cast<int>(rng.uniform_int(0, std::max(0, spec.max_faults)));
+  double total_weight = 0.0;
+  for (const double w : spec.weights) total_weight += w;
   // The channels a probabilistic fault can target. kRegistration is spared:
   // registration is modelled as fire-and-forget bootstrap, with no retry
   // path to exercise. The HA replication channel joins the draw only when
@@ -209,7 +214,7 @@ void FaultInjector::schedule_random(sim::Rng& rng, sim::TimePoint end,
   static constexpr net::Channel kFaultChannels[4] = {
       net::Channel::kControlRpc, net::Channel::kCpuTelemetry,
       net::Channel::kMemoryEvent, net::Channel::kHaReplication};
-  const std::int64_t channel_max = profile.target_ha_channel ? 3 : 2;
+  const std::int64_t channel_max = spec.target_ha_channel ? 3 : 2;
 
   for (int i = 0; i < count; ++i) {
     // Fixed draw count per fault, independent of the kind selected.
@@ -226,37 +231,40 @@ void FaultInjector::schedule_random(sim::Rng& rng, sim::TimePoint end,
     if (latest_start <= now) continue;  // run too short for this fault
     const sim::TimePoint start = rng.uniform_int(now, latest_start);
 
-    double edge = profile.partition_weight;
-    if (kind_draw < edge) {
-      inject_partition(node, start, duration);
-      continue;
+    // The first kind whose cumulative weight exceeds the draw; a draw past
+    // every earlier edge is a leader kill.
+    FaultKind kind = FaultKind::kLeaderKill;
+    double edge = 0.0;
+    for (int k = 0; k < 6; ++k) {
+      edge += spec.weights[k];
+      if (kind_draw < edge) {
+        kind = static_cast<FaultKind>(k + 1);
+        break;
+      }
     }
-    edge += profile.agent_crash_weight;
-    if (kind_draw < edge) {
-      inject_agent_crash(node, start, duration);
-      continue;
+    switch (kind) {
+      case FaultKind::kPartition:
+        inject_partition(node, start, duration);
+        break;
+      case FaultKind::kAgentCrash:
+        inject_agent_crash(node, start, duration);
+        break;
+      case FaultKind::kControllerCrash:
+        inject_controller_crash(start, duration);
+        break;
+      case FaultKind::kRpcDrop:
+        inject_rpc_drop(channel, rate, start, duration);
+        break;
+      case FaultKind::kRpcDuplicate:
+        inject_rpc_duplicate(channel, rate, start, duration);
+        break;
+      case FaultKind::kDelaySpike:
+        inject_delay_spike(channel, rate, spike, start, duration);
+        break;
+      case FaultKind::kLeaderKill:
+        inject_leader_kill(start);
+        break;
     }
-    edge += profile.controller_crash_weight;
-    if (kind_draw < edge) {
-      inject_controller_crash(start, duration);
-      continue;
-    }
-    edge += profile.rpc_drop_weight;
-    if (kind_draw < edge) {
-      inject_rpc_drop(channel, rate, start, duration);
-      continue;
-    }
-    edge += profile.rpc_duplicate_weight;
-    if (kind_draw < edge) {
-      inject_rpc_duplicate(channel, rate, start, duration);
-      continue;
-    }
-    edge += profile.delay_spike_weight;
-    if (kind_draw < edge) {
-      inject_delay_spike(channel, rate, spike, start, duration);
-      continue;
-    }
-    inject_leader_kill(start);
   }
 }
 

@@ -83,39 +83,23 @@ class FaultInjector {
 
   // --- seed-driven schedules ---
 
-  struct Profile {
-    // Upper bound on the number of faults drawn (actual count is uniform in
-    // [0, max_faults]).
-    int max_faults = 3;
-    // Relative weights of each fault kind (need not sum to 1).
-    double partition_weight = 0.25;
-    double agent_crash_weight = 0.20;
-    double controller_crash_weight = 0.15;
-    double rpc_drop_weight = 0.20;
-    double rpc_duplicate_weight = 0.10;
-    double delay_spike_weight = 0.10;
-    // Weight of permanent leader kills (kLeaderKill). Zero by default: the
-    // fault only makes sense with a warm-standby pool attached, and keeping
-    // it out of the draw preserves existing seed streams.
-    double leader_kill_weight = 0.0;
-    // Widens the probabilistic-fault channel draw to include the HA
-    // replication channel (WAL stream / lease announcements), so drop and
-    // delay faults can starve the standbys' view of the lease.
-    bool target_ha_channel = false;
-  };
-
-  // Profile for hammering the replicated-controller path: leader kills
-  // dominate, plain controller crash/restart is disabled (a restart's
-  // epoch bump would race the standbys' elections for the same seat — the
-  // HA watchdog owns recovery here), and probabilistic faults may target
-  // the HA replication channel.
-  static Profile leader_churn_profile();
+  // The two seed-driven fault mixes (weights in fault_injector.cc):
+  //   kMixed        up to three faults of every kind except leader kills,
+  //                 which only make sense with a warm-standby pool attached
+  //                 (keeping them out of the draw preserves the seed streams)
+  //   kLeaderChurn  hammers the replicated-controller path: up to four
+  //                 faults, leader kills dominate, plain controller
+  //                 crash/restart is disabled (a restart's epoch bump would
+  //                 race the standbys' elections for the same seat — the HA
+  //                 watchdog owns recovery here), and probabilistic faults
+  //                 may also target the HA replication channel
+  enum class Profile { kMixed, kLeaderChurn };
 
   // Draws a deterministic fault script from `rng` over [sim.now(), end) and
   // schedules it. The number of RNG draws per fault is fixed regardless of
   // the kind drawn, so scenario streams stay aligned across profiles.
-  void schedule_random(sim::Rng& rng, sim::TimePoint end,
-                       const Profile& profile, int node_count);
+  void schedule_random(sim::Rng& rng, sim::TimePoint end, Profile profile,
+                       int node_count);
 
   // --- introspection ---
   std::uint64_t injected() const { return injected_; }

@@ -23,23 +23,20 @@ const char* channel_name(Channel c) {
   return "unknown";
 }
 
-Network::Network(sim::Simulation& sim, Config config)
-    : sim_(sim), config_(config) {}
-
 sim::Duration Network::latency_for(Channel channel) const {
   switch (channel) {
     case Channel::kCpuTelemetry:
     case Channel::kBwTelemetry:
     case Channel::kAppData:
-      return config_.telemetry_latency;
+      return kTelemetryLatency;
     case Channel::kMemoryEvent:
     case Channel::kControlRpc:
     case Channel::kRegistration:
     case Channel::kHaReplication:
     case Channel::kShardControl:
-      return config_.rpc_latency;
+      return kRpcLatency;
   }
-  return config_.rpc_latency;
+  return kRpcLatency;
 }
 
 void Network::account(Channel channel, EndpointId from, std::size_t bytes) {
@@ -58,11 +55,11 @@ void Network::account(Channel channel, EndpointId from, std::size_t bytes) {
   if (obs_egress_bytes_ != nullptr) obs_egress_bytes_->inc(bytes);
 
   const sim::TimePoint now = sim_.now();
-  if (now - window_start_ >= config_.bandwidth_window) {
+  if (now - window_start_ >= kBandwidthWindow) {
     peak_window_bytes_ = std::max(peak_window_bytes_, window_bytes_);
     // Snap the window boundary to a multiple of the window size so quiet
     // gaps do not stretch a window.
-    window_start_ = now - (now % config_.bandwidth_window);
+    window_start_ = now - (now % kBandwidthWindow);
     window_bytes_ = 0;
   }
   window_bytes_ += bytes;
@@ -344,7 +341,7 @@ std::uint64_t Network::total_messages() const { return lifetime_messages_; }
 double Network::peak_mbps() const {
   const std::uint64_t peak = std::max(peak_window_bytes_, window_bytes_);
   return static_cast<double>(peak) * 8.0 /
-         sim::to_seconds(config_.bandwidth_window) / 1e6;
+         sim::to_seconds(kBandwidthWindow) / 1e6;
 }
 
 double Network::mean_mbps() const {

@@ -108,19 +108,16 @@ class Shaper {
                              std::function<void()> release) = 0;
 };
 
+// One-way latency for datagram-style telemetry (same-rack kernel path).
+inline constexpr sim::Duration kTelemetryLatency = sim::microseconds(80);
+// One-way latency for RPC-style control messages.
+inline constexpr sim::Duration kRpcLatency = sim::microseconds(150);
+// Window used for bandwidth sampling.
+inline constexpr sim::Duration kBandwidthWindow = sim::milliseconds(100);
+
 class Network {
  public:
-  struct Config {
-    // One-way latency for datagram-style telemetry (same-rack kernel path).
-    sim::Duration telemetry_latency = sim::microseconds(80);
-    // One-way latency for RPC-style control messages.
-    sim::Duration rpc_latency = sim::microseconds(150);
-    // Window used for bandwidth sampling.
-    sim::Duration bandwidth_window = sim::milliseconds(100);
-  };
-
-  explicit Network(sim::Simulation& sim) : Network(sim, Config{}) {}
-  Network(sim::Simulation& sim, Config config);
+  explicit Network(sim::Simulation& sim) : sim_(sim) {}
 
   // Sends `bytes` on `channel` over the directed link `from -> to`;
   // `on_deliver` runs after the channel latency. The message is lost
@@ -226,7 +223,6 @@ class Network {
   std::uint64_t dropped_messages() const { return dropped_; }
   std::uint64_t duplicated_messages() const { return duplicated_; }
 
-  const Config& config() const { return config_; }
   sim::Simulation& simulation() { return sim_; }
 
  private:
@@ -286,7 +282,6 @@ class Network {
   }
 
   sim::Simulation& sim_;
-  Config config_;
   ChannelStats stats_[kChannelCount] = {};
   // Current bandwidth window accumulator.
   sim::TimePoint window_start_ = 0;

@@ -4,6 +4,12 @@
 
 namespace escra::serverless {
 
+namespace {
+// Lithops retries failed tasks; a task is abandoned after this many
+// attempts.
+constexpr int kMaxAttempts = 5;
+}  // namespace
+
 ActionSpec make_image_process_action() {
   ActionSpec a;
   a.name = "image-process";
@@ -43,7 +49,7 @@ void GridSearchJob::submit_task(int attempt) {
   platform_.invoke("grid-task", [this, attempt](bool ok) {
     if (ok) {
       ++done_;
-    } else if (attempt < params_.max_attempts) {
+    } else if (attempt < kMaxAttempts) {
       // Lithops re-queues a failed task (e.g. the worker pod OOMed).
       ++retries_;
       submit_task(attempt + 1);

@@ -32,9 +32,6 @@ class GridSearchJob {
  public:
   struct Params {
     std::size_t total_tasks = 960;
-    // Lithops retries failed tasks; a task is abandoned after this many
-    // attempts.
-    int max_attempts = 5;
   };
   using JobDone = std::function<void(sim::Duration makespan)>;
 

@@ -8,9 +8,16 @@
 
 namespace escra::serverless {
 
+namespace {
+constexpr memcg::Bytes kPodBaseMem = 60 * memcg::kMiB;  // runtime baseline
+// Pod creation + runtime init.
+constexpr sim::Duration kColdStart = sim::milliseconds(650);
+constexpr double kPodParallelism = 1.0;  // one activation per pod at a time
+}  // namespace
+
 OpenWhisk::OpenWhisk(sim::Simulation& sim, cluster::Cluster& cluster,
-                     OpenWhiskConfig config, sim::Rng rng)
-    : sim_(sim), cluster_(cluster), config_(config), rng_(rng) {}
+                     std::size_t max_pods, sim::Rng rng)
+    : sim_(sim), cluster_(cluster), max_pods_(max_pods), rng_(rng) {}
 
 OpenWhisk::~OpenWhisk() {
   for (auto& pod : pods_) sim_.cancel(pod->reap_timer);
@@ -58,7 +65,7 @@ void OpenWhisk::invoke(const std::string& action, Done done) {
     start_on_pod(*warm, std::move(activation));
     return;
   }
-  if (pods_.size() < config_.max_pods) {
+  if (pods_.size() < max_pods_) {
     // Cold start: create the pod container now (Escra's Watcher adopts it
     // here; the connection does not delay execution, Section IV-E), then
     // run after the runtime initializes.
@@ -66,11 +73,11 @@ void OpenWhisk::invoke(const std::string& action, Done done) {
     if (obs_cold_starts_ != nullptr) obs_cold_starts_->inc();
     cluster::ContainerSpec cs;
     cs.name = action + "-pod-" + std::to_string(pods_.size());
-    cs.max_parallelism = config_.pod_parallelism;
-    cs.base_memory = config_.pod_base_mem;
+    cs.max_parallelism = kPodParallelism;
+    cs.base_memory = kPodBaseMem;
     cs.restart_delay = sim::seconds(2);
     cluster::Container& c =
-        cluster_.create_container(cs, config_.pod_cpu, config_.pod_mem);
+        cluster_.create_container(cs, kPodCpu, kPodMem);
     auto pod = std::make_unique<Pod>();
     pod->container = &c;
     pod->action = action;
@@ -78,7 +85,7 @@ void OpenWhisk::invoke(const std::string& action, Done done) {
     Pod* raw = pod.get();
     pods_.push_back(std::move(pod));
     sync_pod_gauges();
-    sim_.schedule_after(config_.cold_start,
+    sim_.schedule_after(kColdStart,
                         [this, raw, a = std::move(activation)]() mutable {
                           raw->warming = false;
                           start_on_pod(*raw, std::move(a));
@@ -159,7 +166,7 @@ void OpenWhisk::finish_on_pod(Pod& pod) {
 
 void OpenWhisk::arm_reap_timer(Pod& pod) {
   sim_.cancel(pod.reap_timer);
-  pod.reap_timer = sim_.schedule_after(config_.idle_timeout, [this, &pod] {
+  pod.reap_timer = sim_.schedule_after(kPodIdleTimeout, [this, &pod] {
     if (!pod.busy && !pod.warming) reap_pod(pod);
   });
 }

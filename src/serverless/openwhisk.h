@@ -52,16 +52,11 @@ struct ActionSpec {
   memcg::Bytes working_mem = 120 * memcg::kMiB;
 };
 
-struct OpenWhiskConfig {
-  // OpenWhisk invoker defaults from the paper's configuration.
-  double pod_cpu = 1.0;                              // 1 vCPU request+limit
-  memcg::Bytes pod_mem = 256 * memcg::kMiB;          // per-pod memory
-  memcg::Bytes pod_base_mem = 60 * memcg::kMiB;      // runtime baseline
-  sim::Duration cold_start = sim::milliseconds(650);  // pod creation + init
-  sim::Duration idle_timeout = sim::seconds(60);     // warm-pod reap
-  std::size_t max_pods = 128;                        // invoker containerPool
-  double pod_parallelism = 1.0;  // one activation per pod at a time
-};
+// OpenWhisk invoker defaults from the paper's configuration.
+inline constexpr double kPodCpu = 1.0;  // 1 vCPU request+limit
+inline constexpr memcg::Bytes kPodMem = 256 * memcg::kMiB;  // per-pod memory
+// Warm-pod reap.
+inline constexpr sim::Duration kPodIdleTimeout = sim::seconds(60);
 
 class OpenWhisk {
  public:
@@ -70,8 +65,9 @@ class OpenWhisk {
   // release it from the Distributed Container.
   using PodReapHook = std::function<void(cluster::Container&)>;
 
+  // `max_pods` is the invoker's containerPool: the most pods alive at once.
   OpenWhisk(sim::Simulation& sim, cluster::Cluster& cluster,
-            OpenWhiskConfig config, sim::Rng rng);
+            std::size_t max_pods, sim::Rng rng);
   ~OpenWhisk();
 
   OpenWhisk(const OpenWhisk&) = delete;
@@ -122,7 +118,7 @@ class OpenWhisk {
 
   sim::Simulation& sim_;
   cluster::Cluster& cluster_;
-  OpenWhiskConfig config_;
+  std::size_t max_pods_;
   sim::Rng rng_;
   std::unordered_map<std::string, ActionSpec> actions_;
   std::vector<std::unique_ptr<Pod>> pods_;

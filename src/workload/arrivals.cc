@@ -10,6 +10,17 @@
 namespace escra::workload {
 
 namespace {
+// The Burst workload (Section VI-A): a fixed base rate plus a Poisson burst
+// for the first kBurstLength of every kBurstInterval.
+constexpr double kBurstBaseRate = 50.0;  // req/s
+constexpr double kBurstLambda = 600.0;   // req/s on top of the base
+constexpr sim::Duration kBurstLength = sim::seconds(10);
+constexpr sim::Duration kBurstInterval = sim::seconds(20);
+static_assert(kBurstBaseRate > 0.0 && kBurstLambda > 0.0,
+              "BurstArrivals: nonpositive rate");
+static_assert(kBurstLength <= kBurstInterval,
+              "BurstArrivals: burst longer than interval");
+
 sim::Duration gap_from_rate(double rate_per_sec, sim::Rng& rng) {
   // Poisson process: exponential inter-arrival with mean 1/rate seconds.
   const double gap_s = rng.exponential(rate_per_sec);
@@ -33,27 +44,15 @@ sim::Duration ExpArrivals::next_gap(sim::TimePoint) {
   return gap_from_rate(lambda_, rng_);
 }
 
-BurstArrivals::BurstArrivals(Params params, sim::Rng rng)
-    : params_(params), rng_(rng) {
-  if (params_.base_req_per_sec <= 0.0 || params_.burst_lambda <= 0.0) {
-    throw std::invalid_argument("BurstArrivals: nonpositive rate");
-  }
-  if (params_.burst_length > params_.burst_interval) {
-    throw std::invalid_argument("BurstArrivals: burst longer than interval");
-  }
-}
-
-bool BurstArrivals::in_burst(sim::TimePoint t) const {
-  // A burst occupies the first `burst_length` of every `burst_interval`,
-  // starting after the first interval elapses.
-  const sim::TimePoint phase = t % params_.burst_interval;
-  return t >= params_.burst_interval && phase < params_.burst_length;
-}
+BurstArrivals::BurstArrivals(sim::Rng rng) : rng_(rng) {}
 
 sim::Duration BurstArrivals::next_gap(sim::TimePoint now) {
-  const double rate = in_burst(now)
-                          ? params_.base_req_per_sec + params_.burst_lambda
-                          : params_.base_req_per_sec;
+  // A burst occupies the first kBurstLength of every kBurstInterval,
+  // starting after the first interval elapses.
+  const bool in_burst =
+      now >= kBurstInterval && now % kBurstInterval < kBurstLength;
+  const double rate =
+      in_burst ? kBurstBaseRate + kBurstLambda : kBurstBaseRate;
   return gap_from_rate(rate, rng_);
 }
 
@@ -156,7 +155,7 @@ std::unique_ptr<ArrivalProcess> make_workload(WorkloadKind kind, sim::Rng rng,
     case WorkloadKind::kExp:
       return std::make_unique<ExpArrivals>(300.0, rng);
     case WorkloadKind::kBurst:
-      return std::make_unique<BurstArrivals>(BurstArrivals::Params{}, rng);
+      return std::make_unique<BurstArrivals>(rng);
     case WorkloadKind::kAlibaba: {
       sim::Rng trace_rng = rng.fork();
       return std::make_unique<TraceArrivals>(

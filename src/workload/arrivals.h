@@ -51,21 +51,14 @@ class ExpArrivals final : public ArrivalProcess {
   sim::Rng rng_;
 };
 
-// Base fixed rate with periodic Poisson bursts.
+// Base fixed rate with periodic Poisson bursts: the paper's 50 req/s plus a
+// 10-second lambda = 600 burst every 20 seconds.
 class BurstArrivals final : public ArrivalProcess {
  public:
-  struct Params {
-    double base_req_per_sec = 50.0;
-    double burst_lambda = 600.0;
-    sim::Duration burst_length = sim::seconds(10);
-    sim::Duration burst_interval = sim::seconds(20);
-  };
-  BurstArrivals(Params params, sim::Rng rng);
+  explicit BurstArrivals(sim::Rng rng);
   sim::Duration next_gap(sim::TimePoint now) override;
 
  private:
-  bool in_burst(sim::TimePoint t) const;
-  Params params_;
   sim::Rng rng_;
 };
 

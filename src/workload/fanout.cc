@@ -5,29 +5,35 @@
 
 namespace escra::workload {
 
+namespace {
+// Backends contacted per request (clamped to the backend count).
+constexpr std::size_t kFanout = 4;
+// Request leg, frontend -> backend.
+constexpr std::size_t kRequestBytes = 1'500;
+// Response leg, backend -> frontend; the bandwidth-heavy direction.
+constexpr std::size_t kResponseBytes = 32'000;
+// The hot backend's responses are this many times larger.
+constexpr double kHotMultiplier = 8.0;
+// The hot seat moves to the next backend (in vector order) this often.
+constexpr sim::Duration kHotRotate = sim::seconds(5);
+// Poisson arrival rate, requests per second.
+constexpr double kLambda = 30.0;
+static_assert(kFanout > 0 && kLambda > 0.0 && kHotRotate > 0);
+}  // namespace
+
 FanoutWorkload::FanoutWorkload(sim::Simulation& sim, net::Network& net,
                                std::uint32_t frontend,
                                net::EndpointId frontend_endpoint,
-                               std::vector<Backend> backends, Config config,
-                               sim::Rng rng)
+                               std::vector<Backend> backends, sim::Rng rng)
     : sim_(sim),
       net_(net),
       frontend_(frontend),
       frontend_endpoint_(frontend_endpoint),
       backends_(std::move(backends)),
-      config_(config),
+      fanout_(std::min(kFanout, backends_.size())),
       rng_(rng) {
   if (backends_.empty()) {
     throw std::invalid_argument("FanoutWorkload: no backends");
-  }
-  if (config_.fanout == 0 || config_.fanout > backends_.size()) {
-    config_.fanout = backends_.size();
-  }
-  if (config_.lambda <= 0.0) {
-    throw std::invalid_argument("FanoutWorkload: lambda <= 0");
-  }
-  if (config_.hot_rotate <= 0) {
-    throw std::invalid_argument("FanoutWorkload: hot_rotate <= 0");
   }
 }
 
@@ -47,14 +53,14 @@ void FanoutWorkload::stop() {
 }
 
 std::size_t FanoutWorkload::hot_backend(sim::TimePoint t) const {
-  return static_cast<std::size_t>(t / config_.hot_rotate) % backends_.size();
+  return static_cast<std::size_t>(t / kHotRotate) % backends_.size();
 }
 
 void FanoutWorkload::issue_next() {
   if (!running_ || sim_.now() > stop_at_) return;
   const std::uint64_t request = ++issued_;
   launch(request, sim_.now());
-  const double gap_s = rng_.exponential(config_.lambda);
+  const double gap_s = rng_.exponential(kLambda);
   next_event_ =
       sim_.schedule_after(std::max<sim::Duration>(
                               1, static_cast<sim::Duration>(gap_s * 1e6)),
@@ -67,9 +73,9 @@ void FanoutWorkload::launch(std::uint64_t request, sim::TimePoint intended) {
   // backend keeps a baseline flow and the skew is purely in response size.
   const std::size_t hot = hot_backend(sim_.now());
   std::vector<std::size_t> picks;
-  picks.reserve(config_.fanout);
+  picks.reserve(fanout_);
   picks.push_back(hot);
-  while (picks.size() < config_.fanout) {
+  while (picks.size() < fanout_) {
     rotor_ = (rotor_ + 1) % backends_.size();
     if (rotor_ != hot) picks.push_back(rotor_);
   }
@@ -79,16 +85,16 @@ void FanoutWorkload::launch(std::uint64_t request, sim::TimePoint intended) {
     const Backend& backend = backends_[index];
     net_.send_flow(
         net::Channel::kAppData, frontend_endpoint_, backend.endpoint,
-        frontend_, backend.container, config_.request_bytes,
+        frontend_, backend.container, kRequestBytes,
         [this, request, backend] {
           // The backend answers immediately; the response size depends on
           // who is hot *now*, not at issue time — a rotation mid-request
           // shifts load exactly as a cache going cold would.
-          std::size_t bytes = config_.response_bytes;
+          std::size_t bytes = kResponseBytes;
           const std::size_t hot_now = hot_backend(sim_.now());
           if (backends_[hot_now].container == backend.container) {
             bytes = static_cast<std::size_t>(
-                static_cast<double>(bytes) * config_.hot_multiplier);
+                static_cast<double>(bytes) * kHotMultiplier);
           }
           net_.send_flow(net::Channel::kAppData, backend.endpoint,
                          frontend_endpoint_, backend.container, frontend_,

@@ -1,22 +1,23 @@
 // Fan-out request/response workload over the shaped data plane (src/bw).
 //
 // Models the fan-out pattern that makes per-container bandwidth limits
-// matter: a frontend container broadcasts a small request to `fanout`
-// backend containers spread across nodes, each backend answers with a much
+// matter: a frontend container broadcasts a small request to four backend
+// containers spread across nodes, each backend answers with a much
 // larger response, and the request completes only when the *last* response
 // lands — so one bandwidth-starved backend drags the whole request's tail.
 //
 // The load is deliberately skewed and shifting: at any moment one backend
-// is "hot" (its responses are hot_multiplier times larger), and the hot
-// seat rotates every `hot_rotate`. A static equal split of the NIC leaves
+// is "hot" (its responses are eight times larger), and the hot seat
+// rotates every five seconds. A static equal split of the NIC leaves
 // the hot backend throttling behind its token bucket while the cold
 // backends' headroom idles; Escra's event-driven bandwidth arm follows the
 // rotation, which is exactly the p99 gap bench/fig_bw_fanout.cc measures.
 //
 // All traffic runs through net::Network::send_flow on Channel::kAppData, so
 // an attached bw::ClusterShaper shapes it and the shaping shows up in the
-// recorded end-to-end latency. Arrivals are open-loop Poisson (latency from
-// intended arrival time, coordinated-omission free, like LoadGenerator).
+// recorded end-to-end latency. Arrivals are open-loop Poisson at 30 req/s
+// (latency from intended arrival time, coordinated-omission free, like
+// LoadGenerator).
 #pragma once
 
 #include <cstdint>
@@ -40,27 +41,12 @@ class FanoutWorkload {
     net::EndpointId endpoint = 0;
   };
 
-  struct Config {
-    // Backends contacted per request (clamped to the backend count).
-    std::size_t fanout = 4;
-    // Request leg, frontend -> backend.
-    std::size_t request_bytes = 1'500;
-    // Response leg, backend -> frontend; the bandwidth-heavy direction.
-    std::size_t response_bytes = 32'000;
-    // The hot backend's responses are this many times larger.
-    double hot_multiplier = 8.0;
-    // The hot seat moves to the next backend (in vector order) this often.
-    sim::Duration hot_rotate = sim::seconds(5);
-    // Poisson arrival rate, requests per second.
-    double lambda = 40.0;
-  };
-
   // `frontend`/`frontend_endpoint` identify the aggregating container;
   // `backends` must be non-empty. The rng drives arrivals and the rotating
   // choice of which cold backends join each request.
   FanoutWorkload(sim::Simulation& sim, net::Network& net,
                  std::uint32_t frontend, net::EndpointId frontend_endpoint,
-                 std::vector<Backend> backends, Config config, sim::Rng rng);
+                 std::vector<Backend> backends, sim::Rng rng);
   ~FanoutWorkload();
 
   FanoutWorkload(const FanoutWorkload&) = delete;
@@ -95,7 +81,7 @@ class FanoutWorkload {
   std::uint32_t frontend_;
   net::EndpointId frontend_endpoint_;
   std::vector<Backend> backends_;
-  Config config_;
+  std::size_t fanout_;  // backends contacted per request
   sim::Rng rng_;
 
   bool running_ = false;

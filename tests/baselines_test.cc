@@ -119,24 +119,18 @@ TEST(StaticPolicyTest, NeverChangesLimitsAfterStart) {
 
 TEST(AutopilotTest, ValidatesInputs) {
   Rig rig;
-  EXPECT_THROW(AutopilotPolicy(rig.sim, {}, {}), std::invalid_argument);
-  cluster::Container& c = rig.make("a");
-  AutopilotConfig no_models;
-  no_models.models.clear();
-  EXPECT_THROW(AutopilotPolicy(rig.sim, {&c}, no_models), std::invalid_argument);
+  EXPECT_THROW(AutopilotPolicy(rig.sim, {}, seconds(1)), std::invalid_argument);
 }
 
 TEST(AutopilotTest, WaitsForWarmupSamples) {
   Rig rig;
   cluster::Container& c = rig.make("a");
   c.cpu_cgroup().set_limit_cores(2.0);
-  AutopilotConfig cfg;
-  cfg.warmup_samples = 5;
-  AutopilotPolicy policy(rig.sim, {&c}, cfg);
+  AutopilotPolicy policy(rig.sim, {&c}, seconds(1));
   policy.start();
   rig.sim.run_until(seconds(3));
   EXPECT_DOUBLE_EQ(c.cpu_cgroup().limit_cores(), 2.0)
-      << "no resize before warmup_samples seconds of data";
+      << "no resize before five seconds of data";
   EXPECT_EQ(policy.cpu_resizes(), 0u);
 }
 
@@ -144,7 +138,7 @@ TEST(AutopilotTest, ScalesBusyContainerUpOverTime) {
   Rig rig;
   cluster::Container& c = rig.make("a");
   c.cpu_cgroup().set_limit_cores(0.5);
-  AutopilotPolicy policy(rig.sim, {&c}, {});
+  AutopilotPolicy policy(rig.sim, {&c}, seconds(1));
   policy.start();
   c.submit(seconds(300), 0, nullptr);  // saturating work (4-way parallel)
   rig.sim.run_until(seconds(30));
@@ -157,7 +151,7 @@ TEST(AutopilotTest, ScalesIdleContainerDown) {
   Rig rig;
   cluster::Container& c = rig.make("a");
   c.cpu_cgroup().set_limit_cores(4.0);
-  AutopilotPolicy policy(rig.sim, {&c}, {});
+  AutopilotPolicy policy(rig.sim, {&c}, seconds(1));
   policy.start();
   rig.sim.run_until(seconds(60));
   EXPECT_LT(c.cpu_cgroup().limit_cores(), 1.0) << "idle usage -> small limit";
@@ -166,7 +160,7 @@ TEST(AutopilotTest, ScalesIdleContainerDown) {
 TEST(AutopilotTest, MemoryLimitNeverBelowCurrentUsage) {
   Rig rig;
   cluster::Container& c = rig.make("a", /*base=*/128 * kMiB);
-  AutopilotPolicy policy(rig.sim, {&c}, {});
+  AutopilotPolicy policy(rig.sim, {&c}, seconds(1));
   policy.start();
   rig.sim.run_until(seconds(60));
   EXPECT_GE(c.mem_cgroup().limit(), c.mem_cgroup().usage());
@@ -179,7 +173,7 @@ TEST(AutopilotTest, LagsBehindSuddenBursts) {
   Rig rig;
   cluster::Container& c = rig.make("a");
   c.cpu_cgroup().set_limit_cores(0.5);
-  AutopilotPolicy policy(rig.sim, {&c}, {});
+  AutopilotPolicy policy(rig.sim, {&c}, seconds(1));
   policy.start();
   // Idle for 30 s (recommender converges down), then a burst arrives.
   rig.sim.schedule_at(seconds(30), [&] { c.submit(seconds(100), 0, nullptr); });
@@ -193,7 +187,7 @@ TEST(AutopilotTest, LagsBehindSuddenBursts) {
 TEST(AutopilotTest, RestartingContainersExportNoSamples) {
   Rig rig;
   cluster::Container& c = rig.make("a");
-  AutopilotPolicy policy(rig.sim, {&c}, {});
+  AutopilotPolicy policy(rig.sim, {&c}, seconds(1));
   policy.start();
   rig.sim.run_until(seconds(10));
   c.evict_restart(1.0, 512 * kMiB);  // restarting for 3 s
@@ -204,10 +198,10 @@ TEST(AutopilotTest, RestartingContainersExportNoSamples) {
 TEST(AutopilotTest, BestModelIsQueryable) {
   Rig rig;
   cluster::Container& c = rig.make("a");
-  AutopilotPolicy policy(rig.sim, {&c}, {});
+  AutopilotPolicy policy(rig.sim, {&c}, seconds(1));
   policy.start();
   rig.sim.run_until(seconds(10));
-  EXPECT_LT(policy.best_cpu_model(0), AutopilotConfig{}.models.size());
+  EXPECT_LT(policy.best_cpu_model(0), kAutopilotCpuModels.size());
   EXPECT_THROW(policy.best_cpu_model(5), std::out_of_range);
 }
 
@@ -215,23 +209,16 @@ TEST(AutopilotTest, BestModelIsQueryable) {
 
 TEST(VpaTest, ValidatesInputs) {
   Rig rig;
-  EXPECT_THROW(VpaPolicy(rig.sim, {}, {}), std::invalid_argument);
-  cluster::Container& c = rig.make("a");
-  VpaConfig bad;
-  bad.lower_bound = 0.9;
-  bad.upper_bound = 0.1;
-  EXPECT_THROW(VpaPolicy(rig.sim, {&c}, bad), std::invalid_argument);
+  EXPECT_THROW(VpaPolicy(rig.sim, {}), std::invalid_argument);
 }
 
 TEST(VpaTest, ResizeRequiresRestart) {
   Rig rig;
   cluster::Container& c = rig.make("a");
   c.cpu_cgroup().set_limit_cores(4.0);  // utilization ~0 -> out of band
-  VpaConfig cfg;
-  cfg.check_interval = seconds(10);
-  VpaPolicy policy(rig.sim, {&c}, cfg);
+  VpaPolicy policy(rig.sim, {&c});
   policy.start();
-  rig.sim.run_until(seconds(11));
+  rig.sim.run_until(kVpaCheckInterval + seconds(1));
   EXPECT_EQ(policy.restarts(), 1u);
   EXPECT_EQ(c.eviction_count(), 1u);
   EXPECT_FALSE(c.running()) << "the pod is being recreated";
@@ -241,11 +228,10 @@ TEST(VpaTest, CooldownLimitsResizeFrequency) {
   Rig rig;
   cluster::Container& c = rig.make("a");
   c.cpu_cgroup().set_limit_cores(4.0);
-  VpaConfig cfg;
-  cfg.check_interval = seconds(10);
-  VpaPolicy policy(rig.sim, {&c}, cfg);
+  VpaPolicy policy(rig.sim, {&c});
   policy.start();
-  rig.sim.run_until(seconds(59));
+  // Resized at the first check; the checks inside the cool-down skip it.
+  rig.sim.run_until(kVpaCheckInterval + kVpaCooldown - seconds(1));
   EXPECT_EQ(policy.restarts(), 1u) << "at most one resize per minute";
   rig.sim.run_until(seconds(130));
   EXPECT_GE(policy.restarts(), 2u);
@@ -261,11 +247,9 @@ TEST(VpaTest, InBandUtilizationLeftAlone) {
   rig.sim.schedule_every(milliseconds(100), milliseconds(100), [&] {
     c.submit(milliseconds(5), 0, nullptr);  // ~0.05 cores
   });
-  VpaConfig cfg;
-  cfg.check_interval = seconds(10);
-  VpaPolicy policy(rig.sim, {&c}, cfg);
+  VpaPolicy policy(rig.sim, {&c});
   policy.start();
-  rig.sim.run_until(seconds(45));
+  rig.sim.run_until(3 * kVpaCheckInterval + seconds(5));
   EXPECT_EQ(policy.restarts(), 0u);
 }
 
@@ -273,12 +257,7 @@ TEST(VpaTest, InBandUtilizationLeftAlone) {
 
 TEST(FirmTest, ValidatesInputs) {
   Rig rig;
-  EXPECT_THROW(FirmPolicy(rig.sim, {}, {}), std::invalid_argument);
-  cluster::Container& c = rig.make("a");
-  FirmConfig bad;
-  bad.low_watermark = 0.9;
-  bad.high_watermark = 0.5;
-  EXPECT_THROW(FirmPolicy(rig.sim, {&c}, bad), std::invalid_argument);
+  EXPECT_THROW(FirmPolicy(rig.sim, {}), std::invalid_argument);
 }
 
 TEST(FirmTest, MultiplexesFromIdleToBusyWithinFixedBudget) {
@@ -287,7 +266,7 @@ TEST(FirmTest, MultiplexesFromIdleToBusyWithinFixedBudget) {
   cluster::Container& idle = rig.make("idle");
   busy.cpu_cgroup().set_limit_cores(1.0);
   idle.cpu_cgroup().set_limit_cores(3.0);
-  FirmPolicy policy(rig.sim, {&busy, &idle}, {});
+  FirmPolicy policy(rig.sim, {&busy, &idle});
   policy.start();
   EXPECT_DOUBLE_EQ(policy.budget_cores(), 4.0);
   for (int i = 0; i < 4; ++i) busy.submit(seconds(300), 0, nullptr);  // 4 lanes
@@ -305,7 +284,7 @@ TEST(FirmTest, NeverTouchesMemoryLimits) {
   Rig rig;
   cluster::Container& c = rig.make("a");
   const memcg::Bytes before = c.mem_cgroup().limit();
-  FirmPolicy policy(rig.sim, {&c}, {});
+  FirmPolicy policy(rig.sim, {&c});
   policy.start();
   c.submit(seconds(100), 0, nullptr);
   rig.sim.run_until(seconds(30));
@@ -316,7 +295,7 @@ TEST(FirmTest, NoRestartsEver) {
   Rig rig;
   cluster::Container& a = rig.make("a");
   cluster::Container& b = rig.make("b");
-  FirmPolicy policy(rig.sim, {&a, &b}, {});
+  FirmPolicy policy(rig.sim, {&a, &b});
   policy.start();
   a.submit(seconds(200), 0, nullptr);
   rig.sim.run_until(seconds(30));
@@ -330,7 +309,7 @@ TEST(FirmTest, NothingMovesWhenAllInBand) {
   // ~0.14 cores of demand against 0.2: utilization ~0.7, inside the band.
   rig.sim.schedule_every(milliseconds(100), milliseconds(100),
                          [&] { c.submit(milliseconds(14), 0, nullptr); });
-  FirmPolicy policy(rig.sim, {&c}, {});
+  FirmPolicy policy(rig.sim, {&c});
   policy.start();
   rig.sim.run_until(seconds(20));
   EXPECT_EQ(policy.reallocations(), 0u);
@@ -345,7 +324,7 @@ TEST(FirmTest, CannotGrowPastItsBudget) {
   cluster::Container& b = rig.make("b");
   a.cpu_cgroup().set_limit_cores(1.0);
   b.cpu_cgroup().set_limit_cores(1.0);
-  FirmPolicy policy(rig.sim, {&a, &b}, {});
+  FirmPolicy policy(rig.sim, {&a, &b});
   policy.start();
   for (int i = 0; i < 4; ++i) {
     a.submit(seconds(500), 0, nullptr);  // both saturated:

@@ -122,25 +122,20 @@ TEST(HarnessCustomGraphTest, RunsAYamlStyleGraph) {
 }
 
 TEST(ServerlessHarnessTest, ImageProcessSmoke) {
-  ImageProcessConfig cfg;
-  cfg.mode = ServerlessMode::kEscra;
-  cfg.iterations = 1;
-  cfg.iteration_length = sim::seconds(30);
-  const ImageProcessResult r = run_image_process(cfg);
-  EXPECT_GT(r.completed, 25u);
+  // The full run: four 10-minute iterations at one request per 0.8 s.
+  const ImageProcessResult r = run_image_process(ServerlessMode::kEscra);
+  EXPECT_GT(r.completed, 2900u);
   EXPECT_EQ(r.failed, 0u);
   EXPECT_GT(r.cold_starts, 0u);
   EXPECT_GT(r.mean_latency_ms, 0.0);
-  EXPECT_EQ(r.limits.size(), 30u);
+  EXPECT_EQ(r.limits.size(), 600u);
   EXPECT_GT(r.mean_cpu_limit_cores, 0.0);
 }
 
 TEST(ServerlessHarnessTest, GridSearchSmoke) {
   GridSearchConfig cfg;
   cfg.mode = ServerlessMode::kEscra;
-  cfg.runs = 1;
-  cfg.total_tasks = 60;
-  cfg.max_pods = 20;
+  cfg.runs = 1;  // one 960-task job over at most 115 pods
   const GridSearchResult r = run_grid_search(cfg);
   EXPECT_EQ(r.job_latency_s.count(), 1u);
   EXPECT_GT(r.mean_latency_s, 10.0);

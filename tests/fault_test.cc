@@ -352,7 +352,9 @@ ReplayFingerprint run_random_faults(std::uint64_t seed) {
   net.set_fault_rng(sim::Rng(seed ^ 0x5eed));
   fault::FaultInjector injector(sim, net, escra);
   sim::Rng fault_rng(seed);
-  injector.schedule_random(fault_rng, seconds(10), {}, /*node_count=*/2);
+  injector.schedule_random(fault_rng, seconds(10),
+                           fault::FaultInjector::Profile::kMixed,
+                           /*node_count=*/2);
   sim.run_until(seconds(12));
 
   ReplayFingerprint fp;

@@ -9,6 +9,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "app/benchmarks.h"
 #include "check/shard_checker.h"
@@ -114,14 +115,6 @@ TEST(InvariantCheckerTest, RequiresAttachedObserver) {
                std::invalid_argument);
 }
 
-TEST(InvariantCheckerTest, RejectsNonPositiveSweepInterval) {
-  Rig rig;
-  InvariantChecker::Config config;
-  config.sweep_interval = 0;
-  EXPECT_THROW(InvariantChecker(*rig.escra, rig.net, rig.observer, config),
-               std::invalid_argument);
-}
-
 TEST(InvariantCheckerTest, CatchesPlantedCpuOverCommit) {
   Rig rig;
   InvariantChecker checker(*rig.escra, rig.net, rig.observer);
@@ -135,6 +128,35 @@ TEST(InvariantCheckerTest, CatchesPlantedCpuOverCommit) {
   rig.sim.run_until(seconds(3));
   EXPECT_FALSE(checker.ok());
   EXPECT_TRUE(has_rule(checker, "cpu-conservation")) << checker.report();
+}
+
+TEST(InvariantCheckerTest, CounterDriftIsReportedPerRowInOrder) {
+  Rig rig;
+  rig.sim.run_until(seconds(1));
+  InvariantChecker checker(*rig.escra, rig.net, rig.observer);
+  // Counters that advance with no matching trace events: the first and the
+  // last row, plus the two rows whose trace side is not an event count.
+  const obs::Observer::Handles& h = rig.observer.h;
+  h.deadline_misses->inc(2);
+  h.fail_static_entries->inc();
+  h.reclaim_bytes->inc(4096);
+  h.cpu_grants->inc();
+  checker.check_now();
+  std::vector<std::string> details;
+  for (const Violation& v : checker.violations()) {
+    if (v.rule == "counter-consistency") details.push_back(v.detail);
+  }
+  const std::vector<std::string> expected = {
+      "allocator.cpu_grants vs cpu-grant events: counter advanced 1, trace "
+      "saw 0",
+      "reclaim.bytes_total vs reclaim event details: counter advanced 4096, "
+      "trace saw 0",
+      "agent.fail_static_entries vs fail-static enter events: counter "
+      "advanced 1, trace saw 0",
+      "cfs.deadline_misses vs deadline-miss events: counter advanced 2, "
+      "trace saw 0",
+  };
+  EXPECT_EQ(details, expected) << checker.report();
 }
 
 TEST(InvariantCheckerTest, CatchesUndersizedOomGrant) {

@@ -7,21 +7,19 @@
 namespace escra::net {
 namespace {
 
-using sim::microseconds;
 using sim::milliseconds;
 
 TEST(NetworkTest, SendDeliversAfterChannelLatency) {
   sim::Simulation sim;
-  Network net(sim, {.telemetry_latency = microseconds(80),
-                    .rpc_latency = microseconds(150)});
+  Network net(sim);
   sim::TimePoint telemetry_at = -1, rpc_at = -1;
   net.send_to(Channel::kCpuTelemetry, 0, kControllerEndpoint, 64,
               [&] { telemetry_at = sim.now(); });
   net.send_to(Channel::kControlRpc, kControllerEndpoint, 0, 128,
               [&] { rpc_at = sim.now(); });
   sim.run_all();
-  EXPECT_EQ(telemetry_at, microseconds(80));
-  EXPECT_EQ(rpc_at, microseconds(150));
+  EXPECT_EQ(telemetry_at, kTelemetryLatency);
+  EXPECT_EQ(rpc_at, kRpcLatency);
 }
 
 TEST(NetworkTest, PerChannelAccounting) {
@@ -41,7 +39,7 @@ TEST(NetworkTest, PerChannelAccounting) {
 
 TEST(NetworkTest, RpcRoundTripOrdering) {
   sim::Simulation sim;
-  Network net(sim, {.rpc_latency = microseconds(100)});
+  Network net(sim);
   sim::TimePoint request_at = -1, response_at = -1;
   net.rpc_to(
       kControllerEndpoint, 0, 200, 80,
@@ -51,8 +49,8 @@ TEST(NetworkTest, RpcRoundTripOrdering) {
       },
       [&] { response_at = sim.now(); });
   sim.run_all();
-  EXPECT_EQ(request_at, microseconds(100));
-  EXPECT_EQ(response_at, microseconds(200));
+  EXPECT_EQ(request_at, kRpcLatency);
+  EXPECT_EQ(response_at, 2 * kRpcLatency);
   EXPECT_EQ(net.stats(Channel::kControlRpc).bytes, 280u);
   EXPECT_EQ(net.stats(Channel::kControlRpc).messages, 2u);
 }
@@ -78,8 +76,8 @@ TEST(NetworkTest, SubSecondControlLoopIsFeasible) {
 
 TEST(NetworkTest, PeakBandwidthOverWindow) {
   sim::Simulation sim;
-  Network net(sim, {.bandwidth_window = milliseconds(100)});
-  // 10 KB in the first window, 1 KB later.
+  Network net(sim);
+  // 10 KB in the first 100 ms window, 1 KB later.
   for (int i = 0; i < 10; ++i) {
     sim.schedule_at(i * milliseconds(5),
                     [&] {
@@ -92,6 +90,7 @@ TEST(NetworkTest, PeakBandwidthOverWindow) {
     });
   sim.run_all();
   // Peak window saw 10 KiB -> 10*1024*8 bits / 0.1 s = 819.2 kbps.
+  EXPECT_EQ(kBandwidthWindow, milliseconds(100));
   EXPECT_NEAR(net.peak_mbps(), 0.8192, 1e-6);
 }
 
@@ -115,7 +114,7 @@ TEST(NetworkTest, JitterWorksWithoutLoss) {
   // Regression: set_jitter() used to be a silent no-op unless set_loss() had
   // installed the fault RNG first.
   sim::Simulation sim;
-  Network net(sim, {.telemetry_latency = microseconds(80)});
+  Network net(sim);
   net.set_jitter(milliseconds(5));
   std::vector<sim::TimePoint> deliveries;
   for (int i = 0; i < 50; ++i) {
@@ -126,9 +125,9 @@ TEST(NetworkTest, JitterWorksWithoutLoss) {
   ASSERT_EQ(deliveries.size(), 50u);
   bool any_jittered = false;
   for (const sim::TimePoint t : deliveries) {
-    EXPECT_GE(t, microseconds(80));
-    EXPECT_LE(t, microseconds(80) + milliseconds(5));
-    if (t > microseconds(80)) any_jittered = true;
+    EXPECT_GE(t, kTelemetryLatency);
+    EXPECT_LE(t, kTelemetryLatency + milliseconds(5));
+    if (t > kTelemetryLatency) any_jittered = true;
   }
   EXPECT_TRUE(any_jittered) << "jitter silently resolved to zero";
 }
@@ -219,14 +218,14 @@ TEST(NetworkTest, DuplicateFaultDeliversTwice) {
 
 TEST(NetworkTest, DelaySpikeAddsLatency) {
   sim::Simulation sim;
-  Network net(sim, {.telemetry_latency = microseconds(80)});
+  Network net(sim);
   net.set_fault_rng(sim::Rng(7));
   net.set_delay_spike(Channel::kCpuTelemetry, 1.0 - 1e-12, milliseconds(10));
   sim::TimePoint delivered_at = -1;
   net.send_to(Channel::kCpuTelemetry, 0, kControllerEndpoint, 64,
               [&] { delivered_at = sim.now(); });
   sim.run_all();
-  EXPECT_EQ(delivered_at, microseconds(80) + milliseconds(10));
+  EXPECT_EQ(delivered_at, kTelemetryLatency + milliseconds(10));
 }
 
 TEST(NetworkTest, ChannelNames) {

@@ -29,8 +29,8 @@ struct Rig {
   cluster::Cluster k8s{sim};
   OpenWhisk ow;
 
-  explicit Rig(OpenWhiskConfig cfg = {})
-      : ow((k8s.add_node({}), sim), k8s, cfg, sim::Rng(1)) {}
+  explicit Rig(std::size_t max_pods = 128)
+      : ow((k8s.add_node({}), sim), k8s, max_pods, sim::Rng(1)) {}
 };
 
 TEST(OpenWhiskTest, UnknownActionThrows) {
@@ -87,9 +87,7 @@ TEST(OpenWhiskTest, ConcurrentInvocationsGrowThePool) {
 }
 
 TEST(OpenWhiskTest, PoolCapQueuesActivations) {
-  OpenWhiskConfig cfg;
-  cfg.max_pods = 2;
-  Rig rig(cfg);
+  Rig rig(/*max_pods=*/2);
   rig.ow.register_action(fast_action());
   int done = 0;
   for (int i = 0; i < 6; ++i) rig.ow.invoke("fn", [&](bool) { ++done; });
@@ -101,22 +99,18 @@ TEST(OpenWhiskTest, PoolCapQueuesActivations) {
 }
 
 TEST(OpenWhiskTest, IdlePodsAreReaped) {
-  OpenWhiskConfig cfg;
-  cfg.idle_timeout = seconds(5);
-  Rig rig(cfg);
+  Rig rig;
   rig.ow.register_action(fast_action());
   rig.ow.invoke("fn", nullptr);
   rig.sim.run_until(seconds(2));
   EXPECT_EQ(rig.ow.pod_count(), 1u);
-  rig.sim.run_until(seconds(30));
+  rig.sim.run_until(kPodIdleTimeout + seconds(25));
   EXPECT_EQ(rig.ow.pod_count(), 0u);
   EXPECT_EQ(rig.k8s.container_count(), 0u) << "container removed from cluster";
 }
 
 TEST(OpenWhiskTest, ReapHookFiresBeforeRemoval) {
-  OpenWhiskConfig cfg;
-  cfg.idle_timeout = seconds(5);
-  Rig rig(cfg);
+  Rig rig;
   rig.ow.register_action(fast_action());
   bool hook_ran = false;
   rig.ow.set_pod_reap_hook([&](cluster::Container& c) {
@@ -124,7 +118,7 @@ TEST(OpenWhiskTest, ReapHookFiresBeforeRemoval) {
     EXPECT_TRUE(rig.k8s.find_container(c.id()) != nullptr);
   });
   rig.ow.invoke("fn", nullptr);
-  rig.sim.run_until(seconds(30));
+  rig.sim.run_until(kPodIdleTimeout + seconds(25));
   EXPECT_TRUE(hook_ran);
 }
 
@@ -157,9 +151,7 @@ TEST(OpenWhiskTest, CompletionCountTracks) {
 // ------------------------------------------------------------- GridSearchJob
 
 TEST(GridSearchJobTest, CompletesAllTasks) {
-  OpenWhiskConfig cfg;
-  cfg.max_pods = 8;
-  Rig rig(cfg);
+  Rig rig(/*max_pods=*/8);
   ActionSpec task = fast_action("grid-task");
   rig.ow.register_action(task);
   sim::Duration makespan = 0;
@@ -188,9 +180,7 @@ TEST(GridSearchJobTest, RetriesFailedTasks) {
   // Pods whose working set exceeds the pod memory limit OOM on first touch;
   // the job must retry and (after the pod restarts) eventually... the spec
   // here keeps memory within bounds but kills a pod mid-run manually.
-  OpenWhiskConfig cfg;
-  cfg.max_pods = 2;
-  Rig rig(cfg);
+  Rig rig(/*max_pods=*/2);
   rig.ow.register_action(fast_action("grid-task"));
   GridSearchJob job(rig.sim, rig.ow, {.total_tasks = 10}, nullptr);
   job.start();
@@ -219,9 +209,7 @@ TEST(EscraOpenWhiskTest, WatcherAdoptsPodsAndReclaimsIdleMemory) {
   escra.watch();
   escra.start();
 
-  OpenWhiskConfig cfg;
-  cfg.idle_timeout = seconds(120);
-  OpenWhisk ow(sim, k8s, cfg, sim::Rng(2));
+  OpenWhisk ow(sim, k8s, /*max_pods=*/128, sim::Rng(2));
   ow.set_pod_reap_hook([&](cluster::Container& c) { escra.release(c); });
   ow.register_action(fast_action());
 
@@ -245,15 +233,13 @@ TEST(EscraOpenWhiskTest, ReleasedPodsReturnLimitsToPool) {
   k8s.add_node({});
   core::EscraSystem escra(sim, net, k8s, 4.0, 1024LL * kMiB);
   escra.watch();
-  OpenWhiskConfig cfg;
-  cfg.idle_timeout = seconds(5);
-  OpenWhisk ow(sim, k8s, cfg, sim::Rng(3));
+  OpenWhisk ow(sim, k8s, /*max_pods=*/128, sim::Rng(3));
   ow.set_pod_reap_hook([&](cluster::Container& c) { escra.release(c); });
   ow.register_action(fast_action());
   ow.invoke("fn", nullptr);
   sim.run_until(seconds(1));
   EXPECT_GT(escra.app().cpu_allocated(), 0.0);
-  sim.run_until(seconds(30));  // pod reaped
+  sim.run_until(kPodIdleTimeout + seconds(25));  // pod reaped
   EXPECT_EQ(ow.pod_count(), 0u);
   EXPECT_DOUBLE_EQ(escra.app().cpu_allocated(), 0.0);
   EXPECT_EQ(escra.app().mem_allocated(), 0);

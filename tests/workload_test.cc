@@ -56,33 +56,26 @@ TEST(ExpArrivalsTest, GapsAreVariable) {
 }
 
 TEST(BurstArrivalsTest, BaseRateOutsideBursts) {
-  BurstArrivals p({}, sim::Rng(3));
+  BurstArrivals p(sim::Rng(3));
   // Bursts start after the first 20 s interval; [0, 20) is base-rate only.
   const auto n = count_arrivals(p, 0, seconds(19));
   EXPECT_NEAR(static_cast<double>(n), 19.0 * 50.0, 200.0);
 }
 
 TEST(BurstArrivalsTest, BurstWindowRunsHot) {
-  BurstArrivals p({}, sim::Rng(4));
+  BurstArrivals p(sim::Rng(4));
   // [20 s, 30 s) is the first burst: base 50 + lambda 600.
   const auto n = count_arrivals(p, seconds(20), seconds(30));
   EXPECT_NEAR(static_cast<double>(n), 6500.0, 500.0);
 }
 
 TEST(BurstArrivalsTest, BurstsRepeatEveryInterval) {
-  BurstArrivals p({}, sim::Rng(5));
+  BurstArrivals p(sim::Rng(5));
   const auto burst1 = count_arrivals(p, seconds(20), seconds(30));
   const auto quiet = count_arrivals(p, seconds(30), seconds(40));
   const auto burst2 = count_arrivals(p, seconds(40), seconds(50));
   EXPECT_GT(burst1, quiet * 5);
   EXPECT_GT(burst2, quiet * 5);
-}
-
-TEST(BurstArrivalsTest, InvalidParamsThrow) {
-  BurstArrivals::Params bad;
-  bad.burst_length = seconds(30);
-  bad.burst_interval = seconds(20);
-  EXPECT_THROW(BurstArrivals(bad, sim::Rng(1)), std::invalid_argument);
 }
 
 TEST(TraceArrivalsTest, FollowsPerSecondRates) {

@@ -1023,11 +1023,11 @@ RunOutcome run_scenario(const Scenario& s, bool force_overgrant,
     network.set_fault_rng(sim::Rng(s.seed ^ 0x5eedf417c0deULL));
     injector.emplace(simulation, network, plane.fault_target());
     sim::Rng fault_rng(s.seed ^ 0xfa017a5c4ed01eULL);
-    injector->schedule_random(fault_rng, end,
-                              s.leader_churn
-                                  ? fault::FaultInjector::leader_churn_profile()
-                                  : fault::FaultInjector::Profile{},
-                              s.nodes);
+    injector->schedule_random(
+        fault_rng, end,
+        s.leader_churn ? fault::FaultInjector::Profile::kLeaderChurn
+                       : fault::FaultInjector::Profile::kMixed,
+        s.nodes);
   }
 
   if (force_overgrant) {

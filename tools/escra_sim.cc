@@ -310,8 +310,7 @@ std::unique_ptr<workload::ArrivalProcess> make_arrivals(const Options& opts,
     return std::make_unique<workload::ExpArrivals>(opts.rate, rng);
   }
   if (opts.workload == "burst") {
-    return std::make_unique<workload::BurstArrivals>(
-        workload::BurstArrivals::Params{}, rng);
+    return std::make_unique<workload::BurstArrivals>(rng);
   }
   if (opts.workload == "alibaba") {
     sim::Rng trace_rng = rng.fork();
