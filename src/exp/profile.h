@@ -2,11 +2,12 @@
 //
 // "We estimated the resources needed ... by profiling each container and
 // measuring maximum CPU and memory usage." The profile runs the application
-// under a representative load (the Fixed 400 req/s workload) with generous
-// limits and records, per container, the peak 1-second CPU usage (cores)
-// and peak memory usage — the 1-second aggregation deliberately mirrors
-// what cAdvisor-style tooling gives an operator, smoothing away the
-// sub-second spikes that later cause throttles under static limits.
+// under a representative load (a fixed 350 req/s, below the evaluation's
+// Fixed 400 req/s) with generous limits and records, per container, the
+// peak 1-second CPU usage (cores) and peak memory usage — the 1-second
+// aggregation deliberately mirrors what cAdvisor-style tooling gives an
+// operator, smoothing away the sub-second spikes that later cause throttles
+// under static limits.
 //
 // The static baseline sets limits to multiplier x these peaks; Autopilot
 // initializes from them; Escra's Distributed Container global limits are
@@ -33,9 +34,9 @@ struct ProfileResult {
   memcg::Bytes total_peak_mem() const;
 };
 
-// Profiles an arbitrary service graph (one fresh simulation; not cached).
-// The profile measures 30 s of serving time at 350 req/s under generous
-// limits (8 cores, 2 GiB per container), after a 10 s warm-up skip.
+// Profiles an arbitrary service graph (one fresh simulation; not cached):
+// 30 s of serving time under 8-core / 2 GiB per-container limits, after a
+// 10 s warm-up skip.
 ProfileResult profile_graph(const app::GraphSpec& graph);
 
 // Profiles a built-in benchmark application. Results are memoized per
