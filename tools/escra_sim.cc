@@ -130,6 +130,8 @@ struct Options {
   double leader_kill_s = -1.0;  // --leader-kill: permanent kill time (s)
   int shards = 0;             // --shards: sharded control plane (0 = single)
   bool rt = false;            // --rt: admit one RT replica per service
+  // The workload and export flags given, which only the escra run reads.
+  std::vector<std::string> escra_run_flags;
 
   bool has_faults() const {
     return rpc_loss > 0.0 || !partitions.empty() || !agent_crashes.empty() ||
@@ -148,8 +150,8 @@ void usage() {
                "                 [--rpc-loss R] [--partition NODE:START:DUR]\n"
                "                 [--agent-crash NODE:T] [--standbys N]\n"
                "                 [--leader-kill T] [--shards N] [--rt]\n"
-               "(--rate, --csv, --metrics-out, --trace-out and the fault "
-               "flags apply to the default escra policy run only;\n"
+               "(--trace, --rate, --csv, --metrics-out, --trace-out and the "
+               "fault, HA, shard and rt flags require the escra policy;\n"
                " --partition/--agent-crash are repeatable, times in seconds; "
                "a crashed agent restarts after 2 s)\n");
 }
@@ -244,6 +246,10 @@ std::optional<Options> parse_args(int argc, char** argv) {
       if (i + 1 >= argc) throw std::runtime_error(flag + " needs a value");
       return argv[++i];
     };
+    if (flag == "--trace" || flag == "--rate" || flag == "--csv" ||
+        flag == "--metrics-out" || flag == "--trace-out") {
+      opts.escra_run_flags.push_back(flag);
+    }
     if (flag == "--trace") {
       opts.trace_path = next();
     } else if (flag == "--policy") {
@@ -361,6 +367,18 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "error: --rpc-loss/--partition/--agent-crash/--standbys/"
                    "--leader-kill/--shards/--rt require the escra policy\n");
+      return 2;
+    }
+    if (!opts.escra_run_flags.empty()) {
+      std::string given;
+      for (const std::string& flag : opts.escra_run_flags) {
+        given += (given.empty() ? "" : "/") + flag;
+      }
+      const bool one = opts.escra_run_flags.size() == 1;
+      std::fprintf(stderr,
+                   "error: %s require%s the escra policy (a baseline run "
+                   "would ignore %s)\n",
+                   given.c_str(), one ? "s" : "", one ? "it" : "them");
       return 2;
     }
     // Baseline runs go through the experiment harness (which profiles the
