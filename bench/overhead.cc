@@ -29,7 +29,7 @@ namespace {
 void network_overhead() {
   exp::print_section("Network overhead (Escra control plane)");
   std::vector<std::vector<std::string>> rows;
-  for (const auto [bench_name, benchmark] :
+  for (const auto& [bench_name, benchmark] :
        {std::pair{"hipster-shop(11)", app::Benchmark::kHipster},
         std::pair{"media(32)", app::Benchmark::kMedia},
         std::pair{"train-ticket(68)", app::Benchmark::kTrainTicket}}) {
