@@ -26,17 +26,14 @@
 //     within 5% of baseline, and the InvariantChecker (credit rules armed)
 //     finds nothing.
 //
-// With --check BASELINE.json the run additionally verifies byte-exact
-// determinism against the committed baseline (full mode only).
+// All three arms are deterministic, so under --check BASELINE.json
+// (bench/gate.h) every number must match the committed baseline byte for
+// byte.
 //
 //   adv_fairness [--out FILE] [--check FILE] [--quick]
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -45,6 +42,7 @@
 #include "cluster/cluster.h"
 #include "core/escra.h"
 #include "exp/fairness.h"
+#include "gate.h"
 #include "net/network.h"
 #include "obs/observer.h"
 #include "sim/event_queue.h"
@@ -161,138 +159,47 @@ ArmResult run_arm(bool attack, bool defense, sim::Duration horizon) {
   return r;
 }
 
-std::string to_json(const ArmResult& base, const ArmResult& atk,
-                    const ArmResult& def) {
-  char buf[2048];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\n"
-      "  \"bench\": \"adv_fairness\",\n"
-      "  \"baseline_p50_us\": %" PRId64 ",\n"
-      "  \"baseline_p99_us\": %" PRId64 ",\n"
-      "  \"baseline_jain_long\": %.4f,\n"
-      "  \"baseline_utilization\": %.4f,\n"
-      "  \"baseline_events\": %" PRIu64 ",\n"
-      "  \"attack_p50_us\": %" PRId64 ",\n"
-      "  \"attack_p99_us\": %" PRId64 ",\n"
-      "  \"attack_jain_long\": %.4f,\n"
-      "  \"attack_capture\": %.2f,\n"
-      "  \"attack_lies\": %" PRIu64 ",\n"
-      "  \"attack_events\": %" PRIu64 ",\n"
-      "  \"defense_p50_us\": %" PRId64 ",\n"
-      "  \"defense_p99_us\": %" PRId64 ",\n"
-      "  \"defense_jain_long\": %.4f,\n"
-      "  \"defense_utilization\": %.4f,\n"
-      "  \"defense_capture\": %.2f,\n"
-      "  \"defense_credit_charges\": %" PRIu64 ",\n"
-      "  \"defense_greedy_throttles\": %" PRIu64 ",\n"
-      "  \"defense_events\": %" PRIu64 ",\n"
-      "  \"p99_recovery\": %.2f\n"
-      "}\n",
-      base.honest_p50_us, base.honest_p99_us, base.jain_long,
-      base.utilization, base.events, atk.honest_p50_us, atk.honest_p99_us,
-      atk.jain_long, atk.capture, atk.lies, atk.events, def.honest_p50_us,
-      def.honest_p99_us, def.jain_long, def.utilization, def.capture,
-      def.credit_charges, def.greedy_throttles, def.events,
-      def.honest_p99_us > 0 ? static_cast<double>(atk.honest_p99_us) /
-                                  static_cast<double>(def.honest_p99_us)
-                            : 0.0);
-  return buf;
-}
-
-bool find_number(const std::string& json, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t pos = json.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(json.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
-int check_against(const std::string& path, const ArmResult& base,
-                  const ArmResult& atk, const ArmResult& def) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "adv_fairness: cannot read baseline %s\n",
-                 path.c_str());
-    return 1;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string json = ss.str();
-  const struct {
-    const char* key;
-    double fresh;
-  } fields[] = {
-      {"baseline_p99_us", static_cast<double>(base.honest_p99_us)},
-      {"baseline_events", static_cast<double>(base.events)},
-      {"attack_p99_us", static_cast<double>(atk.honest_p99_us)},
-      {"attack_events", static_cast<double>(atk.events)},
-      {"defense_p99_us", static_cast<double>(def.honest_p99_us)},
-      {"defense_events", static_cast<double>(def.events)},
-  };
-  for (const auto& f : fields) {
-    double recorded = 0.0;
-    if (!find_number(json, f.key, &recorded)) {
-      std::fprintf(stderr, "adv_fairness: baseline %s missing %s\n",
-                   path.c_str(), f.key);
-      return 1;
-    }
-    // All three arms are deterministic: percentiles and event counts must
-    // match the committed baseline bit for bit, not within a tolerance.
-    if (recorded != f.fresh) {
-      std::fprintf(stderr,
-                   "adv_fairness: DETERMINISM DRIFT — %s is %.0f, baseline "
-                   "recorded %.0f\n",
-                   f.key, f.fresh, recorded);
-      return 1;
-    }
-  }
-  std::printf("adv_fairness: ok — matches baseline exactly\n");
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path;
-  std::string check_path;
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (flag == "--out") {
-      out_path = next();
-    } else if (flag == "--check") {
-      check_path = next();
-    } else if (flag == "--quick") {
-      quick = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: adv_fairness [--out FILE] [--check FILE] "
-                   "[--quick]\n");
-      return 2;
-    }
-  }
-
-  const sim::Duration horizon = quick ? sim::seconds(30) : sim::seconds(60);
+  const gate::Flags flags = gate::parse_flags(argc, argv, "adv_fairness");
+  const sim::Duration horizon =
+      flags.quick ? sim::seconds(30) : sim::seconds(60);
   const ArmResult base = run_arm(/*attack=*/false, /*defense=*/false, horizon);
   const ArmResult atk = run_arm(/*attack=*/true, /*defense=*/false, horizon);
   const ArmResult def = run_arm(/*attack=*/true, /*defense=*/true, horizon);
 
-  const std::string json = to_json(base, atk, def);
-  std::fputs(json.c_str(), stdout);
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << json;
-  }
+  int rc = gate::publish(
+      "adv_fairness",
+      {
+          gate::exact("baseline_p50_us", base.honest_p50_us),
+          gate::exact("baseline_p99_us", base.honest_p99_us),
+          gate::exact("baseline_jain_long", base.jain_long, 4),
+          gate::exact("baseline_utilization", base.utilization, 4),
+          gate::exact("baseline_events", base.events),
+          gate::exact("attack_p50_us", atk.honest_p50_us),
+          gate::exact("attack_p99_us", atk.honest_p99_us),
+          gate::exact("attack_jain_long", atk.jain_long, 4),
+          gate::exact("attack_capture", atk.capture, 2),
+          gate::exact("attack_lies", atk.lies),
+          gate::exact("attack_events", atk.events),
+          gate::exact("defense_p50_us", def.honest_p50_us),
+          gate::exact("defense_p99_us", def.honest_p99_us),
+          gate::exact("defense_jain_long", def.jain_long, 4),
+          gate::exact("defense_utilization", def.utilization, 4),
+          gate::exact("defense_capture", def.capture, 2),
+          gate::exact("defense_credit_charges", def.credit_charges),
+          gate::exact("defense_greedy_throttles", def.greedy_throttles),
+          gate::exact("defense_events", def.events),
+          gate::exact("p99_recovery",
+                      def.honest_p99_us > 0
+                          ? static_cast<double>(atk.honest_p99_us) /
+                                static_cast<double>(def.honest_p99_us)
+                          : 0.0,
+                      2),
+      },
+      flags);
 
-  int rc = 0;
   const auto fail = [&rc](const char* msg) {
     std::fprintf(stderr, "adv_fairness: %s\n", msg);
     rc = 1;
@@ -350,10 +257,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "adv_fairness: invariant violations in defense arm:\n%s",
                  def.checker_report.c_str());
     rc = 1;
-  }
-
-  if (rc == 0 && !check_path.empty() && !quick) {
-    rc = check_against(check_path, base, atk, def);
   }
   return rc;
 }

@@ -16,13 +16,12 @@
 //
 // With --rss-check the whole cold start repeats several times in-process;
 // after a warmup the resident set must plateau (the ContainerIndex free-list
-// reuses slots, so steady-state churn allocates nothing). With --check
-// BASELINE.json it fails (exit 1) when register_per_s regressed by more
-// than --tolerance (default 0.25) or the resident set grew beyond the
-// baseline by more than the same tolerance.
+// reuses slots, so steady-state churn allocates nothing). Under --check
+// BASELINE.json (bench/gate.h) the container count must match exactly,
+// register_per_s is a floor 25% below the baseline, and rss_mib a ceiling
+// 25% above it.
 //
-//   coldstart_scale [--out FILE] [--check FILE] [--tolerance X]
-//                   [--rss-check] [--quick]
+//   coldstart_scale [--out FILE] [--check FILE] [--quick] [--rss-check]
 
 #include <chrono>
 #include <cinttypes>
@@ -30,18 +29,14 @@
 #include <malloc.h>
 #endif
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <sstream>
-#include <string>
-#include <vector>
 
 #include "core/allocator.h"
 #include "core/config.h"
 #include "core/container_index.h"
 #include "core/distributed_container.h"
 #include "core/messages.h"
+#include "gate.h"
 
 using namespace escra;
 
@@ -74,11 +69,9 @@ long current_rss_kib() {
 }
 
 struct Results {
-  std::uint64_t containers = 0;
   double register_per_s = 0.0;
   double stats_per_s = 0.0;
   double teardown_per_s = 0.0;
-  double rss_mib = 0.0;
 };
 
 // One full cold start: register `n` containers, feed `periods` rounds of
@@ -168,129 +161,29 @@ int rss_check(std::uint64_t n, int periods, int total_runs) {
   return 0;
 }
 
-// --- output / baseline check ----------------------------------------------
-
-std::string to_json(const Results& r) {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "{\n"
-                "  \"bench\": \"coldstart_scale\",\n"
-                "  \"containers\": %" PRIu64 ",\n"
-                "  \"register_per_s\": %.0f,\n"
-                "  \"stats_per_s\": %.0f,\n"
-                "  \"teardown_per_s\": %.0f,\n"
-                "  \"rss_mib\": %.1f\n"
-                "}\n",
-                r.containers, r.register_per_s, r.stats_per_s,
-                r.teardown_per_s, r.rss_mib);
-  return buf;
-}
-
-bool find_number(const std::string& json, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t pos = json.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(json.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
-int check_against(const std::string& path, const Results& fresh,
-                  double tolerance) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "coldstart_scale: cannot read baseline %s\n",
-                 path.c_str());
-    return 1;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string json = ss.str();
-  double base_rate = 0.0;
-  double base_rss = 0.0;
-  if (!find_number(json, "register_per_s", &base_rate) ||
-      !find_number(json, "rss_mib", &base_rss)) {
-    std::fprintf(stderr, "coldstart_scale: baseline %s missing fields\n",
-                 path.c_str());
-    return 1;
-  }
-  const double floor = base_rate * (1.0 - tolerance);
-  if (fresh.register_per_s < floor) {
-    std::fprintf(stderr,
-                 "coldstart_scale: REGRESSION — %.0f registrations/s is "
-                 "below %.0f (baseline %.0f minus %.0f%% tolerance)\n",
-                 fresh.register_per_s, floor, base_rate, tolerance * 100.0);
-    return 1;
-  }
-  const double ceiling = base_rss * (1.0 + tolerance);
-  if (fresh.rss_mib > 0.0 && base_rss > 0.0 && fresh.rss_mib > ceiling) {
-    std::fprintf(stderr,
-                 "coldstart_scale: RSS GREW — %.1f MiB is above %.1f "
-                 "(baseline %.1f MiB plus %.0f%% tolerance)\n",
-                 fresh.rss_mib, ceiling, base_rss, tolerance * 100.0);
-    return 1;
-  }
-  std::printf("coldstart_scale: ok — %.0f registrations/s vs baseline %.0f, "
-              "rss %.1f MiB vs baseline %.1f (tolerance %.0f%%)\n",
-              fresh.register_per_s, base_rate, fresh.rss_mib, base_rss,
-              tolerance * 100.0);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path;
-  std::string check_path;
-  double tolerance = 0.25;
-  bool quick = false;
-  bool rss_mode = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (flag == "--out") {
-      out_path = next();
-    } else if (flag == "--check") {
-      check_path = next();
-    } else if (flag == "--tolerance") {
-      tolerance = std::strtod(next(), nullptr);
-    } else if (flag == "--rss-check") {
-      rss_mode = true;
-    } else if (flag == "--quick") {
-      quick = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: coldstart_scale [--out FILE] [--check FILE] "
-                   "[--tolerance X] [--rss-check] [--quick]\n");
-      return 2;
-    }
-  }
+  const gate::Flags flags =
+      gate::parse_flags(argc, argv, "coldstart_scale", "--rss-check");
+  const std::uint64_t n = flags.quick ? 50'000 : 1'000'000;
+  const int periods = flags.quick ? 2 : 4;
 
-  const std::uint64_t n = quick ? 50'000 : 1'000'000;
-  const int periods = quick ? 2 : 4;
-
-  if (rss_mode) {
-    return rss_check(n, periods, quick ? 4 : 6);
+  if (flags.own_switch) {
+    return rss_check(n, periods, flags.quick ? 4 : 6);
   }
 
   Results r;
-  r.containers = n;
   cold_start(n, periods, &r);
-  r.rss_mib = static_cast<double>(current_rss_kib()) / 1024.0;
+  const double rss_mib = static_cast<double>(current_rss_kib()) / 1024.0;
 
-  const std::string json = to_json(r);
-  std::fputs(json.c_str(), stdout);
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << json;
-  }
-  if (!check_path.empty() && !quick) {
-    return check_against(check_path, r, tolerance);
-  }
-  return 0;
+  return gate::publish("coldstart_scale",
+                       {
+                           gate::exact("containers", n),
+                           gate::floor("register_per_s", r.register_per_s),
+                           gate::report("stats_per_s", r.stats_per_s),
+                           gate::report("teardown_per_s", r.teardown_per_s),
+                           gate::ceiling("rss_mib", rss_mib, 1),
+                       },
+                       flags);
 }

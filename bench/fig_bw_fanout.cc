@@ -17,18 +17,15 @@
 //
 // Reported: p50/p99 full-request latency per arm, completion counts, and
 // the deterministic event counts. The run asserts the paper-level claim
-// (escra p99 < static p99) and, with --check BASELINE.json, byte-exact
-// determinism of both arms against the committed baseline. The escra arm
-// runs under the InvariantChecker with the bandwidth rules armed.
+// (escra p99 < static p99), and the escra arm runs under the
+// InvariantChecker with the bandwidth rules armed. Both arms are
+// deterministic, so under --check BASELINE.json (bench/gate.h) every
+// number must match the committed baseline byte for byte.
 //
 //   fig_bw_fanout [--out FILE] [--check FILE] [--quick]
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -36,6 +33,7 @@
 #include "check/invariant_checker.h"
 #include "cluster/cluster.h"
 #include "core/escra.h"
+#include "gate.h"
 #include "net/network.h"
 #include "obs/observer.h"
 #include "sim/event_queue.h"
@@ -187,125 +185,37 @@ ArmResult run_escra(sim::Duration issue_window, std::uint64_t* bw_grants,
   return r;
 }
 
-std::string to_json(const ArmResult& st, const ArmResult& es,
-                    std::uint64_t bw_grants) {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\n"
-      "  \"bench\": \"fig_bw_fanout\",\n"
-      "  \"static_p50_us\": %" PRId64 ",\n"
-      "  \"static_p99_us\": %" PRId64 ",\n"
-      "  \"static_completed\": %" PRIu64 ",\n"
-      "  \"static_events\": %" PRIu64 ",\n"
-      "  \"escra_p50_us\": %" PRId64 ",\n"
-      "  \"escra_p99_us\": %" PRId64 ",\n"
-      "  \"escra_completed\": %" PRIu64 ",\n"
-      "  \"escra_events\": %" PRIu64 ",\n"
-      "  \"escra_bw_grants\": %" PRIu64 ",\n"
-      "  \"p99_speedup\": %.2f\n"
-      "}\n",
-      st.p50_us, st.p99_us, st.completed, st.events, es.p50_us, es.p99_us,
-      es.completed, es.events, bw_grants,
-      es.p99_us > 0 ? static_cast<double>(st.p99_us) /
-                          static_cast<double>(es.p99_us)
-                    : 0.0);
-  return buf;
-}
-
-bool find_number(const std::string& json, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t pos = json.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(json.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
-int check_against(const std::string& path, const ArmResult& st,
-                  const ArmResult& es) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "fig_bw_fanout: cannot read baseline %s\n",
-                 path.c_str());
-    return 1;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string json = ss.str();
-  const struct {
-    const char* key;
-    double fresh;
-  } fields[] = {
-      {"static_p99_us", static_cast<double>(st.p99_us)},
-      {"static_events", static_cast<double>(st.events)},
-      {"escra_p99_us", static_cast<double>(es.p99_us)},
-      {"escra_events", static_cast<double>(es.events)},
-  };
-  for (const auto& f : fields) {
-    double base = 0.0;
-    if (!find_number(json, f.key, &base)) {
-      std::fprintf(stderr, "fig_bw_fanout: baseline %s missing %s\n",
-                   path.c_str(), f.key);
-      return 1;
-    }
-    // The whole scenario is deterministic: latency percentiles and event
-    // counts must match the baseline bit for bit, not within a tolerance.
-    if (base != f.fresh) {
-      std::fprintf(stderr,
-                   "fig_bw_fanout: DETERMINISM DRIFT — %s is %.0f, baseline "
-                   "recorded %.0f\n",
-                   f.key, f.fresh, base);
-      return 1;
-    }
-  }
-  std::printf("fig_bw_fanout: ok — matches baseline exactly\n");
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path;
-  std::string check_path;
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (flag == "--out") {
-      out_path = next();
-    } else if (flag == "--check") {
-      check_path = next();
-    } else if (flag == "--quick") {
-      quick = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: fig_bw_fanout [--out FILE] [--check FILE] "
-                   "[--quick]\n");
-      return 2;
-    }
-  }
-
+  const gate::Flags flags = gate::parse_flags(argc, argv, "fig_bw_fanout");
   const sim::Duration issue_window =
-      quick ? sim::seconds(12) : sim::seconds(30);
+      flags.quick ? sim::seconds(12) : sim::seconds(30);
   const ArmResult st = run_static(issue_window);
   std::uint64_t bw_grants = 0;
   std::string checker_report;
   const ArmResult es = run_escra(issue_window, &bw_grants, &checker_report);
 
-  const std::string json = to_json(st, es, bw_grants);
-  std::fputs(json.c_str(), stdout);
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << json;
-  }
+  int rc = gate::publish(
+      "fig_bw_fanout",
+      {
+          gate::exact("static_p50_us", st.p50_us),
+          gate::exact("static_p99_us", st.p99_us),
+          gate::exact("static_completed", st.completed),
+          gate::exact("static_events", st.events),
+          gate::exact("escra_p50_us", es.p50_us),
+          gate::exact("escra_p99_us", es.p99_us),
+          gate::exact("escra_completed", es.completed),
+          gate::exact("escra_events", es.events),
+          gate::exact("escra_bw_grants", bw_grants),
+          gate::exact("p99_speedup",
+                      es.p99_us > 0 ? static_cast<double>(st.p99_us) /
+                                          static_cast<double>(es.p99_us)
+                                    : 0.0,
+                      2),
+      },
+      flags);
 
-  int rc = 0;
   if (!checker_report.empty()) {
     std::fprintf(stderr, "fig_bw_fanout: invariant violations in escra arm:\n%s",
                  checker_report.c_str());
@@ -325,9 +235,6 @@ int main(int argc, char** argv) {
                  " us)\n",
                  es.p99_us, st.p99_us);
     rc = 1;
-  }
-  if (rc == 0 && !check_path.empty() && !quick) {
-    rc = check_against(check_path, st, es);
   }
   return rc;
 }

@@ -26,17 +26,14 @@
 //     their neighbors), and the InvariantChecker finds nothing;
 //   - both arms: pool utilization >= 90% (the floors don't strand pool).
 //
-// With --check BASELINE.json the run additionally verifies byte-exact
-// determinism against the committed baseline (full mode only).
+// Both arms are deterministic, so under --check BASELINE.json
+// (bench/gate.h) every number must match the committed baseline byte for
+// byte.
 //
 //   rt_mixed [--out FILE] [--check FILE] [--quick]
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -45,6 +42,7 @@
 #include "cluster/cluster.h"
 #include "core/escra.h"
 #include "exp/fairness.h"
+#include "gate.h"
 #include "net/network.h"
 #include "obs/observer.h"
 #include "sim/event_queue.h"
@@ -166,121 +164,34 @@ ArmResult run_arm(bool reserve, sim::Duration horizon) {
   return r;
 }
 
-std::string to_json(const ArmResult& un, const ArmResult& rt) {
-  char buf[1024];
-  std::snprintf(buf, sizeof(buf),
-                "{\n"
-                "  \"bench\": \"rt_mixed\",\n"
-                "  \"unprotected_misses\": %" PRIu64 ",\n"
-                "  \"unprotected_jobs_released\": %" PRIu64 ",\n"
-                "  \"unprotected_be_completed\": %" PRIu64 ",\n"
-                "  \"unprotected_utilization\": %.4f,\n"
-                "  \"unprotected_events\": %" PRIu64 ",\n"
-                "  \"rt_admitted\": %" PRIu64 ",\n"
-                "  \"rt_reserved_cores\": %.2f,\n"
-                "  \"rt_misses\": %" PRIu64 ",\n"
-                "  \"rt_jobs_released\": %" PRIu64 ",\n"
-                "  \"rt_jobs_completed\": %" PRIu64 ",\n"
-                "  \"rt_be_completed\": %" PRIu64 ",\n"
-                "  \"rt_utilization\": %.4f,\n"
-                "  \"rt_events\": %" PRIu64 "\n"
-                "}\n",
-                un.misses, un.jobs_released, un.be_completed, un.utilization,
-                un.events, rt.admitted, rt.reserved_cores, rt.misses,
-                rt.jobs_released, rt.jobs_completed, rt.be_completed,
-                rt.utilization, rt.events);
-  return buf;
-}
-
-bool find_number(const std::string& json, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t pos = json.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(json.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
-int check_against(const std::string& path, const ArmResult& un,
-                  const ArmResult& rt) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "rt_mixed: cannot read baseline %s\n", path.c_str());
-    return 1;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string json = ss.str();
-  const struct {
-    const char* key;
-    double fresh;
-  } fields[] = {
-      {"unprotected_misses", static_cast<double>(un.misses)},
-      {"unprotected_events", static_cast<double>(un.events)},
-      {"rt_misses", static_cast<double>(rt.misses)},
-      {"rt_jobs_completed", static_cast<double>(rt.jobs_completed)},
-      {"rt_events", static_cast<double>(rt.events)},
-  };
-  for (const auto& f : fields) {
-    double recorded = 0.0;
-    if (!find_number(json, f.key, &recorded)) {
-      std::fprintf(stderr, "rt_mixed: baseline %s missing %s\n", path.c_str(),
-                   f.key);
-      return 1;
-    }
-    // Both arms are deterministic: miss/job/event counts must match the
-    // committed baseline bit for bit, not within a tolerance.
-    if (recorded != f.fresh) {
-      std::fprintf(stderr,
-                   "rt_mixed: DETERMINISM DRIFT — %s is %.0f, baseline "
-                   "recorded %.0f\n",
-                   f.key, f.fresh, recorded);
-      return 1;
-    }
-  }
-  std::printf("rt_mixed: ok — matches baseline exactly\n");
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path;
-  std::string check_path;
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (flag == "--out") {
-      out_path = next();
-    } else if (flag == "--check") {
-      check_path = next();
-    } else if (flag == "--quick") {
-      quick = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: rt_mixed [--out FILE] [--check FILE] [--quick]\n");
-      return 2;
-    }
-  }
-
-  const sim::Duration horizon = quick ? sim::seconds(20) : sim::seconds(60);
+  const gate::Flags flags = gate::parse_flags(argc, argv, "rt_mixed");
+  const sim::Duration horizon =
+      flags.quick ? sim::seconds(20) : sim::seconds(60);
   const ArmResult un = run_arm(/*reserve=*/false, horizon);
   const ArmResult rt = run_arm(/*reserve=*/true, horizon);
 
-  const std::string json = to_json(un, rt);
-  std::fputs(json.c_str(), stdout);
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << json;
-  }
+  int rc = gate::publish(
+      "rt_mixed",
+      {
+          gate::exact("unprotected_misses", un.misses),
+          gate::exact("unprotected_jobs_released", un.jobs_released),
+          gate::exact("unprotected_be_completed", un.be_completed),
+          gate::exact("unprotected_utilization", un.utilization, 4),
+          gate::exact("unprotected_events", un.events),
+          gate::exact("rt_admitted", rt.admitted),
+          gate::exact("rt_reserved_cores", rt.reserved_cores, 2),
+          gate::exact("rt_misses", rt.misses),
+          gate::exact("rt_jobs_released", rt.jobs_released),
+          gate::exact("rt_jobs_completed", rt.jobs_completed),
+          gate::exact("rt_be_completed", rt.be_completed),
+          gate::exact("rt_utilization", rt.utilization, 4),
+          gate::exact("rt_events", rt.events),
+      },
+      flags);
 
-  int rc = 0;
   const auto fail = [&rc](const char* msg) {
     std::fprintf(stderr, "rt_mixed: %s\n", msg);
     rc = 1;
@@ -325,10 +236,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "rt_mixed: invariant violations in rt arm:\n%s",
                  rt.checker_report.c_str());
     rc = 1;
-  }
-
-  if (rc == 0 && !check_path.empty() && !quick) {
-    rc = check_against(check_path, un, rt);
   }
   return rc;
 }

@@ -47,27 +47,24 @@
 // A determinism phase additionally asserts sweep_parallel checksums are
 // identical at --jobs 1 and --jobs 4 on fresh identical planes.
 //
-//   shard_scale [--out FILE] [--check FILE] [--tolerance X] [--quick]
+//   shard_scale [--out FILE] [--check FILE] [--quick]
 //
 // --quick shrinks to 200 nodes / 2k containers and shard counts {1, 4}
-// (functional smoke; the ratio assertions relax accordingly). --check
-// compares decision_ns and the throughput ratio against a committed
-// baseline JSON and exits 1 on regression beyond --tolerance (default
-// 0.25).
+// (functional smoke; the ratio assertions relax accordingly). Under --check
+// BASELINE.json (bench/gate.h) the container count must match exactly, the
+// 1-shard decision_ns is a ceiling 25% above the baseline, and the
+// throughput ratio a floor 25% below it.
 
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "core/messages.h"
+#include "gate.h"
 #include "net/network.h"
 #include "shard/sharded_control_plane.h"
 #include "sim/event_queue.h"
@@ -281,26 +278,10 @@ int determinism_phase() {
   return 0;
 }
 
-// --- output / baseline check ----------------------------------------------
-
-std::string to_json(const std::vector<ScalePoint>& points) {
-  std::ostringstream out;
-  const ScalePoint& first = points.front();
-  const ScalePoint& last = points.back();
+// The per-shard-count points, as members appended to the gate's JSON.
+std::string points_json(const std::vector<ScalePoint>& points) {
+  std::string out = "  \"points\": [\n";
   char buf[256];
-  out << "{\n  \"bench\": \"shard_scale\",\n";
-  std::snprintf(buf, sizeof(buf),
-                "  \"containers\": %" PRIu64 ",\n  \"decision_ns_1\": %.1f,\n",
-                first.containers, first.decision_ns);
-  out << buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"decision_ns_max\": %.1f,\n"
-                "  \"throughput_ratio\": %.2f,\n"
-                "  \"sweep_flatness\": %.3f,\n",
-                last.decision_ns, last.agg_msgs_per_s / first.agg_msgs_per_s,
-                last.critical_ns_per_c / first.critical_ns_per_c);
-  out << buf;
-  out << "  \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const ScalePoint& p = points[i];
     std::snprintf(
@@ -310,98 +291,17 @@ std::string to_json(const std::vector<ScalePoint>& points) {
         ", \"decisions\": %" PRIu64 "}%s\n",
         p.shards, p.decision_ns, p.sweep_ms, p.agg_msgs_per_s,
         p.max_shard_containers, p.decisions, i + 1 < points.size() ? "," : "");
-    out << buf;
+    out += buf;
   }
-  out << "  ]\n}\n";
-  return out.str();
-}
-
-bool find_number(const std::string& json, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t pos = json.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(json.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
-int check_against(const std::string& path, const std::vector<ScalePoint>& pts,
-                  double tolerance) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "shard_scale: cannot read baseline %s\n",
-                 path.c_str());
-    return 1;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string json = ss.str();
-  double base_ns = 0.0;
-  double base_ratio = 0.0;
-  if (!find_number(json, "decision_ns_1", &base_ns) ||
-      !find_number(json, "throughput_ratio", &base_ratio)) {
-    std::fprintf(stderr, "shard_scale: baseline %s missing fields\n",
-                 path.c_str());
-    return 1;
-  }
-  const double fresh_ns = pts.front().decision_ns;
-  const double fresh_ratio =
-      pts.back().agg_msgs_per_s / pts.front().agg_msgs_per_s;
-  if (fresh_ns > base_ns * (1.0 + tolerance)) {
-    std::fprintf(stderr,
-                 "shard_scale: REGRESSION — %.1f ns/decision is above "
-                 "%.1f (baseline %.1f plus %.0f%% tolerance)\n",
-                 fresh_ns, base_ns * (1.0 + tolerance), base_ns,
-                 tolerance * 100.0);
-    return 1;
-  }
-  if (fresh_ratio < base_ratio * (1.0 - tolerance)) {
-    std::fprintf(stderr,
-                 "shard_scale: SCALING REGRESSED — throughput ratio %.2f is "
-                 "below %.2f (baseline %.2f minus %.0f%% tolerance)\n",
-                 fresh_ratio, base_ratio * (1.0 - tolerance), base_ratio,
-                 tolerance * 100.0);
-    return 1;
-  }
-  std::printf("shard_scale: ok — %.1f ns/decision vs baseline %.1f, "
-              "throughput ratio %.2f vs baseline %.2f (tolerance %.0f%%)\n",
-              fresh_ns, base_ns, fresh_ratio, base_ratio, tolerance * 100.0);
-  return 0;
+  return out + "  ]";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path;
-  std::string check_path;
-  double tolerance = 0.25;
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (flag == "--out") {
-      out_path = next();
-    } else if (flag == "--check") {
-      check_path = next();
-    } else if (flag == "--tolerance") {
-      tolerance = std::strtod(next(), nullptr);
-    } else if (flag == "--quick") {
-      quick = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: shard_scale [--out FILE] [--check FILE] "
-                   "[--tolerance X] [--quick]\n");
-      return 2;
-    }
-  }
-
+  const gate::Flags flags = gate::parse_flags(argc, argv, "shard_scale");
   Config cfg;
-  if (quick) {
+  if (flags.quick) {
     cfg.nodes = 200;
     cfg.apps = 40;
     cfg.containers_per_app = 50;
@@ -444,7 +344,7 @@ int main(int argc, char** argv) {
   }
   const double ratio =
       points.back().agg_msgs_per_s / first.agg_msgs_per_s;
-  const double ratio_floor = quick ? 2.0 : 8.0;
+  const double ratio_floor = flags.quick ? 2.0 : 8.0;
   if (ratio < ratio_floor) {
     std::fprintf(stderr,
                  "shard_scale: SCALING SHORTFALL — modeled aggregate "
@@ -457,14 +357,17 @@ int main(int argc, char** argv) {
               "%.2fx\n",
               points.back().shards, ratio);
 
-  const std::string json = to_json(points);
-  std::fputs(json.c_str(), stdout);
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << json;
-  }
-  if (!check_path.empty() && !quick) {
-    return check_against(check_path, points, tolerance);
-  }
-  return 0;
+  return gate::publish(
+      "shard_scale",
+      {
+          gate::exact("containers", first.containers),
+          gate::ceiling("decision_ns_1", first.decision_ns, 1),
+          gate::report("decision_ns_max", points.back().decision_ns, 1),
+          gate::floor("throughput_ratio", ratio, 2),
+          gate::report("sweep_flatness",
+                       points.back().critical_ns_per_c /
+                           first.critical_ns_per_c,
+                       3),
+      },
+      flags, points_json(points));
 }

@@ -13,27 +13,22 @@
 //     with a 1 ms per-container usage probe — the kernel-event firehose the
 //     dense slot layout and coalesced per-node limit RPCs exist to absorb.
 //
-// Emits BENCH_sim_throughput.json-style output with --out. With --check
-// BASELINE.json it re-reads the committed baseline and fails (exit 1) when
-// e2e events/sec regressed by more than --tolerance (default 0.25), or when
-// the e2e event count diverges at all (the scenario is deterministic, so a
-// count change means the engine changed behaviour, not just speed).
+// Prints BENCH_sim_throughput.json-style output (bench/gate.h). Under
+// --check BASELINE.json the two e2e event counts must match exactly (the
+// scenarios are deterministic, so a changed count means the engine changed
+// behaviour, not just speed), the two e2e events/sec rates are floors 25%
+// below the baseline, and the rest is reported.
 //
-//   sim_throughput [--out FILE] [--check FILE] [--tolerance X] [--quick]
+//   sim_throughput [--out FILE] [--check FILE] [--quick]
 
 #include <chrono>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "core/escra.h"
+#include "gate.h"
 #include "net/network.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
@@ -279,128 +274,11 @@ void bench_e2e_scale(sim::Duration duration, int containers_per_node,
   (void)probe_fires;
 }
 
-// --- output / baseline check ---------------------------------------------
-
-std::string to_json(const Results& r) {
-  char buf[1024];
-  std::snprintf(buf, sizeof(buf),
-                "{\n"
-                "  \"bench\": \"sim_throughput\",\n"
-                "  \"schedule_ns\": %.1f,\n"
-                "  \"cancel_ns\": %.1f,\n"
-                "  \"raw_fire_eps\": %.0f,\n"
-                "  \"churn_ops_per_sec\": %.0f,\n"
-                "  \"periodic_eps\": %.0f,\n"
-                "  \"e2e_events\": %" PRIu64 ",\n"
-                "  \"e2e_wall_s\": %.3f,\n"
-                "  \"e2e_eps\": %.0f,\n"
-                "  \"e2e_scale_events\": %" PRIu64 ",\n"
-                "  \"e2e_scale_wall_s\": %.3f,\n"
-                "  \"e2e_scale_eps\": %.0f\n"
-                "}\n",
-                r.schedule_ns, r.cancel_ns, r.raw_fire_eps,
-                r.churn_ops_per_sec, r.periodic_eps, r.e2e_events,
-                r.e2e_wall_s, r.e2e_eps, r.e2e_scale_events,
-                r.e2e_scale_wall_s, r.e2e_scale_eps);
-  return buf;
-}
-
-// Minimal field extraction: the baseline is our own fixed-format JSON.
-bool find_number(const std::string& json, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t pos = json.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(json.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
-int check_against(const std::string& path, const Results& fresh,
-                  double tolerance) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "sim_throughput: cannot read baseline %s\n",
-                 path.c_str());
-    return 1;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string json = ss.str();
-  double base_eps = 0.0;
-  double base_events = 0.0;
-  double base_scale_eps = 0.0;
-  double base_scale_events = 0.0;
-  if (!find_number(json, "e2e_eps", &base_eps) ||
-      !find_number(json, "e2e_events", &base_events) ||
-      !find_number(json, "e2e_scale_eps", &base_scale_eps) ||
-      !find_number(json, "e2e_scale_events", &base_scale_events)) {
-    std::fprintf(stderr, "sim_throughput: baseline %s missing fields\n",
-                 path.c_str());
-    return 1;
-  }
-  if (static_cast<double>(fresh.e2e_events) != base_events ||
-      static_cast<double>(fresh.e2e_scale_events) != base_scale_events) {
-    std::fprintf(stderr,
-                 "sim_throughput: DETERMINISM DRIFT — e2e executed %" PRIu64
-                 "/%" PRIu64 " events, baseline recorded %.0f/%.0f\n",
-                 fresh.e2e_events, fresh.e2e_scale_events, base_events,
-                 base_scale_events);
-    return 1;
-  }
-  const double floor = base_eps * (1.0 - tolerance);
-  if (fresh.e2e_eps < floor) {
-    std::fprintf(stderr,
-                 "sim_throughput: REGRESSION — e2e %.0f events/s is below "
-                 "%.0f (baseline %.0f minus %.0f%% tolerance)\n",
-                 fresh.e2e_eps, floor, base_eps, tolerance * 100.0);
-    return 1;
-  }
-  const double scale_floor = base_scale_eps * (1.0 - tolerance);
-  if (fresh.e2e_scale_eps < scale_floor) {
-    std::fprintf(stderr,
-                 "sim_throughput: REGRESSION — e2e_scale %.0f events/s is "
-                 "below %.0f (baseline %.0f minus %.0f%% tolerance)\n",
-                 fresh.e2e_scale_eps, scale_floor, base_scale_eps,
-                 tolerance * 100.0);
-    return 1;
-  }
-  std::printf("sim_throughput: ok — e2e %.0f events/s vs baseline %.0f, "
-              "e2e_scale %.0f vs %.0f (tolerance %.0f%%)\n",
-              fresh.e2e_eps, base_eps, fresh.e2e_scale_eps, base_scale_eps,
-              tolerance * 100.0);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path;
-  std::string check_path;
-  double tolerance = 0.25;
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (flag == "--out") {
-      out_path = next();
-    } else if (flag == "--check") {
-      check_path = next();
-    } else if (flag == "--tolerance") {
-      tolerance = std::strtod(next(), nullptr);
-    } else if (flag == "--quick") {
-      quick = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: sim_throughput [--out FILE] [--check FILE] "
-                   "[--tolerance X] [--quick]\n");
-      return 2;
-    }
-  }
+  const gate::Flags flags = gate::parse_flags(argc, argv, "sim_throughput");
+  const bool quick = flags.quick;
 
   Results r;
   const std::size_t micro_n = quick ? 100'000 : 2'000'000;
@@ -412,14 +290,21 @@ int main(int argc, char** argv) {
   bench_e2e_scale(quick ? sim::milliseconds(500) : sim::seconds(2),
                   quick ? 8 : 64, r);
 
-  const std::string json = to_json(r);
-  std::fputs(json.c_str(), stdout);
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    out << json;
-  }
-  if (!check_path.empty() && !quick) {
-    return check_against(check_path, r, tolerance);
-  }
-  return 0;
+  return gate::publish("sim_throughput",
+                       {
+                           gate::report("schedule_ns", r.schedule_ns, 1),
+                           gate::report("cancel_ns", r.cancel_ns, 1),
+                           gate::report("raw_fire_eps", r.raw_fire_eps),
+                           gate::report("churn_ops_per_sec",
+                                        r.churn_ops_per_sec),
+                           gate::report("periodic_eps", r.periodic_eps),
+                           gate::exact("e2e_events", r.e2e_events),
+                           gate::report("e2e_wall_s", r.e2e_wall_s, 3),
+                           gate::floor("e2e_eps", r.e2e_eps),
+                           gate::exact("e2e_scale_events", r.e2e_scale_events),
+                           gate::report("e2e_scale_wall_s",
+                                        r.e2e_scale_wall_s, 3),
+                           gate::floor("e2e_scale_eps", r.e2e_scale_eps),
+                       },
+                       flags);
 }
