@@ -44,9 +44,6 @@
 //   - critical-path ns per container (N) / same at N = 1     <= 1.25
 //   - aggregate throughput (16 shards) / (1 shard)           >= 8
 //
-// A determinism phase additionally asserts sweep_parallel checksums are
-// identical at --jobs 1 and --jobs 4 on fresh identical planes.
-//
 //   shard_scale [--out FILE] [--check FILE] [--quick]
 //
 // --quick shrinks to 200 nodes / 2k containers and shard counts {1, 4}
@@ -212,72 +209,6 @@ ScalePoint measure(const Config& cfg, int shards) {
   return pt;
 }
 
-// Determinism phase: two fresh identical planes, one swept at --jobs 1 and
-// one at --jobs 4, must produce identical decision checksums every round.
-int determinism_phase() {
-  constexpr int kShards = 4;
-  constexpr int kApps = 16;
-  constexpr int kPerApp = 8;
-  struct Plane {
-    sim::Simulation sim;
-    net::Network net;
-    cluster::Cluster k8s;
-    shard::ShardedControlPlane plane;
-    Plane()
-        : net(sim), k8s(sim), plane(sim, net, k8s, 64.0,
-                                    memcg::Bytes{8} * memcg::kGiB,
-                                    [] {
-                                      shard::ShardPlaneConfig c;
-                                      c.shards = kShards;
-                                      return c;
-                                    }()) {
-      for (int n = 0; n < 8; ++n) k8s.add_node({});
-      for (int a = 0; a < kApps; ++a) {
-        std::vector<cluster::Container*> group;
-        for (int i = 0; i < kPerApp; ++i) {
-          cluster::ContainerSpec spec;
-          spec.name = "a" + std::to_string(a) + "/" + std::to_string(i);
-          group.push_back(&k8s.create_container(spec, 0.25, 32 * memcg::kMiB));
-        }
-        plane.manage("app" + std::to_string(a), group);
-      }
-      plane.start();
-      sim.run_until(sim::milliseconds(100));
-    }
-    std::vector<std::vector<core::CpuStatsMsg>> batches(int round) {
-      std::vector<std::vector<core::CpuStatsMsg>> by_shard(kShards);
-      for (const cluster::Container* c : k8s.containers()) {
-        core::CpuStatsMsg m;
-        m.cgroup = c->id();
-        m.period_end = sim.now();
-        m.quota = sim::milliseconds(10);
-        m.throttled = (m.cgroup + static_cast<std::uint32_t>(round)) % 2 == 0;
-        m.unused = m.throttled ? 0 : sim::milliseconds(6);
-        by_shard[plane.shard_of_container(c->id())].push_back(m);
-      }
-      return by_shard;
-    }
-  };
-  Plane serial, threaded;
-  for (int round = 0; round < 8; ++round) {
-    const std::uint64_t a = serial.plane.sweep_parallel(serial.batches(round), 1);
-    const std::uint64_t b =
-        threaded.plane.sweep_parallel(threaded.batches(round), 4);
-    if (a != b) {
-      std::fprintf(stderr,
-                   "shard_scale: NONDETERMINISM — sweep_parallel checksum "
-                   "%016" PRIx64 " (jobs 1) != %016" PRIx64
-                   " (jobs 4) at round %d\n",
-                   a, b, round);
-      return 1;
-    }
-    serial.sim.run_until(serial.sim.now() + sim::milliseconds(100));
-    threaded.sim.run_until(threaded.sim.now() + sim::milliseconds(100));
-  }
-  std::printf("shard_scale: sweep_parallel byte-identical at jobs 1 vs 4\n");
-  return 0;
-}
-
 // The per-shard-count points, as members appended to the gate's JSON.
 std::string points_json(const std::vector<ScalePoint>& points) {
   std::string out = "  \"points\": [\n";
@@ -308,8 +239,6 @@ int main(int argc, char** argv) {
     cfg.periods = 4;
     cfg.shard_counts = {1, 4};
   }
-
-  if (determinism_phase() != 0) return 1;
 
   std::vector<ScalePoint> points;
   for (const int shards : cfg.shard_counts) {

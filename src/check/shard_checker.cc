@@ -5,10 +5,6 @@
 
 namespace escra::check {
 
-namespace {
-constexpr double kBwEps = 1e-3;  // bytes/s pools are ~1e9-scale
-}  // namespace
-
 ShardInvariantChecker::ShardInvariantChecker(shard::ShardedControlPlane& plane)
     : plane_(plane), sim_(plane.simulation()) {
   sweep_event_ = sim_.schedule_every(sim_.now() + kSweepInterval,
@@ -31,12 +27,10 @@ void ShardInvariantChecker::sweep() {
 
   double cpu_sum = 0.0;
   memcg::Bytes mem_sum = 0;
-  double bw_sum = 0.0;
   for (int s = 0; s < plane_.shard_count(); ++s) {
     core::DistributedContainer& app = plane_.shard(s).app();
     cpu_sum += app.cpu_limit();
     mem_sum += app.mem_limit();
-    bw_sum += app.bw_limit();
     // Slice floors: the DistributedContainer asserts limit >= allocated on
     // every mutation, but a lender bug could shrink past its commitments
     // between mutations of *different* shards — re-check from outside.
@@ -73,22 +67,11 @@ void ShardInvariantChecker::sweep() {
                   static_cast<long long>(plane_.cluster_mem_limit()));
     add("shard-mem-conservation", buf);
   }
-  if (plane_.cluster_bw_limit() > 0.0 &&
-      std::fabs(bw_sum + plane_.inflight_bw() - plane_.cluster_bw_limit()) >
-          kBwEps) {
-    std::snprintf(buf, sizeof buf,
-                  "sum(slices) %.3f + inflight %.3f != cluster %.3f", bw_sum,
-                  plane_.inflight_bw(), plane_.cluster_bw_limit());
-    add("shard-bw-conservation", buf);
-  }
 
-  if (plane_.inflight_cpu() < -kCpuEps ||
-      plane_.inflight_mem() < -0.5 || plane_.inflight_bw() < -kBwEps) {
+  if (plane_.inflight_cpu() < -kCpuEps || plane_.inflight_mem() < -0.5) {
     std::snprintf(buf, sizeof buf,
-                  "inflight cpu %.9f mem %.0f bw %.3f (a transfer landed "
-                  "twice)",
-                  plane_.inflight_cpu(), plane_.inflight_mem(),
-                  plane_.inflight_bw());
+                  "inflight cpu %.9f mem %.0f (a transfer landed twice)",
+                  plane_.inflight_cpu(), plane_.inflight_mem());
     add("shard-inflight-floor", buf);
   }
 

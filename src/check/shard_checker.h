@@ -9,13 +9,14 @@
 //         == cluster pool                          (per resource)
 //
 // exactly for memory (every transfer is whole bytes) and to kCpuEps for
-// CPU / 1e-3 bytes/s for bandwidth. Because lenders and returners shrink
-// their slice *before* the grant/notice travels, the identity holds at every
-// instant — through drops, duplicated RPC legs, retransmits, and shard
-// leader crashes — not just at quiescence. This checker sweeps it on the
-// sim clock, plus the plane-level sanity rules:
+// CPU. Because lenders and returners shrink their slice *before* the
+// grant/notice travels, the identity holds at every instant — through
+// drops, duplicated RPC legs, retransmits, and shard leader crashes — not
+// just at quiescence. The plane pools CPU and memory only (bandwidth is not
+// sharded), so those are the two resources checked. This checker sweeps the
+// identity on the sim clock, plus the plane-level sanity rules:
 //
-//   - shard-cpu/mem/bw-conservation   the identity above
+//   - shard-cpu/mem-conservation      the identity above
 //   - shard-pool-floor                every slice limit covers its
 //                                     allocated sum (never negative)
 //   - shard-inflight-floor            in-flight totals never go negative

@@ -214,7 +214,6 @@ void Container::stall_for(sim::Duration d) {
 void Container::oom_kill() {
   if (state_ != State::kRunning) return;
   ++oom_kill_count_;
-  if (on_oom_kill_) on_oom_kill_();
   kill_common();
 }
 

@@ -56,8 +56,6 @@ class Container final : public cfs::CpuConsumer {
   // Completion callback: ok=true when the work finished, false when it was
   // dropped by an OOM kill.
   using Completion = std::function<void(bool ok)>;
-  // Fired when the container OOM-kills (for experiment accounting).
-  using OomKillObserver = std::function<void()>;
 
   Container(sim::Simulation& sim, ContainerId id, ContainerSpec spec,
             sim::Duration cfs_period, double initial_cores,
@@ -104,7 +102,6 @@ class Container final : public cfs::CpuConsumer {
   void run_for(sim::Duration granted, sim::Duration slice) override;
 
   // --- lifecycle ---
-  void set_oom_kill_observer(OomKillObserver obs) { on_oom_kill_ = std::move(obs); }
   std::uint64_t oom_kill_count() const { return oom_kill_count_; }
   std::uint64_t completed_items() const { return completed_; }
   std::uint64_t dropped_items() const { return dropped_; }
@@ -171,7 +168,6 @@ class Container final : public cfs::CpuConsumer {
   std::uint64_t evictions_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t dropped_ = 0;
-  OomKillObserver on_oom_kill_;
 
   // RT reservation state. rt_ is all-zero (invalid) when not admitted.
   cfs::RtSpec rt_;

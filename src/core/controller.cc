@@ -593,22 +593,15 @@ void Controller::ingest_cpu_stats(const CpuStatsMsg& stats, obs::EventId cause,
       known ? allocator_.app().member_cores(stats.cgroup) : 0.0;
   const auto decision = allocator_.on_cpu_stats(stats);
   if (!decision.has_value()) return;
-  apply_cpu_decision(stats.cgroup, before, *decision, fire_time, cause);
-}
-
-void Controller::apply_cpu_decision(cluster::ContainerId id, double before,
-                                    double cores, sim::TimePoint fire_time,
-                                    obs::EventId cause) {
-  if (crashed_) return;
   LoopCtx ctx;
   ctx.fire = fire_time;
   ctx.ingest = sim_.now();
   ctx.decide = sim_.now();  // synchronous allocator: decide == ingest
   ctx.profile = true;
-  ctx.cause = trace(cores > before ? obs::EventKind::kCpuGrant
-                                   : obs::EventKind::kCpuShrink,
-                    id, before, cores, 0, cause);
-  push_limit(id, Resource::kCpu, cores, ctx);
+  ctx.cause = trace(*decision > before ? obs::EventKind::kCpuGrant
+                                       : obs::EventKind::kCpuShrink,
+                    stats.cgroup, before, *decision, 0, cause);
+  push_limit(stats.cgroup, Resource::kCpu, *decision, ctx);
 }
 
 void Controller::push_limit(cluster::ContainerId id, Resource resource,

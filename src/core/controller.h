@@ -168,17 +168,6 @@ class Controller {
 
   // --- telemetry & events (normally invoked via the network) ---
   void on_cpu_stats(const CpuStatsMsg& stats);
-  // Hands the Controller a CPU decision the Resource Allocator already made
-  // (src/shard's parallel per-shard sweep runs each shard's allocator on a
-  // worker thread — shard state is disjoint — then applies the merged
-  // decision stream serially in shard order). Records the grant/shrink
-  // event and opens the sequenced desired-state slot exactly as
-  // ingest_cpu_stats would after an inline decision. `before` is the shadow
-  // limit the allocator saw when it decided; `cause` links the decision
-  // event to the throttle that prompted it (0 = none).
-  void apply_cpu_decision(cluster::ContainerId id, double before,
-                          double cores, sim::TimePoint fire_time,
-                          obs::EventId cause = 0);
   // Pre-OOM request: returns true if the limit was raised enough for the
   // charge to succeed (the container survives). Fails (container dies by
   // the kernel's normal OOM path) when the Controller is crashed or
@@ -339,6 +328,9 @@ class Controller {
                      double cores, memcg::Bytes mem, RegisterMode mode,
                      double bw_want = 0.0, const cfs::RtSpec* rt = nullptr,
                      double rt_bw = 0.0);
+  // Runs the allocator on one CPU statistic and, on a decision, records the
+  // grant/shrink event (linked to `cause`, the throttle that prompted it)
+  // and opens the sequenced desired-state slot.
   void ingest_cpu_stats(const CpuStatsMsg& stats, obs::EventId cause,
                         sim::TimePoint fire_time);
   // The one trace recorder: stamps the event with sim_.now() and tags it

@@ -19,32 +19,6 @@ EscraSystem::EscraSystem(sim::Simulation& sim, net::Network& network,
 
 EscraSystem::~EscraSystem() { unwatch(); }
 
-EscraSystem::Bootstrap EscraSystem::bootstrap(std::size_t count) {
-  const auto n = static_cast<double>(count);
-  if (bandwidth_enabled() && app_.bw_limit() > 0.0) {
-    controller_.set_bw_plan(app_.bw_limit() / n);  // Eq. 1, bandwidth analogue
-  }
-  return {app_.cpu_limit() / n,  // Eq. 1
-          static_cast<memcg::Bytes>(static_cast<double>(app_.mem_limit()) *
-                                    (1.0 - config_.sigma) / n)};  // Eq. 2
-}
-
-std::vector<cluster::Container*> EscraSystem::deploy(const AppSpec& spec) {
-  if (spec.containers.empty()) {
-    throw std::invalid_argument("deploy: empty application");
-  }
-  const Bootstrap b = bootstrap(spec.containers.size());
-  std::vector<cluster::Container*> deployed;
-  deployed.reserve(spec.containers.size());
-  for (const cluster::ContainerSpec& cs : spec.containers) {
-    cluster::Container& c = cluster_.create_container(cs, b.cores, b.mem);
-    controller_.register_container(c, *cluster_.node_of(c.id()), b.cores,
-                                   b.mem);
-    deployed.push_back(&c);
-  }
-  return deployed;
-}
-
 void EscraSystem::watch() {
   if (watching_) return;
   watching_ = true;
@@ -70,11 +44,17 @@ void EscraSystem::enable_bandwidth(bw::ClusterShaper& shaper,
 
 void EscraSystem::manage(const std::vector<cluster::Container*>& containers) {
   if (containers.empty()) throw std::invalid_argument("manage: no containers");
-  const Bootstrap b = bootstrap(containers.size());
+  const auto n = static_cast<double>(containers.size());
+  if (bandwidth_enabled() && app_.bw_limit() > 0.0) {
+    controller_.set_bw_plan(app_.bw_limit() / n);  // Eq. 1, bandwidth analogue
+  }
+  const double cores = app_.cpu_limit() / n;  // Eq. 1
+  const auto mem = static_cast<memcg::Bytes>(  // Eq. 2
+      static_cast<double>(app_.mem_limit()) * (1.0 - config_.sigma) / n);
   for (cluster::Container* c : containers) {
     cluster::Node* node = cluster_.node_of(c->id());
     if (node == nullptr) throw std::invalid_argument("manage: unknown container");
-    controller_.register_container(*c, *node, b.cores, b.mem);
+    controller_.register_container(*c, *node, cores, mem);
   }
 }
 

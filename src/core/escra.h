@@ -11,17 +11,20 @@
 //
 //   core::EscraSystem escra(simulation, network, k8s,
 //                           /*global_cpu=*/8.0, /*global_mem=*/4 * kGiB);
-//   escra.deploy({.name = "shop", .containers = {...}});   // Eq. 1-2 limits
-//   escra.start();                                          // control loops on
+//   std::vector<cluster::Container*> shop;
+//   for (const cluster::ContainerSpec& spec : specs)
+//     shop.push_back(&k8s.create_container(spec, 1.0, 512 * kMiB));
+//   escra.manage(shop);   // Eq. 1-2 limits
+//   escra.start();        // control loops on
 //   simulation.run_until(sim::seconds(60));
 //
 // Containers created later (serverless pods) are picked up automatically
 // once `watch()` is enabled.
 //
-// Deployment ingests a Distributed Container configuration (the paper's
-// YAML set): a list of container specs under the global application
-// CPU/memory limits the system was built with. Each container's initial
-// limits follow Equations 1-2:
+// manage() takes one application's containers (the paper's YAML set) under
+// the global application CPU/memory limits the system was built with. Each
+// container's initial limits follow Equations 1-2, replacing whatever
+// limits it was created with:
 //
 //     cpu_0 = global_cpu_limit / #containers                      (1)
 //     mem_0 = global_mem_limit * (1 - sigma) / #containers        (2)
@@ -31,7 +34,6 @@
 // percentage; we follow the description — see DESIGN.md.)
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -44,12 +46,6 @@
 
 namespace escra::core {
 
-// The "set of YAML files": what the operator hands the Deployer.
-struct AppSpec {
-  std::string name;
-  std::vector<cluster::ContainerSpec> containers;
-};
-
 class EscraSystem {
  public:
   EscraSystem(sim::Simulation& sim, net::Network& network,
@@ -60,13 +56,9 @@ class EscraSystem {
   EscraSystem(const EscraSystem&) = delete;
   EscraSystem& operator=(const EscraSystem&) = delete;
 
-  // Deploys every container in the spec (spread across nodes), registers
-  // each with the Controller with Eq. 1-2 initial limits, and returns them.
-  std::vector<cluster::Container*> deploy(const AppSpec& spec);
-
-  // Takes over already-deployed containers as one application, applying the
-  // Eq. 1-2 initial limits (the Deployer path for containers another
-  // component created, e.g. the experiment harness).
+  // Takes over already-created containers as one application, registering
+  // each with the Controller with the Eq. 1-2 initial limits (the Deployer
+  // path).
   void manage(const std::vector<cluster::Container*>& containers);
 
   // Enables the Container Watcher: containers created in the cluster from
@@ -87,16 +79,15 @@ class EscraSystem {
   // Arms bandwidth as a third managed resource: the Distributed Container
   // gains a bandwidth pool of `global_bw_bps`, the Controller keeps the
   // shaper for admission/clamping and starts its telemetry sampler, and
-  // subsequent manage()/deploy() calls grant each container an equal
-  // bootstrap rate (the bandwidth analogue of Eq. 1). The shaper must
-  // outlive the system and be wired into the Network by the caller
-  // (network.set_shaper).
+  // subsequent manage() calls grant each container an equal bootstrap rate
+  // (the bandwidth analogue of Eq. 1). The shaper must outlive the system
+  // and be wired into the Network by the caller (network.set_shaper).
   void enable_bandwidth(bw::ClusterShaper& shaper, double global_bw_bps);
   bool bandwidth_enabled() const { return controller_.bandwidth_enabled(); }
 
   // Real-time admission (mixed-criticality class): reserves a
   // (runtime, deadline, period) floor for a managed container. The
-  // container must already be adopted/deployed; see Controller::admit_rt
+  // container must already be managed or adopted; see Controller::admit_rt
   // for the utilization-bound tests and the never-reclaim guarantee.
   Controller::RtAdmit admit_rt(cluster::Container& container,
                                const cfs::RtSpec& spec, double bw_bps = 0.0) {
@@ -120,7 +111,7 @@ class EscraSystem {
 
   // Attaches control-plane observability (decision trace, metrics, loop
   // profiler) to the Controller and the Resource Allocator. Safe before or
-  // after deploy; already-registered containers are re-wired. The observer
+  // after manage(); already-registered containers are re-wired. The observer
   // must outlive the system.
   void attach_observer(obs::Observer& observer) {
     controller_.set_observer(&observer);
@@ -134,15 +125,6 @@ class EscraSystem {
   const EscraConfig& config() const { return config_; }
 
  private:
-  // Eq. 1-2 initial limits for each container of an application.
-  struct Bootstrap {
-    double cores;
-    memcg::Bytes mem;
-  };
-  // Computes Eq. 1-2 for an application of `count` containers and, with
-  // bandwidth armed, plans each container's equal share of the pool.
-  Bootstrap bootstrap(std::size_t count);
-
   cluster::Cluster& cluster_;
   EscraConfig config_;
   DistributedContainer app_;

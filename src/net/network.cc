@@ -89,12 +89,6 @@ void Network::set_loss(double rate, sim::Rng rng) {
   fault_rng_ = rng;
 }
 
-void Network::set_jitter(sim::Duration max_jitter) {
-  if (max_jitter < 0) throw std::invalid_argument("set_jitter: negative");
-  max_jitter_ = max_jitter;
-  if (max_jitter_ > 0) ensure_fault_rng();
-}
-
 void Network::set_drop_rate(Channel channel, double rate) {
   if (rate < 0.0 || rate >= 1.0) {
     throw std::invalid_argument("set_drop_rate: rate out of [0,1)");
@@ -144,11 +138,6 @@ bool Network::link_up(EndpointId from, EndpointId to) const {
   return !down_links_.contains(link_key(from, to));
 }
 
-sim::Duration Network::jitter() {
-  if (max_jitter_ <= 0 || !fault_rng_.has_value()) return 0;
-  return fault_rng_->uniform_int(0, max_jitter_);
-}
-
 Network::Route Network::route(Channel channel, EndpointId from, EndpointId to,
                               std::size_t bytes) {
   Route r;
@@ -159,8 +148,8 @@ Network::Route Network::route(Channel channel, EndpointId from, EndpointId to,
     count_drop(bytes);
     return r;
   }
-  // Probabilistic faults draw in a fixed order (drop, duplicate, spike,
-  // jitter), each only when armed, keeping the stream stable.
+  // Probabilistic faults draw in a fixed order (drop, duplicate, spike),
+  // each only when armed, keeping the stream stable.
   if (channel == Channel::kCpuTelemetry && loss_rate_ > 0.0 &&
       fault_rng_.has_value() && fault_rng_->chance(loss_rate_)) {
     count_drop(bytes);
@@ -190,7 +179,6 @@ Network::Route Network::route(Channel channel, EndpointId from, EndpointId to,
       fault_rng_->chance(spike_rate_[ch])) {
     r.delay += spike_extra_[ch];
   }
-  r.delay += jitter();
   return r;
 }
 

@@ -188,10 +188,10 @@ class Network {
   // --- fault injection ---
 
   // Seeds the RNG all probabilistic faults (loss, drop, duplicate, delay
-  // spike) and jitter draw from. set_loss also installs its rng for
-  // backward compatibility; the other knobs auto-seed a default
-  // deterministic stream if none was provided — pass your own for
-  // scenario-level reproducibility.
+  // spike) draw from. set_loss also installs its rng for backward
+  // compatibility; the other knobs auto-seed a default deterministic stream
+  // if none was provided — pass your own for scenario-level
+  // reproducibility.
   void set_fault_rng(sim::Rng rng);
 
   // Drops each UDP telemetry datagram independently with probability
@@ -200,8 +200,6 @@ class Network {
   // partitions to break them). Used to test that the control loop tolerates
   // lossy telemetry.
   void set_loss(double rate, sim::Rng rng);
-  // Adds uniform random jitter in [0, max_jitter] to every delivery.
-  void set_jitter(sim::Duration max_jitter);
 
   // Per-channel fault knobs (addressed and unaddressed traffic alike).
   // Rates are probabilities in [0, 1); a dropped message is accounted but
@@ -255,7 +253,6 @@ class Network {
   void account(Channel channel, EndpointId from, std::size_t bytes);
   void count_drop(std::size_t bytes);
   sim::Duration latency_for(Channel channel) const;
-  sim::Duration jitter();
   void ensure_fault_rng();
   static std::uint64_t link_key(EndpointId from, EndpointId to) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from))
@@ -294,7 +291,6 @@ class Network {
   double dup_rate_[kChannelCount] = {};
   double spike_rate_[kChannelCount] = {};
   sim::Duration spike_extra_[kChannelCount] = {};
-  sim::Duration max_jitter_ = 0;
   std::optional<sim::Rng> fault_rng_;
   std::set<std::uint64_t> down_links_;  // ordered: deterministic iteration
   std::uint64_t dropped_ = 0;

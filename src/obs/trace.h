@@ -79,15 +79,15 @@ enum class EventKind : std::uint8_t {
   kGreedyThrottle,       // credit-exhausted container decayed toward its
                          // static fair share (before/after = CPU limit)
   // Sharded control plane (src/shard). Borrow events carry the resource in
-  // `before` (0 = CPU, 1 = memory, 2 = bandwidth, matching the Rpc*
-  // convention), the amount in `after` (cores / bytes / bytes-per-second),
-  // and pack the peer shard id and the per-pair borrow sequence into
-  // `detail` as (peer << 48) | seq. The recording shard itself is carried
-  // by the event's `shard` field (stamped at merged export from buffer
+  // `before` (0 = CPU, 1 = memory, matching the Rpc* convention; the plane
+  // pools no bandwidth), the amount in `after` (cores / bytes), and pack
+  // the peer shard id and the per-pair borrow sequence into `detail` as
+  // (peer << 48) | seq. The recording shard itself is carried by the
+  // event's `shard` field (stamped at merged export from buffer
   // provenance, or pre-set by the recorder).
   kShardAdvertise,       // periodic surplus advertisement broadcast (before =
                          // CPU surplus cores, after = memory surplus bytes,
-                         // detail = bandwidth surplus bytes/s)
+                         // detail = 0)
   kBorrowRequest,        // hot shard asked a peer for pool headroom
   kBorrowGrant,          // lender shrank its pool and granted the request
   kBorrowReturn,         // borrower shrank its pool to hand capacity back

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "core/messages.h"
-#include "sweep/runner.h"
 
 namespace escra::shard {
 
@@ -14,24 +12,10 @@ using core::Resource;
 
 namespace {
 
-// Smallest transfer worth shipping: whole bytes for memory, a nano-core /
-// nano-bps for the continuous resources (below that the pool math is noise).
+// Smallest transfer worth shipping: whole bytes for memory, a nano-core
+// for CPU (below that the pool math is noise).
 double min_transfer(Resource res) {
   return res == Resource::kMem ? 1.0 : 1e-9;
-}
-
-std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::uint64_t double_bits(double d) {
-  std::uint64_t v = 0;
-  std::memcpy(&v, &d, sizeof v);
-  return v;
 }
 
 // Cadence of the surplus-advertisement / borrow / return tick. Off the
@@ -90,39 +74,19 @@ ShardedControlPlane::~ShardedControlPlane() {
   if (started_) stop();
 }
 
-std::vector<cluster::Container*> ShardedControlPlane::deploy(
-    const core::AppSpec& spec) {
-  const int s = router_.shard_for_app(spec.name);
-  core::EscraSystem& escra = *shards_[s].escra;
-  std::vector<cluster::Container*> out;
-  if (escra.controller().registered_count() == 0) {
-    // First application on this shard: exact Eq. 1-2 over the slice, so a
-    // one-shard plane is indistinguishable from the bare controller.
-    out = escra.deploy(spec);
-  } else {
-    // Later applications join like serverless pods: creation-time defaults,
-    // then the late-join registration path (grant clamped to whatever the
-    // slice still holds — possibly zero until earlier apps shed slack).
-    out.reserve(spec.containers.size());
-    for (const cluster::ContainerSpec& cs : spec.containers) {
-      cluster::Container& c = cluster_.create_container(
-          cs, config_.escra.late_join_cores, config_.escra.late_join_mem);
-      escra.adopt(c);
-      out.push_back(&c);
-    }
-  }
-  for (cluster::Container* c : out) owner_[c->id()] = s;
-  return out;
-}
-
 void ShardedControlPlane::manage(
     const std::string& app,
     const std::vector<cluster::Container*>& containers) {
   const int s = router_.shard_for_app(app);
   core::EscraSystem& escra = *shards_[s].escra;
   if (escra.controller().registered_count() == 0) {
+    // First application on this shard: exact Eq. 1-2 over the slice, so a
+    // one-shard plane is indistinguishable from the bare controller.
     escra.manage(containers);
   } else {
+    // Later applications join like serverless pods: the late-join
+    // registration path (grant clamped to whatever the slice still holds —
+    // possibly zero until earlier apps shed slack).
     for (cluster::Container* c : containers) escra.adopt(*c);
   }
   for (cluster::Container* c : containers) owner_[c->id()] = s;
@@ -196,30 +160,24 @@ int ShardedControlPlane::shard_of_container(cluster::ContainerId id) const {
 
 double ShardedControlPlane::limit_of(int s, Resource res) const {
   core::DistributedContainer& app = shards_[s].escra->app();
-  switch (res) {
-    case Resource::kCpu: return app.cpu_limit();
-    case Resource::kMem: return static_cast<double>(app.mem_limit());
-    default: return app.bw_limit();
-  }
+  return res == Resource::kCpu ? app.cpu_limit()
+                               : static_cast<double>(app.mem_limit());
 }
 
 double ShardedControlPlane::unalloc_of(int s, Resource res) const {
   core::DistributedContainer& app = shards_[s].escra->app();
-  switch (res) {
-    case Resource::kCpu: return app.cpu_unallocated();
-    case Resource::kMem: return static_cast<double>(app.mem_unallocated());
-    default: return app.bw_unallocated();
-  }
+  return res == Resource::kCpu ? app.cpu_unallocated()
+                               : static_cast<double>(app.mem_unallocated());
 }
 
 void ShardedControlPlane::resize_pool(int s, Resource res, double new_limit,
                                       std::uint64_t cause) {
   core::DistributedContainer& app = shards_[s].escra->app();
   const double old_limit = limit_of(s, res);
-  switch (res) {
-    case Resource::kCpu: app.set_cpu_limit(new_limit); break;
-    case Resource::kMem: app.set_mem_limit(std::llround(new_limit)); break;
-    default: app.set_bw_limit(new_limit); break;
+  if (res == Resource::kCpu) {
+    app.set_cpu_limit(new_limit);
+  } else {
+    app.set_mem_limit(std::llround(new_limit));
   }
   ++pool_resizes_;
   bump(s, &obs::Observer::Handles::shard_pool_resizes);
@@ -256,15 +214,13 @@ void ShardedControlPlane::advertise_tick() {
 void ShardedControlPlane::broadcast_adverts(int s) {
   Advert advert;
   advert.heard = true;
-  for (std::size_t r = 0; r < core::kResources; ++r)
+  for (std::size_t r = 0; r < kPooled; ++r)
     advert.surplus[r] = lendable_surplus(s, static_cast<Resource>(r));
   ++adverts_sent_;
   bump(s, &obs::Observer::Handles::shard_adverts);
-  record_event(
-      s, obs::EventKind::kShardAdvertise,
-      advert.surplus[ix(Resource::kCpu)],
-      advert.surplus[ix(Resource::kMem)],
-      static_cast<std::int64_t>(advert.surplus[ix(Resource::kBw)]));
+  record_event(s, obs::EventKind::kShardAdvertise,
+               advert.surplus[ix(Resource::kCpu)],
+               advert.surplus[ix(Resource::kMem)], 0);
   for (int peer = 0; peer < shard_count(); ++peer) {
     if (peer == s) continue;
     // Fire-and-forget datagram: a lost advert just delays borrowing one
@@ -279,7 +235,7 @@ void ShardedControlPlane::broadcast_adverts(int s) {
 
 void ShardedControlPlane::maybe_return(int s) {
   ShardState& state = shards_[s];
-  for (std::size_t r = 0; r < core::kResources; ++r) {
+  for (std::size_t r = 0; r < kPooled; ++r) {
     const auto res = static_cast<Resource>(r);
     if (state.pending[ix(res)].active) continue;
     // Largest outstanding debt first; ties go to the lowest lender id so
@@ -330,11 +286,10 @@ void ShardedControlPlane::maybe_return(int s) {
 
 void ShardedControlPlane::maybe_borrow(int s) {
   ShardState& state = shards_[s];
-  for (std::size_t r = 0; r < core::kResources; ++r) {
+  for (std::size_t r = 0; r < kPooled; ++r) {
     const auto res = static_cast<Resource>(r);
     if (state.pending[ix(res)].active) continue;
     const double limit = limit_of(s, res);
-    if (limit <= 0.0) continue;  // resource not armed on this shard
     const double unalloc = unalloc_of(s, res);
     if (unalloc >= config_.low_frac * limit) continue;
     double want = kTargetFrac * limit - unalloc;
@@ -483,55 +438,6 @@ void ShardedControlPlane::on_retransmit_timer(int s, Resource res,
       send_borrow(s, res);
   }
   arm_retransmit(s, res);
-}
-
-// --- parallel sweep --------------------------------------------------------
-
-std::uint64_t ShardedControlPlane::sweep_parallel(
-    const std::vector<std::vector<core::CpuStatsMsg>>& by_shard, int jobs) {
-  if (by_shard.size() != shards_.size())
-    throw std::invalid_argument(
-        "ShardedControlPlane::sweep_parallel: batch count != shard count");
-  struct Decision {
-    cfs::CgroupId cgroup = 0;
-    double before = 0.0;
-    double after = 0.0;
-    sim::TimePoint fire = 0;
-  };
-  // Phase 1: every shard's allocator pass on a worker thread. Shards own
-  // disjoint allocator/pool/observer state, so the only sharing is
-  // read-only config — results land by shard index, independent of
-  // scheduling.
-  auto decisions = sweep::parallel_map<std::vector<Decision>>(
-      shards_.size(), jobs, [this, &by_shard](std::size_t i) {
-        std::vector<Decision> out;
-        const int s = static_cast<int>(i);
-        if (crashed(s)) return out;
-        core::EscraSystem& sys = *shards_[i].escra;
-        out.reserve(by_shard[i].size());
-        for (const core::CpuStatsMsg& msg : by_shard[i]) {
-          if (!sys.allocator().knows(msg.cgroup)) continue;
-          const double before = sys.app().member_cores(msg.cgroup);
-          const auto cores = sys.allocator().on_cpu_stats(msg);
-          if (cores)
-            out.push_back({msg.cgroup, before, *cores, msg.period_end});
-        }
-        return out;
-      });
-  // Phase 2: serial, shard-ordered apply — limit RPCs, trace events, and
-  // retransmit slots are born in a deterministic order regardless of how
-  // phase 1 was scheduled.
-  std::uint64_t checksum = 14695981039346656037ULL;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    core::Controller& controller = shards_[i].escra->controller();
-    for (const Decision& d : decisions[i]) {
-      controller.apply_cpu_decision(d.cgroup, d.before, d.after, d.fire);
-      checksum = fnv1a_mix(checksum, d.cgroup);
-      checksum = fnv1a_mix(checksum, double_bits(d.before));
-      checksum = fnv1a_mix(checksum, double_bits(d.after));
-    }
-  }
-  return checksum;
 }
 
 // --- observability helpers -------------------------------------------------

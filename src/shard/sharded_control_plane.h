@@ -27,16 +27,16 @@
 //
 //          sum(shard pool slices) + in-flight transfers == cluster pool
 //
-//      exactly for memory (whole bytes) and to 1e-6 for CPU/bandwidth —
-//      the invariant src/check/shard_checker.h sweeps.
+//      exactly for memory (whole bytes) and to 1e-6 for CPU — the
+//      invariant src/check/shard_checker.h sweeps. Bandwidth is not a
+//      sharded resource: no shard arms a shaper, so there is no bandwidth
+//      pool to slice or borrow.
 //
 //   3. Determinism. All shards step in the one sim clock; every loop
 //      iterates shards in index order; identical seeds give byte-identical
-//      merged traces at any shard count, and sweep_parallel() fans the
-//      allocator passes of disjoint shards across worker threads with a
-//      serial, shard-ordered apply phase, so --jobs never changes a byte.
-//      With shards == 1 the plane is decision-stream-identical to a bare
-//      EscraSystem (tests/differential_test.cc proves it).
+//      merged traces at any shard count. With shards == 1 the plane is
+//      decision-stream-identical to a bare EscraSystem
+//      (tests/differential_test.cc proves it).
 //
 // Each shard gets its *own* obs::Observer (attach_observer(shard, obs));
 // export_merged_trace() interleaves the per-shard buffers into one
@@ -91,12 +91,10 @@ class ShardedControlPlane {
   ShardedControlPlane(const ShardedControlPlane&) = delete;
   ShardedControlPlane& operator=(const ShardedControlPlane&) = delete;
 
-  // Deploys the application on its owning shard (router-chosen by
-  // spec.name); Eq. 1-2 initial limits come from that shard's pool slice.
-  std::vector<cluster::Container*> deploy(const core::AppSpec& spec);
-
   // Takes over already-created containers as one application named `app`,
-  // managed by the owning shard.
+  // managed by its owning shard (router-chosen by name). The shard's first
+  // application gets Eq. 1-2 initial limits over the shard's pool slice;
+  // later ones join through the late-join registration path.
   void manage(const std::string& app,
               const std::vector<cluster::Container*>& containers);
 
@@ -123,16 +121,6 @@ class ShardedControlPlane {
   ha::HaControlPlane& ha(int shard);
   bool ha_enabled() const { return ha_enabled_; }
 
-  // Deterministic parallel allocator sweep, the bench/shard_scale engine:
-  // phase 1 runs each shard's telemetry batch through its own allocator on
-  // a sweep::parallel_map worker (disjoint shards touch disjoint state),
-  // phase 2 applies the collected decisions serially in shard order
-  // through Controller::apply_cpu_decision. Returns an FNV-1a checksum of
-  // the merged (cgroup, before, after) decision stream — byte-identical at
-  // any `jobs`. `by_shard` must have shard_count() entries.
-  std::uint64_t sweep_parallel(
-      const std::vector<std::vector<core::CpuStatsMsg>>& by_shard, int jobs);
-
   // --- introspection (tests, benchmarks, tools, src/check) ---
   int shard_count() const { return static_cast<int>(shards_.size()); }
   core::EscraSystem& shard(int i) { return *shards_.at(i).escra; }
@@ -144,30 +132,28 @@ class ShardedControlPlane {
   int shard_of_app(std::string_view app) const {
     return router_.shard_for_app(app);
   }
-  // Owning shard of a container deployed/managed through this plane; -1 if
-  // unknown to the plane.
+  // Owning shard of a container managed through this plane; -1 if unknown
+  // to the plane.
   int shard_of_container(cluster::ContainerId id) const;
 
   // RT admission routed to the container's owning shard: the reservation
   // debits that shard's base slice (set_rt_capacity pins the bound to the
   // non-borrowed base, so borrowed pool never backs an RT floor). Rejects
-  // with kRejectedState when the plane does not know the container.
+  // with kRejectedState when the plane does not know the container. A
+  // shard has no shaper, so a reservation carries no bandwidth floor.
   core::Controller::RtAdmit admit_rt(cluster::ContainerId id,
-                                     const cfs::RtSpec& spec,
-                                     double bw_bps = 0.0) {
+                                     const cfs::RtSpec& spec) {
     const int s = shard_of_container(id);
     if (s < 0) return core::Controller::RtAdmit::kRejectedState;
-    return shards_[s].escra->controller().admit_rt(id, spec, bw_bps);
+    return shards_[s].escra->controller().admit_rt(id, spec);
   }
 
   // Cluster-wide pool totals captured at construction (the conservation
   // right-hand side) and the transfer amounts currently on the wire.
   double cluster_cpu_limit() const { return cluster_cpu_limit_; }
   memcg::Bytes cluster_mem_limit() const { return cluster_mem_limit_; }
-  double cluster_bw_limit() const { return cluster_bw_limit_; }
   double inflight_cpu() const { return inflight_[ix(core::Resource::kCpu)]; }
   double inflight_mem() const { return inflight_[ix(core::Resource::kMem)]; }
-  double inflight_bw() const { return inflight_[ix(core::Resource::kBw)]; }
 
   std::uint64_t adverts_sent() const { return adverts_sent_; }
   std::uint64_t borrows_requested() const { return borrows_requested_; }
@@ -177,10 +163,14 @@ class ShardedControlPlane {
   std::uint64_t pool_resizes() const { return pool_resizes_; }
 
  private:
-  // The borrow protocol runs on core::Resource's axis: its numbering
-  // (0 = CPU, 1 = memory, 2 = bandwidth) indexes inflight_[] and the
-  // per-resource slots, and is what Rpc* / Borrow* trace events carry in
-  // `before` (kShardPoolResize: in `detail`).
+  // The borrow protocol runs on the first kPooled entries of
+  // core::Resource's axis: its numbering (0 = CPU, 1 = memory) indexes
+  // inflight_[] and the per-resource slots, and is what Rpc* / Borrow*
+  // trace events carry in `before` (kShardPoolResize: in `detail`).
+  static constexpr std::size_t kPooled = 2;
+  static_assert(static_cast<std::size_t>(core::Resource::kCpu) == 0 &&
+                    static_cast<std::size_t>(core::Resource::kMem) == 1,
+                "CPU and memory lead core::Resource");
   static std::size_t ix(core::Resource res) {
     return static_cast<std::size_t>(res);
   }
@@ -188,7 +178,7 @@ class ShardedControlPlane {
   // Latest surplus advertisement heard from a peer. Amounts are in the
   // resource's natural unit; memory surplus is always whole bytes.
   struct Advert {
-    double surplus[core::kResources] = {0.0, 0.0, 0.0};
+    double surplus[kPooled] = {0.0, 0.0};
     bool heard = false;
   };
 
@@ -216,7 +206,7 @@ class ShardedControlPlane {
     obs::Observer* observer = nullptr;
     std::unique_ptr<ha::HaControlPlane> ha;
     std::vector<Advert> heard;  // indexed by peer shard
-    Pending pending[core::kResources];
+    Pending pending[kPooled];
     // Per-peer monotonic sequence for ops this shard originates (shared
     // across resources and op types; per-(peer, resource) streams are
     // serialized, so they see strictly increasing sequences).
@@ -270,10 +260,9 @@ class ShardedControlPlane {
 
   double cluster_cpu_limit_ = 0.0;
   memcg::Bytes cluster_mem_limit_ = 0;
-  double cluster_bw_limit_ = 0.0;
   // Transfer amounts shipped but not yet landed, per resource (memory held
   // as whole bytes in the double — exact up to 2^53).
-  double inflight_[core::kResources] = {0.0, 0.0, 0.0};
+  double inflight_[kPooled] = {0.0, 0.0};
 
   std::uint64_t adverts_sent_ = 0;
   std::uint64_t borrows_requested_ = 0;

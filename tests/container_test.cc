@@ -172,15 +172,6 @@ TEST(ContainerTest, RescueStallPausesExecution) {
   EXPECT_EQ(rig.c.queue_depth(), 0u);
 }
 
-TEST(ContainerTest, OomKillObserverFires) {
-  Rig rig(spec(4.0, 64 * kMiB), 2.0, 80 * kMiB);
-  int kills = 0;
-  rig.c.set_oom_kill_observer([&] { ++kills; });
-  rig.c.submit(milliseconds(10), 60 * kMiB, nullptr);
-  rig.sim.run_until(milliseconds(100));
-  EXPECT_EQ(kills, 1);
-}
-
 TEST(ContainerTest, EvictRestartAppliesNewLimits) {
   Rig rig;
   int failed = 0;

@@ -4,6 +4,7 @@
 
 #include "cluster/cluster.h"
 #include "core/escra.h"
+#include "create_app.h"
 
 namespace escra::core {
 namespace {
@@ -189,14 +190,8 @@ TEST(EscraSystemTest, DeployAppliesEquations1And2) {
   EscraConfig cfg;
   cfg.sigma = 0.2;
   EscraSystem escra(sim, net, k8s, 8.0, 4 * kGiB, cfg);
-  AppSpec spec;
-  spec.name = "demo";
-  for (int i = 0; i < 4; ++i) {
-    cluster::ContainerSpec cs;
-    cs.name = "svc" + std::to_string(i);
-    spec.containers.push_back(cs);
-  }
-  const auto deployed = escra.deploy(spec);
+  const auto deployed = create_app(k8s, "demo", 4);
+  escra.manage(deployed);
   ASSERT_EQ(deployed.size(), 4u);
   for (const cluster::Container* c : deployed) {
     EXPECT_DOUBLE_EQ(c->cpu_cgroup().limit_cores(), 2.0);  // 8 / 4

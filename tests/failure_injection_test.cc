@@ -57,7 +57,6 @@ TEST(FaultInjectionTest, NetworkLossValidation) {
   net::Network net(sim);
   EXPECT_THROW(net.set_loss(-0.1, sim::Rng(1)), std::invalid_argument);
   EXPECT_THROW(net.set_loss(1.0, sim::Rng(1)), std::invalid_argument);
-  EXPECT_THROW(net.set_jitter(-1), std::invalid_argument);
   EXPECT_NO_THROW(net.set_loss(0.5, sim::Rng(1)));
 }
 
@@ -113,15 +112,6 @@ TEST(FaultInjectionTest, EscraToleratesHeavyLossWithDegradedTails) {
   EXPECT_EQ(lossy.total_oom_kills(), 0u);
   EXPECT_NEAR(lossy.loadgen->throughput_rps(),
               baseline.loadgen->throughput_rps(), 20.0);
-}
-
-TEST(FaultInjectionTest, JitterDoesNotBreakControlLoop) {
-  Rig rig;
-  rig.net.set_jitter(milliseconds(20));  // 20 ms delivery jitter
-  rig.loadgen->run(seconds(5), seconds(35));
-  rig.sim.run_until(seconds(40));
-  EXPECT_EQ(rig.loadgen->failed(), 0u);
-  EXPECT_EQ(rig.total_oom_kills(), 0u);
 }
 
 TEST(FaultInjectionTest, ControllerPauseFailsStatic) {

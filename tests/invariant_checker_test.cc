@@ -15,6 +15,7 @@
 #include "check/shard_checker.h"
 #include "cluster/cluster.h"
 #include "core/escra.h"
+#include "create_app.h"
 #include "net/network.h"
 #include "obs/observer.h"
 #include "shard/sharded_control_plane.h"
@@ -80,14 +81,8 @@ struct ShardRig {
     pcfg.shards = 2;
     plane.emplace(sim, net, k8s, 8.0, memcg::Bytes{4} * kGiB, pcfg);
     for (int a = 0; a < 4; ++a) {
-      core::AppSpec spec;
-      spec.name = "app" + std::to_string(a);
-      for (int c = 0; c < 2; ++c) {
-        cluster::ContainerSpec cs;
-        cs.name = spec.name + "/c" + std::to_string(c);
-        spec.containers.push_back(std::move(cs));
-      }
-      plane->deploy(spec);
+      const std::string name = "app" + std::to_string(a);
+      plane->manage(name, create_app(k8s, name, 2));
     }
     plane->start();
   }

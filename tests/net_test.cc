@@ -110,28 +110,6 @@ TEST(NetworkTest, ZeroElapsedMeanIsZero) {
   EXPECT_DOUBLE_EQ(net.mean_mbps(), 0.0);
 }
 
-TEST(NetworkTest, JitterWorksWithoutLoss) {
-  // Regression: set_jitter() used to be a silent no-op unless set_loss() had
-  // installed the fault RNG first.
-  sim::Simulation sim;
-  Network net(sim);
-  net.set_jitter(milliseconds(5));
-  std::vector<sim::TimePoint> deliveries;
-  for (int i = 0; i < 50; ++i) {
-    net.send_to(Channel::kCpuTelemetry, 0, kControllerEndpoint, 64,
-                [&] { deliveries.push_back(sim.now()); });
-  }
-  sim.run_all();
-  ASSERT_EQ(deliveries.size(), 50u);
-  bool any_jittered = false;
-  for (const sim::TimePoint t : deliveries) {
-    EXPECT_GE(t, kTelemetryLatency);
-    EXPECT_LE(t, kTelemetryLatency + milliseconds(5));
-    if (t > kTelemetryLatency) any_jittered = true;
-  }
-  EXPECT_TRUE(any_jittered) << "jitter silently resolved to zero";
-}
-
 TEST(NetworkTest, PartitionDropsAddressedTrafficBothWays) {
   sim::Simulation sim;
   Network net(sim);

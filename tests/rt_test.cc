@@ -16,6 +16,7 @@
 #include "check/invariant_checker.h"
 #include "cluster/cluster.h"
 #include "core/escra.h"
+#include "create_app.h"
 #include "ha/ha_control_plane.h"
 #include "net/network.h"
 #include "obs/observer.h"
@@ -544,15 +545,8 @@ TEST(RtShardTest, AdmissionDebitsTheOwningSliceNeverBorrowedPool) {
     observers.push_back(std::make_unique<obs::Observer>());
     plane.attach_observer(s, *observers[s]);
   }
-  core::AppSpec app;
-  app.name = "rt-app";
-  for (int i = 0; i < 3; ++i) {
-    cluster::ContainerSpec cs;
-    cs.name = "rt-app/c" + std::to_string(i);
-    cs.base_memory = 64 * kMiB;
-    app.containers.push_back(cs);
-  }
-  const auto members = plane.deploy(app);
+  const auto members = create_app(k8s, "rt-app", 3);
+  plane.manage("rt-app", members);
   ASSERT_EQ(members.size(), 3u);
   const int owner = plane.shard_of_container(members[0]->id());
   ASSERT_GE(owner, 0);

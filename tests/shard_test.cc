@@ -1,16 +1,15 @@
 // Sharded control plane (src/shard): the consistent-hash router keeps app
-// ownership stable as the ring grows; deploys land whole apps on one shard;
-// the borrow/return protocol moves pool headroom to hot shards and back with
-// exactly-once effect under drops, duplicates, and retransmits; a shard
-// leader failover never perturbs another shard's decision stream; and the
-// parallel allocator sweep is --jobs invariant.
+// ownership stable as the ring grows; manage() lands whole apps on one
+// shard; the borrow/return protocol moves pool headroom to hot shards and
+// back with exactly-once effect under drops, duplicates, and retransmits;
+// and a shard leader failover never perturbs another shard's decision
+// stream.
 #include "shard/sharded_control_plane.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -18,7 +17,7 @@
 
 #include "check/shard_checker.h"
 #include "cluster/cluster.h"
-#include "core/messages.h"
+#include "create_app.h"
 #include "net/network.h"
 #include "obs/observer.h"
 #include "shard/shard_router.h"
@@ -28,7 +27,6 @@ namespace escra {
 namespace {
 
 using memcg::kGiB;
-using memcg::kMiB;
 using sim::milliseconds;
 using sim::seconds;
 
@@ -82,20 +80,6 @@ std::string app_on_shard(const shard::ShardRouter& router, int target,
   }
 }
 
-core::AppSpec make_app(const std::string& name, int containers,
-                       double parallelism = 4.0) {
-  core::AppSpec spec;
-  spec.name = name;
-  for (int i = 0; i < containers; ++i) {
-    cluster::ContainerSpec c;
-    c.name = name + "/c" + std::to_string(i);
-    c.max_parallelism = parallelism;
-    c.base_memory = 64 * kMiB;
-    spec.containers.push_back(std::move(c));
-  }
-  return spec;
-}
-
 struct ShardRig {
   sim::Simulation sim;
   net::Network net{sim};
@@ -112,6 +96,15 @@ struct ShardRig {
       observers.push_back(std::make_unique<obs::Observer>());
       plane->attach_observer(s, *observers[s]);
     }
+  }
+
+  // Creates an application of `containers` containers and hands it to the
+  // plane, which registers it with its owning shard.
+  std::vector<cluster::Container*> manage_app(const std::string& name,
+                                              int containers) {
+    const auto members = create_app(k8s, name, containers);
+    plane->manage(name, members);
+    return members;
   }
 
   // Saturating load: one 40 ms item per 10 ms per container (demand ~4
@@ -137,7 +130,7 @@ TEST(ShardPlaneTest, DeployKeepsEveryAppOnExactlyOneShard) {
   for (int a = 0; a < 9; ++a) {
     const std::string name = "app" + std::to_string(a);
     const int owner = rig.plane->shard_of_app(name);
-    const auto members = rig.plane->deploy(make_app(name, 4));
+    const auto members = rig.manage_app(name, 4);
     expected[owner] += members.size();
     for (const cluster::Container* c : members) {
       EXPECT_EQ(rig.plane->shard_of_container(c->id()), owner) << name;
@@ -159,9 +152,8 @@ TEST(ShardPlaneTest, BorrowMovesHeadroomToTheHotShardAndBack) {
   ShardRig rig(2);
   check::ShardInvariantChecker checker(*rig.plane);
   const auto& router = rig.plane->router();
-  const auto hot =
-      rig.plane->deploy(make_app(app_on_shard(router, 0, "hot"), 4));
-  rig.plane->deploy(make_app(app_on_shard(router, 1, "idle"), 2));
+  const auto hot = rig.manage_app(app_on_shard(router, 0, "hot"), 4);
+  rig.manage_app(app_on_shard(router, 1, "idle"), 2);
   const int hot_shard = 0;
   const int idle_shard = 1;
   const double slice = rig.plane->shard(hot_shard).app().cpu_limit();
@@ -210,9 +202,8 @@ TEST(ShardPlaneTest, BorrowIsExactlyOnceUnderDropsDuplicatesAndHeal) {
   rig.net.set_duplicate_rate(net::Channel::kControlRpc, 0.2);
 
   const auto& router = rig.plane->router();
-  const auto hot =
-      rig.plane->deploy(make_app(app_on_shard(router, 0, "hot"), 4));
-  rig.plane->deploy(make_app(app_on_shard(router, 1, "idle"), 2));
+  const auto hot = rig.manage_app(app_on_shard(router, 0, "hot"), 4);
+  rig.manage_app(app_on_shard(router, 1, "idle"), 2);
   rig.plane->start();
   rig.drive_hot(hot, seconds(6));
   rig.sim.run_until(seconds(6));
@@ -249,10 +240,8 @@ TEST(ShardPlaneTest, OwnershipAndConservationSurviveShardLeaderChurn) {
   ShardRig rig(2);
   check::ShardInvariantChecker checker(*rig.plane);
   const auto& router = rig.plane->router();
-  const auto hot =
-      rig.plane->deploy(make_app(app_on_shard(router, 0, "hot"), 4));
-  const auto idle =
-      rig.plane->deploy(make_app(app_on_shard(router, 1, "idle"), 2));
+  const auto hot = rig.manage_app(app_on_shard(router, 0, "hot"), 4);
+  const auto idle = rig.manage_app(app_on_shard(router, 1, "idle"), 2);
   rig.plane->start();
   rig.plane->enable_ha(1);
   rig.drive_hot(hot, seconds(5));
@@ -291,10 +280,8 @@ TEST(ShardPlaneTest, LeaderFailoverIsInvisibleToOtherShards) {
     pcfg.low_frac = 0.0;
     ShardRig rig(2, 8.0, pcfg);
     const auto& router = rig.plane->router();
-    const auto a =
-        rig.plane->deploy(make_app(app_on_shard(router, 0, "a"), 4));
-    const auto b =
-        rig.plane->deploy(make_app(app_on_shard(router, 1, "b"), 4));
+    const auto a = rig.manage_app(app_on_shard(router, 0, "a"), 4);
+    const auto b = rig.manage_app(app_on_shard(router, 1, "b"), 4);
     rig.plane->start();
     rig.plane->enable_ha(1);
     rig.drive_hot(a, seconds(2));
@@ -324,10 +311,8 @@ TEST(ShardPlaneTest, ReplacementStandbyStaysInItsShardsEndpointBand) {
     pcfg.low_frac = 0.0;
     ShardRig rig(2, 8.0, pcfg);
     const auto& router = rig.plane->router();
-    const auto a =
-        rig.plane->deploy(make_app(app_on_shard(router, 0, "a"), 4));
-    const auto b =
-        rig.plane->deploy(make_app(app_on_shard(router, 1, "b"), 4));
+    const auto a = rig.manage_app(app_on_shard(router, 0, "a"), 4);
+    const auto b = rig.manage_app(app_on_shard(router, 1, "b"), 4);
     rig.plane->start();
     rig.plane->enable_ha(1);
     rig.drive_hot(a, seconds(4));
@@ -360,71 +345,6 @@ TEST(ShardPlaneTest, ReplacementStandbyStaysInItsShardsEndpointBand) {
   EXPECT_EQ(partitioned_rx, undisturbed_rx);
   EXPECT_EQ(h0, 1u);
   EXPECT_EQ(h1, 1u);
-}
-
-// --- parallel sweep -------------------------------------------------------
-
-TEST(ShardPlaneTest, SweepParallelIsJobsInvariant) {
-  const auto build = [](ShardRig& rig) {
-    std::vector<cluster::Container*> all;
-    for (int a = 0; a < 8; ++a) {
-      const auto members =
-          rig.plane->deploy(make_app("app" + std::to_string(a), 4));
-      all.insert(all.end(), members.begin(), members.end());
-    }
-    rig.plane->start();
-    rig.sim.run_until(milliseconds(50));  // registrations land
-    return all;
-  };
-  // Identical telemetry rounds: half the containers persistently throttled,
-  // half persistently slack, so both allocator arms fire.
-  const auto batches = [](ShardRig& rig,
-                          const std::vector<cluster::Container*>& all) {
-    std::vector<std::vector<core::CpuStatsMsg>> by_shard(
-        rig.plane->shard_count());
-    for (const cluster::Container* c : all) {
-      core::CpuStatsMsg m;
-      m.cgroup = c->id();
-      m.period_end = rig.sim.now();
-      m.quota = milliseconds(100);
-      if (c->id() % 2 == 0) {
-        m.throttled = true;
-        m.unused = 0;
-      } else {
-        m.throttled = false;
-        m.unused = milliseconds(60);
-      }
-      by_shard[rig.plane->shard_of_container(c->id())].push_back(m);
-    }
-    return by_shard;
-  };
-
-  ShardRig serial(4, 16.0);
-  ShardRig threaded(4, 16.0);
-  const auto all_serial = build(serial);
-  const auto all_threaded = build(threaded);
-
-  for (int round = 0; round < 10; ++round) {
-    const std::uint64_t cs1 =
-        serial.plane->sweep_parallel(batches(serial, all_serial), 1);
-    const std::uint64_t cs4 =
-        threaded.plane->sweep_parallel(batches(threaded, all_threaded), 4);
-    EXPECT_EQ(cs1, cs4) << "round " << round;
-    serial.sim.run_until(serial.sim.now() + milliseconds(100));
-    threaded.sim.run_until(threaded.sim.now() + milliseconds(100));
-  }
-  // The rounds actually produced decisions (the checksum equality above is
-  // not vacuous), and the end states agree limb for limb.
-  std::uint64_t downs = 0;
-  for (int s = 0; s < 4; ++s) {
-    downs += serial.plane->shard(s).allocator().cpu_scale_downs();
-  }
-  EXPECT_GT(downs, 0u);
-  for (std::size_t i = 0; i < all_serial.size(); ++i) {
-    EXPECT_DOUBLE_EQ(all_serial[i]->cpu_cgroup().limit_cores(),
-                     all_threaded[i]->cpu_cgroup().limit_cores())
-        << "container " << i;
-  }
 }
 
 }  // namespace

@@ -166,8 +166,7 @@ void format_limits(const obs::TraceEvent& ev, char* buf, std::size_t len) {
                     ev.after, static_cast<long long>(ev.detail));
       break;
     case obs::EventKind::kShardAdvertise:
-      // before = CPU surplus cores, after = memory surplus bytes, detail =
-      // bandwidth surplus bytes/s.
+      // before = CPU surplus cores, after = memory surplus bytes.
       std::snprintf(buf, len, "surplus %.3f cores, %.1f MiB", ev.before,
                     ev.after / (1024.0 * 1024.0));
       break;
@@ -549,18 +548,18 @@ int run_shard(const obs::TraceBuffer& trace, std::uint32_t shard) {
   std::map<std::uint32_t, std::uint64_t> shards_seen;
   std::map<std::string, std::uint64_t> by_kind;
   // Borrow traffic per peer shard: [requests, grants, returns] counts and
-  // the amounts moved per resource (cores, bytes, bytes/s).
+  // the amounts moved per pooled resource (cores, bytes).
   struct PeerTraffic {
     std::uint64_t requests = 0, grants = 0, returns = 0;
-    double moved[3] = {0.0, 0.0, 0.0};
+    double moved[2] = {0.0, 0.0};
   };
   std::map<std::uint32_t, PeerTraffic> peers;
   std::uint64_t adverts = 0;
   std::uint64_t matched = 0;
-  // Pool trajectory per resource (0 = CPU, 1 = mem, 2 = bw).
-  double pool_first[3] = {0, 0, 0};
-  double pool_last[3] = {0, 0, 0};
-  bool pool_seen[3] = {false, false, false};
+  // Pool trajectory per pooled resource (0 = CPU, 1 = mem).
+  double pool_first[2] = {0, 0};
+  double pool_last[2] = {0, 0};
+  bool pool_seen[2] = {false, false};
   std::vector<const obs::TraceEvent*> timeline;
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const obs::TraceEvent& ev = trace.at(i);
@@ -577,14 +576,14 @@ int run_shard(const obs::TraceBuffer& trace, std::uint32_t shard) {
         if (ev.kind == obs::EventKind::kBorrowRequest) ++p.requests;
         if (ev.kind == obs::EventKind::kBorrowGrant) ++p.grants;
         if (ev.kind == obs::EventKind::kBorrowReturn) ++p.returns;
-        if (ev.before >= 0.0 && ev.before <= 2.0) {
+        if (ev.before >= 0.0 && ev.before <= 1.0) {
           p.moved[static_cast<int>(ev.before)] += ev.after;
         }
         timeline.push_back(&ev);
         break;
       }
       case obs::EventKind::kShardPoolResize: {
-        const int res = ev.detail >= 0 && ev.detail < 3
+        const int res = ev.detail >= 0 && ev.detail < 2
                             ? static_cast<int>(ev.detail)
                             : 0;
         if (!pool_seen[res]) {
@@ -627,15 +626,15 @@ int run_shard(const obs::TraceBuffer& trace, std::uint32_t shard) {
   }
   for (const auto& [peer, t] : peers) {
     std::printf("  peer s%-3u requests %llu, grants %llu, returns %llu "
-                "(%.3f cores, %.1f MiB, %.1f MB/s moved)\n",
+                "(%.3f cores, %.1f MiB moved)\n",
                 peer, static_cast<unsigned long long>(t.requests),
                 static_cast<unsigned long long>(t.grants),
                 static_cast<unsigned long long>(t.returns), t.moved[0],
-                t.moved[1] / (1024.0 * 1024.0), t.moved[2] / 1e6);
+                t.moved[1] / (1024.0 * 1024.0));
   }
-  const char* pool_unit[3] = {"cores", "MiB", "MB/s"};
-  const double pool_scale[3] = {1.0, 1024.0 * 1024.0, 1e6};
-  for (int res = 0; res < 3; ++res) {
+  const char* pool_unit[2] = {"cores", "MiB"};
+  const double pool_scale[2] = {1.0, 1024.0 * 1024.0};
+  for (int res = 0; res < 2; ++res) {
     if (!pool_seen[res]) continue;
     std::printf("  pool (%s): %.3f -> %.3f %s over the trace\n",
                 resource_label(res),
