@@ -1,13 +1,20 @@
 // Recovery latency (MTTR) under control-plane faults — the measurement
-// behind the fail-static claim: a dead Controller must not hurt running
-// containers, and a restarted one must reconverge in well under a second.
+// behind the fail-static and the replicated-controller claims: a dead
+// Controller must not hurt running containers, a restarted one must
+// reconverge in well under a second, and a permanently killed leader must
+// be replaced by a warm standby in well under a second, without the
+// cluster ever noticing.
 //
-// Four runs of the TeaStore graph (3 nodes, fixed 200 req/s, identical
-// seeds):
+// Runs of the TeaStore graph (3 nodes, fixed 200 req/s, identical seeds):
 //   baseline          no faults — the reference trajectory
-//   controller-crash  Controller dies at 15 s, restarts at 20 s
+//   controller-crash  Controller dies at 15 s, restarts at 20 s and rebuilds
+//                     by resyncing every Agent (the restart-resync path)
 //   partition         node 1 severed from the Controller for 15 s .. 18 s
 //   agent-crash       node 1's Agent dies at 15 s, restarts at 18 s
+//   ha-failover       two warm standbys stream the leader's WAL; the leader
+//                     is killed for good at 15 s, a standby's lease
+//                     watchdog fires and takes the seat by replaying its
+//                     replica — no resync (run twice, see below)
 //
 // MTTR is measured from the decision trace, not by comparing instantaneous
 // limit trajectories: the per-container limits oscillate by design (the
@@ -34,10 +41,27 @@
 // limit drops below its crash-time value and no managed container is
 // OOM-killed.
 //
+// The leader kill compares the controller-crash run (restart-resync) with
+// the ha-failover run. Blackout is measured from the kill instant to the
+// first kRpcApplied landing on an Agent once the control plane is back (the
+// restart instant, or the first kLeaderElected) — the longest the cluster
+// went without a working control plane. The HA timeline decomposes further:
+//   detection  kill -> kLeaderElected   (lease timeout + watchdog grid)
+//   MTTR       kLeaderElected -> first kRpcApplied (takeover to first
+//              reallocation: the new leader is provably moving cgroups)
+// and the warm-standby guarantees are asserted on it: exactly one
+// failover, MTTR under one simulated second, a blackout shorter than
+// restart-resync's, zero OOM kills, zero fail-static entries (takeover
+// beats the Agents' 500 ms lease watchdog, so no node ever freezes) and
+// zero fenced updates (the old leader is dead, not partitioned — nothing
+// stale survives to fence). Determinism is asserted by running the
+// identical-seed ha-failover run twice and comparing an FNV-1a digest over
+// every 100 ms aggregate-limit sample and every trace event: byte-identical
+// or the bench fails.
+//
 //   recovery_latency [--assert]
 //
-// With --assert the process exits non-zero unless every scenario passes
-// (MTTR < 1 s, decisions resume, envelope matches, fail-static holds) —
+// With --assert the process exits non-zero unless every check passes —
 // this is the mode CI runs.
 #include <algorithm>
 #include <cstdint>
@@ -46,6 +70,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,6 +79,7 @@
 #include "cluster/cluster.h"
 #include "core/escra.h"
 #include "fault/fault_injector.h"
+#include "ha/ha_control_plane.h"
 #include "net/network.h"
 #include "obs/observer.h"
 #include "sim/rng.h"
@@ -71,32 +97,36 @@ constexpr sim::TimePoint kLoadEnd = sim::seconds(38);
 constexpr sim::TimePoint kRunEnd = sim::seconds(40);
 constexpr sim::Duration kSampleInterval = sim::milliseconds(100);
 constexpr sim::TimePoint kFaultStart = sim::seconds(15);
+constexpr sim::Duration kRestartDowntime = sim::seconds(5);
 constexpr cluster::NodeId kFaultNode = 1;
+constexpr sim::Duration kNodeFaultDuration = sim::seconds(3);
+constexpr int kStandbys = 2;
 constexpr sim::Duration kMttrTarget = sim::seconds(1);
 // Post-recovery tail for the aggregate-limit envelope comparison.
 constexpr sim::Duration kEnvelopeSettle = sim::seconds(2);
 constexpr double kEnvelopeTol = 0.25;
 
-enum class Scenario { kBaseline, kControllerCrash, kPartition, kAgentCrash };
+enum class Scenario {
+  kBaseline,
+  kControllerCrash,
+  kPartition,
+  kAgentCrash,
+  kHaFailover,
+};
 
 const char* scenario_name(Scenario s) {
-  switch (s) {
-    case Scenario::kBaseline: return "baseline";
-    case Scenario::kControllerCrash: return "controller-crash";
-    case Scenario::kPartition: return "partition";
-    case Scenario::kAgentCrash: return "agent-crash";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+      "baseline", "controller-crash", "partition", "agent-crash",
+      "ha-failover"};
+  return kNames[static_cast<int>(s)];
 }
 
 // When the fault clears (restart / heal time) — recovery is measured from
 // here.
 sim::TimePoint fault_clear(Scenario s) {
-  switch (s) {
-    case Scenario::kControllerCrash: return kFaultStart + sim::seconds(5);
-    case Scenario::kPartition:
-    case Scenario::kAgentCrash: return kFaultStart + sim::seconds(3);
-    case Scenario::kBaseline: break;
+  if (s == Scenario::kControllerCrash) return kFaultStart + kRestartDowntime;
+  if (s == Scenario::kPartition || s == Scenario::kAgentCrash) {
+    return kFaultStart + kNodeFaultDuration;
   }
   return kFaultStart;
 }
@@ -122,7 +152,42 @@ struct RunResult {
 
   std::uint64_t retransmits = 0;
   std::uint64_t resyncs = 0;
+
+  // Leader-kill timeline and the warm-standby guarantees.
+  std::uint64_t fail_static_entries = 0;
+  std::uint64_t fenced_updates = 0;
+  std::uint64_t failovers = 0;
+  std::uint64_t final_epoch = 0;
+  std::uint64_t replayed_slots = 0;
+  sim::TimePoint elected = 0;      // first kLeaderElected, else 0
+  sim::TimePoint first_apply = 0;  // first kRpcApplied once back, else 0
+
+  // FNV-1a over every aggregate-limit sample and trace event: two
+  // identical-seed runs must produce the same digest bit for bit.
+  std::uint64_t digest = 1469598103934665603ULL;
 };
+
+void mix(RunResult& r, std::uint64_t v) {
+  r.digest ^= v;
+  r.digest *= 1099511628211ULL;
+}
+
+std::uint64_t bits(double v) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &v, sizeof out);
+  return out;
+}
+
+// Prints "  FAIL: <fmt>" unless `held`; returns `held`.
+template <typename... Args>
+bool check(bool held, const char* fmt, Args... args) {
+  if (!held) {
+    std::printf("  FAIL: ");
+    std::printf(fmt, args...);
+    std::printf("\n");
+  }
+  return held;
+}
 
 // Mean of the aggregate CPU limit over [from, to).
 double mean_agg(const RunResult& r, sim::TimePoint from, sim::TimePoint to) {
@@ -153,18 +218,29 @@ RunResult run_scenario(Scenario scenario) {
   escra.manage(application.containers());
   escra.start();
 
+  // Declared after the system: destroyed first, detaching its hook.
+  std::optional<ha::HaControlPlane> ha;
+  if (scenario == Scenario::kHaFailover) {
+    ha.emplace(escra, network, ha::HaConfig{.standbys = kStandbys});
+    ha->start();
+  }
+
   fault::FaultInjector injector(simulation, network, escra);
   switch (scenario) {
     case Scenario::kBaseline:
       break;
     case Scenario::kControllerCrash:
-      injector.inject_controller_crash(kFaultStart, sim::seconds(5));
+      injector.inject_controller_crash(kFaultStart, kRestartDowntime);
       break;
     case Scenario::kPartition:
-      injector.inject_partition(kFaultNode, kFaultStart, sim::seconds(3));
+      injector.inject_partition(kFaultNode, kFaultStart, kNodeFaultDuration);
       break;
     case Scenario::kAgentCrash:
-      injector.inject_agent_crash(kFaultNode, kFaultStart, sim::seconds(3));
+      injector.inject_agent_crash(kFaultNode, kFaultStart,
+                                  kNodeFaultDuration);
+      break;
+    case Scenario::kHaFailover:
+      injector.inject_leader_kill(kFaultStart);
       break;
   }
 
@@ -221,6 +297,10 @@ RunResult run_scenario(Scenario scenario) {
   }
   result.retransmits = escra.controller().retransmits();
   result.resyncs = escra.controller().resyncs();
+  if (ha.has_value()) {
+    result.failovers = ha->failovers();
+    result.final_epoch = ha->epoch();
+  }
 
   // Affected set: everything for a Controller crash, the faulted node's
   // containers otherwise.
@@ -232,26 +312,54 @@ RunResult run_scenario(Scenario scenario) {
     }
   }
 
-  // Scan the decision trace for the recovery signals.
+  // One scan of the decision trace: the digest, the leader-kill timeline
+  // and the recovery signals. The control plane is back at the restart
+  // instant, or at the first kLeaderElected.
+  for (const double agg : result.agg_cpu) mix(result, bits(agg));
+  sim::TimePoint back = scenario == Scenario::kControllerCrash ? clear : 0;
   const obs::TraceBuffer& trace = observer.trace();
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const obs::TraceEvent& ev = trace.at(i);
-    if (ev.time < clear) continue;
-    const bool is_affected =
+    for (const std::uint64_t v :
+         {ev.id, static_cast<std::uint64_t>(ev.time),
+          static_cast<std::uint64_t>(ev.kind),
+          static_cast<std::uint64_t>(ev.container),
+          static_cast<std::uint64_t>(ev.node), bits(ev.before),
+          bits(ev.after), ev.cause, static_cast<std::uint64_t>(ev.detail)}) {
+      mix(result, v);
+    }
+    // Recovery signals count on affected containers after clearance.
+    const bool recovering =
+        ev.time >= clear &&
         std::find(result.affected.begin(), result.affected.end(),
                   ev.container) != result.affected.end();
-    if (!is_affected) continue;
     switch (ev.kind) {
-      case obs::EventKind::kResync:
-      case obs::EventKind::kRpcApplied:
-        if (result.first_reconcile.find(ev.container) ==
-            result.first_reconcile.end()) {
-          result.first_reconcile[ev.container] = ev.time;
+      case obs::EventKind::kFailStatic:
+        if (ev.detail != 0) ++result.fail_static_entries;
+        break;
+      case obs::EventKind::kEpochFenced:
+        ++result.fenced_updates;
+        break;
+      case obs::EventKind::kLeaderElected:
+        if (result.elected == 0) {
+          result.elected = ev.time;
+          back = ev.time;
+          result.replayed_slots = static_cast<std::uint64_t>(ev.after);
         }
+        break;
+      case obs::EventKind::kRpcApplied:
+        if (result.first_apply == 0 && back != 0 && ev.time >= back) {
+          result.first_apply = ev.time;
+        }
+        [[fallthrough]];
+      case obs::EventKind::kResync:
+        if (recovering) result.first_reconcile.emplace(ev.container, ev.time);
         break;
       case obs::EventKind::kCpuGrant:
       case obs::EventKind::kCpuShrink:
-        if (result.first_decision == 0) result.first_decision = ev.time;
+        if (recovering && result.first_decision == 0) {
+          result.first_decision = ev.time;
+        }
         break;
       default:
         break;
@@ -260,17 +368,150 @@ RunResult run_scenario(Scenario scenario) {
   return result;
 }
 
+// Prints the MTTR, decisions-resumed, envelope and (controller crash)
+// fail-static checks of one faulted run; returns whether all held.
+bool report_recovery(Scenario scenario, const RunResult& r,
+                     const RunResult& baseline) {
+  const sim::TimePoint clear = fault_clear(scenario);
+
+  // MTTR: slowest affected container's first post-clearance reconcile.
+  sim::Duration mttr = -1;
+  std::size_t reconciled = 0;
+  for (const std::uint32_t id : r.affected) {
+    const auto it = r.first_reconcile.find(id);
+    if (it == r.first_reconcile.end()) continue;
+    ++reconciled;
+    mttr = std::max(mttr, it->second - clear);
+  }
+  const bool mttr_ok =
+      reconciled == r.affected.size() && mttr >= 0 && mttr < kMttrTarget;
+  const bool decisions_resumed = r.first_decision != 0;
+
+  const double base_mean =
+      mean_agg(baseline, clear + kEnvelopeSettle, kLoadEnd);
+  const double fault_mean = mean_agg(r, clear + kEnvelopeSettle, kLoadEnd);
+  const bool envelope_ok =
+      base_mean > 0.0 &&
+      std::abs(fault_mean - base_mean) <= kEnvelopeTol * base_mean;
+
+  std::printf("%-18s MTTR %.3f s (%zu/%zu containers reconciled, clear at "
+              "%gs)\n",
+              scenario_name(scenario),
+              mttr < 0 ? sim::to_seconds(kRunEnd - clear)
+                       : sim::to_seconds(mttr),
+              reconciled, r.affected.size(), sim::to_seconds(clear));
+  std::printf("  decisions resumed %s%s; aggregate limit %.2f vs baseline "
+              "%.2f cores (tol %.0f%%); %llu retransmits, %llu resyncs, "
+              "oom-kills %llu\n",
+              decisions_resumed ? "at " : "NEVER",
+              decisions_resumed
+                  ? (std::to_string(sim::to_seconds(r.first_decision)) + "s")
+                        .c_str()
+                  : "",
+              fault_mean, base_mean, kEnvelopeTol * 100.0,
+              static_cast<unsigned long long>(r.retransmits),
+              static_cast<unsigned long long>(r.resyncs),
+              static_cast<unsigned long long>(r.total_oom_kills));
+  bool ok = check(mttr_ok,
+                  "reconcile did not complete within %.1f s of clearance",
+                  sim::to_seconds(kMttrTarget));
+  ok &= check(decisions_resumed && envelope_ok,
+              "post-recovery control loop degraded");
+  if (scenario == Scenario::kControllerCrash) {
+    const bool fail_static_held =
+        !r.mem_dropped_below_fail_static && r.oom_kills_in_window == 0;
+    std::printf("  fail-static: %s (%llu oom-kills during downtime, "
+                "limits %s)\n",
+                fail_static_held ? "held" : "VIOLATED",
+                static_cast<unsigned long long>(r.oom_kills_in_window),
+                r.mem_dropped_below_fail_static
+                    ? "dropped below crash-time values"
+                    : "never below crash-time values");
+    if (!fail_static_held) ok = false;
+  }
+  return ok;
+}
+
+// Prints the leader-kill comparison — the controller-crash run as the
+// restart-resync reference against the two identical-seed ha-failover
+// runs — and returns whether every warm-standby check held.
+bool report_failover(const RunResult& restart, const RunResult& ha,
+                     const RunResult& ha2) {
+  const double restart_blackout =
+      restart.first_apply != 0
+          ? sim::to_seconds(restart.first_apply - kFaultStart)
+          : sim::to_seconds(kRunEnd - kFaultStart);
+  std::printf("\nleader killed at %gs: restart after %g s downtime vs %d warm "
+              "standbys\n",
+              sim::to_seconds(kFaultStart), sim::to_seconds(kRestartDowntime),
+              kStandbys);
+  std::printf("%-18s blackout %6.3f s  (downtime %g s + resync; "
+              "%llu fail-static entries, %llu resyncs, %llu oom-kills)\n",
+              "restart-resync", restart_blackout,
+              sim::to_seconds(kRestartDowntime),
+              static_cast<unsigned long long>(restart.fail_static_entries),
+              static_cast<unsigned long long>(restart.resyncs),
+              static_cast<unsigned long long>(restart.total_oom_kills));
+
+  const bool elected = ha.elected != 0;
+  const double detection =
+      elected ? sim::to_seconds(ha.elected - kFaultStart) : -1.0;
+  const double mttr = elected && ha.first_apply != 0
+                          ? sim::to_seconds(ha.first_apply - ha.elected)
+                          : -1.0;
+  const double blackout = elected && ha.first_apply != 0
+                              ? sim::to_seconds(ha.first_apply - kFaultStart)
+                              : -1.0;
+  std::printf("%-18s blackout %6.3f s  (detection %.1f ms + takeover MTTR "
+              "%.1f ms; %llu slot(s) replayed, epoch -> %llu)\n",
+              scenario_name(Scenario::kHaFailover), blackout, detection * 1e3,
+              mttr * 1e3, static_cast<unsigned long long>(ha.replayed_slots),
+              static_cast<unsigned long long>(ha.final_epoch));
+  std::printf("%-18s %llu fail-static entries, %llu fenced updates, "
+              "%llu resyncs, %llu oom-kills, %llu failover(s)\n", "",
+              static_cast<unsigned long long>(ha.fail_static_entries),
+              static_cast<unsigned long long>(ha.fenced_updates),
+              static_cast<unsigned long long>(ha.resyncs),
+              static_cast<unsigned long long>(ha.total_oom_kills),
+              static_cast<unsigned long long>(ha.failovers));
+
+  bool ok = check(elected && ha.failovers == 1,
+                  "expected exactly one takeover (saw %llu)",
+                  static_cast<unsigned long long>(ha.failovers));
+  ok &= check(mttr >= 0.0 && mttr < sim::to_seconds(kMttrTarget),
+              "takeover-to-first-reallocation MTTR %.3f s not under %.1f s",
+              mttr, sim::to_seconds(kMttrTarget));
+  ok &= check(blackout >= 0.0 && blackout < restart_blackout,
+              "HA blackout %.3f s not shorter than the restart-resync %.3f s",
+              blackout, restart_blackout);
+  ok &= check(ha.total_oom_kills == 0, "%llu oom-kills during clean failover",
+              static_cast<unsigned long long>(ha.total_oom_kills));
+  ok &= check(ha.fail_static_entries == 0,
+              "%llu fail-static entries — takeover lost the race against "
+              "the agent lease watchdog",
+              static_cast<unsigned long long>(ha.fail_static_entries));
+  ok &= check(ha.fenced_updates == 0,
+              "%llu fenced updates in a clean (non-partitioned) failover",
+              static_cast<unsigned long long>(ha.fenced_updates));
+  ok &= check(ha.digest == ha2.digest,
+              "identical-seed HA runs diverged (digest %016llx vs %016llx)",
+              static_cast<unsigned long long>(ha.digest),
+              static_cast<unsigned long long>(ha2.digest));
+  if (ha.digest == ha2.digest) {
+    std::printf("%-18s determinism: identical-seed rerun byte-identical "
+                "(digest %016llx)\n", "",
+                static_cast<unsigned long long>(ha.digest));
+  }
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool assert_mode = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--assert") == 0) {
-      assert_mode = true;
-    } else {
-      std::fprintf(stderr, "usage: recovery_latency [--assert]\n");
-      return 2;
-    }
+  const bool assert_mode = argc == 2 && std::strcmp(argv[1], "--assert") == 0;
+  if (argc > 2 || (argc == 2 && !assert_mode)) {
+    std::fprintf(stderr, "usage: recovery_latency [--assert]\n");
+    return 2;
   }
 
   std::printf("recovery_latency: TeaStore, 3 nodes, fixed %g req/s, "
@@ -284,73 +525,14 @@ int main(int argc, char** argv) {
               baseline.sample_times.size());
 
   bool ok = baseline.total_oom_kills == 0;
-  for (const Scenario scenario :
-       {Scenario::kControllerCrash, Scenario::kPartition,
-        Scenario::kAgentCrash}) {
-    const RunResult r = run_scenario(scenario);
-    const sim::TimePoint clear = fault_clear(scenario);
-
-    // MTTR: slowest affected container's first post-clearance reconcile.
-    sim::Duration mttr = -1;
-    std::size_t reconciled = 0;
-    for (const std::uint32_t id : r.affected) {
-      const auto it = r.first_reconcile.find(id);
-      if (it == r.first_reconcile.end()) continue;
-      ++reconciled;
-      mttr = std::max(mttr, it->second - clear);
-    }
-    const bool all_reconciled = reconciled == r.affected.size();
-    const bool mttr_ok = all_reconciled && mttr >= 0 && mttr < kMttrTarget;
-    const bool decisions_resumed = r.first_decision != 0;
-
-    const double base_mean =
-        mean_agg(baseline, clear + kEnvelopeSettle, kLoadEnd);
-    const double fault_mean = mean_agg(r, clear + kEnvelopeSettle, kLoadEnd);
-    const bool envelope_ok =
-        base_mean > 0.0 &&
-        std::abs(fault_mean - base_mean) <= kEnvelopeTol * base_mean;
-
-    std::printf("%-18s MTTR %.3f s (%zu/%zu containers reconciled, clear at "
-                "%gs)\n",
-                scenario_name(scenario),
-                mttr < 0 ? sim::to_seconds(kRunEnd - clear)
-                         : sim::to_seconds(mttr),
-                reconciled, r.affected.size(), sim::to_seconds(clear));
-    std::printf("  decisions resumed %s%s; aggregate limit %.2f vs baseline "
-                "%.2f cores (tol %.0f%%); %llu retransmits, %llu resyncs, "
-                "oom-kills %llu\n",
-                decisions_resumed ? "at " : "NEVER",
-                decisions_resumed
-                    ? (std::to_string(sim::to_seconds(r.first_decision)) + "s")
-                          .c_str()
-                    : "",
-                fault_mean, base_mean, kEnvelopeTol * 100.0,
-                static_cast<unsigned long long>(r.retransmits),
-                static_cast<unsigned long long>(r.resyncs),
-                static_cast<unsigned long long>(r.total_oom_kills));
-    if (!mttr_ok) {
-      std::printf("  FAIL: reconcile did not complete within %.1f s of "
-                  "clearance\n",
-                  sim::to_seconds(kMttrTarget));
-      ok = false;
-    }
-    if (!decisions_resumed || !envelope_ok) {
-      std::printf("  FAIL: post-recovery control loop degraded\n");
-      ok = false;
-    }
-    if (scenario == Scenario::kControllerCrash) {
-      const bool fail_static_held =
-          !r.mem_dropped_below_fail_static && r.oom_kills_in_window == 0;
-      std::printf("  fail-static: %s (%llu oom-kills during downtime, "
-                  "limits %s)\n",
-                  fail_static_held ? "held" : "VIOLATED",
-                  static_cast<unsigned long long>(r.oom_kills_in_window),
-                  r.mem_dropped_below_fail_static
-                      ? "dropped below crash-time values"
-                      : "never below crash-time values");
-      if (!fail_static_held) ok = false;
-    }
+  const RunResult crash = run_scenario(Scenario::kControllerCrash);
+  ok &= report_recovery(Scenario::kControllerCrash, crash, baseline);
+  for (const Scenario scenario : {Scenario::kPartition, Scenario::kAgentCrash}) {
+    ok &= report_recovery(scenario, run_scenario(scenario), baseline);
   }
+
+  ok &= report_failover(crash, run_scenario(Scenario::kHaFailover),
+                        run_scenario(Scenario::kHaFailover));
 
   if (assert_mode && !ok) {
     std::fprintf(stderr, "\nrecovery_latency: FAILED\n");

@@ -47,38 +47,35 @@ void ResourceAllocator::register_container(std::uint32_t id, double cores,
   for (Arm* arm : {&cpu_, &bw_}) {
     if (slot >= arm->windows.size()) {
       arm->windows.resize(index_.capacity(), Windows(config_.window_periods));
-      arm->rt_floor.resize(index_.capacity(), 0.0);
     } else {
       // Slot reuse after a deregister: fresh statistics for the new tenant.
       arm->windows[slot] = Windows(config_.window_periods);
     }
-    arm->rt_floor[slot] = 0.0;
   }
+  if (slot >= rt_floor_.size()) rt_floor_.resize(index_.capacity(), 0.0);
+  rt_floor_[slot] = 0.0;
 }
 
 void ResourceAllocator::deregister_container(std::uint32_t id) {
   const std::uint32_t slot = index_.release(id);
   if (slot == ContainerIndex::kInvalid) return;
-  cpu_.rt_floor[slot] = 0.0;
-  bw_.rt_floor[slot] = 0.0;
+  rt_floor_[slot] = 0.0;
   app_.remove_member(id);
 }
 
-void ResourceAllocator::set_rt_floor(std::uint32_t id, double cores,
-                                     double bw_bps) {
+void ResourceAllocator::set_rt_floor(std::uint32_t id, double cores) {
   const std::uint32_t slot = index_.find(id);
   if (slot == ContainerIndex::kInvalid) return;
-  cpu_.rt_floor[slot] = std::max(0.0, cores);
-  bw_.rt_floor[slot] = std::max(0.0, bw_bps);
+  rt_floor_[slot] = std::max(0.0, cores);
 }
 
 void ResourceAllocator::clear_rt_floor(std::uint32_t id) {
-  set_rt_floor(id, 0.0, 0.0);
+  set_rt_floor(id, 0.0);
 }
 
 double ResourceAllocator::rt_floor(std::uint32_t id) const {
   const std::uint32_t slot = index_.find(id);
-  return slot == ContainerIndex::kInvalid ? 0.0 : cpu_.rt_floor[slot];
+  return slot == ContainerIndex::kInvalid ? 0.0 : rt_floor_[slot];
 }
 
 void ResourceAllocator::reset() {
@@ -111,10 +108,11 @@ std::optional<double> ResourceAllocator::on_cpu_stats(const CpuStatsMsg& stats) 
       credits_->balance_micro(stats.cgroup) <= 0) {
     const double fair =
         app_.cpu_limit() / static_cast<double>(app_.member_count());
-    ceiling = std::max(fair, cpu_.rt_floor[slot]);
+    ceiling = std::max(fair, rt_floor_[slot]);
   }
   return scale(cpu_, slot, stats.cgroup, current, stats.throttled,
-               unused_cores, used_last, app_.cpu_unallocated(), ceiling);
+               unused_cores, used_last, app_.cpu_unallocated(), ceiling,
+               rt_floor_[slot]);
 }
 
 std::optional<double> ResourceAllocator::on_bw_stats(
@@ -123,10 +121,11 @@ std::optional<double> ResourceAllocator::on_bw_stats(
   if (slot == ContainerIndex::kInvalid) return std::nullopt;
   const double current = app_.member_bw(sample.container);
   if (current <= 0.0) return std::nullopt;  // unshaped container
-  // Bandwidth grants are not credit-gated: the ceiling is unbounded.
+  // Bandwidth grants are not credit-gated (the ceiling is unbounded), and
+  // no reservation floors a rate.
   return scale(bw_, slot, sample.container, current, sample.throttled,
                std::max(0.0, current - sample.used_bps), sample.used_bps,
-               std::max(0.0, app_.bw_unallocated()), kUnbounded);
+               std::max(0.0, app_.bw_unallocated()), kUnbounded, 0.0);
 }
 
 std::optional<double> ResourceAllocator::scale(Arm& arm, std::uint32_t slot,
@@ -134,7 +133,7 @@ std::optional<double> ResourceAllocator::scale(Arm& arm, std::uint32_t slot,
                                                double current, bool throttled,
                                                double unused, double used_last,
                                                double unallocated,
-                                               double ceiling) {
+                                               double ceiling, double floor) {
   Windows& win = arm.windows[slot];
   win.throttles.add(throttled ? 1.0 : 0.0);
   win.unused.add(unused);
@@ -190,7 +189,7 @@ std::optional<double> ResourceAllocator::scale(Arm& arm, std::uint32_t slot,
     // never drops below its admission floor, no matter how idle its window
     // looks (the reservation is a latency contract, not a usage forecast).
     const double target = std::max(
-        {arm.min, arm.rt_floor[slot], used_last + headroom, current - decrease});
+        {arm.min, floor, used_last + headroom, current - decrease});
     if (current - target > arm.eps) {
       const double applied = (app_.*arm.set)(id, target);
       ++arm.downs;

@@ -78,11 +78,11 @@ class ResourceAllocator {
   // --- real-time floors (mixed-criticality class) ---
   // An admitted RT container's reservation floor: no allocator decision —
   // κ scale-down, credit decay, anything — may push its shadow CPU limit
-  // below `cores` (or its bandwidth rate below `bw_bps`). Set by the
-  // Controller at admission, cleared at eviction/deregistration. RT
-  // containers also bypass the credit Υ-gate: their priority was paid for
-  // at admission, not borrowed from the Karma ledger.
-  void set_rt_floor(std::uint32_t id, double cores, double bw_bps);
+  // below `cores`. Set by the Controller at admission, cleared at
+  // eviction/deregistration. RT containers also bypass the credit Υ-gate:
+  // their priority was paid for at admission, not borrowed from the Karma
+  // ledger.
+  void set_rt_floor(std::uint32_t id, double cores);
   void clear_rt_floor(std::uint32_t id);
   double rt_floor(std::uint32_t id) const;
 
@@ -119,9 +119,9 @@ class ResourceAllocator {
     explicit Windows(std::size_t n) : throttles(n), unused(n) {}
   };
   // One windowed scale arm (Section IV-D1's rule, shared by CPU and
-  // bandwidth): its tunables, pool setter, per-slot windows and RT floors,
-  // decision counters, and observer handles. A new windowed resource is one
-  // more of these.
+  // bandwidth): its tunables, pool setter, per-slot windows, decision
+  // counters, and observer handles. A new windowed resource is one more of
+  // these.
   struct Arm {
     double upsilon = 0.0;
     double gamma = 0.0;
@@ -132,7 +132,6 @@ class ResourceAllocator {
     obs::Counter* obs::Observer::Handles::*grants = nullptr;
     obs::Counter* obs::Observer::Handles::*shrinks = nullptr;
     std::vector<Windows> windows{};
-    std::vector<double> rt_floor{};  // 0 = best-effort
     std::uint64_t ups = 0;
     std::uint64_t downs = 0;
   };
@@ -140,11 +139,11 @@ class ResourceAllocator {
   // Feeds one period's sample into `arm` at `slot` and returns the new
   // shadow limit (already committed against the pool), if any. `unused` and
   // `used_last` are in the arm's unit; a grant never lifts the limit past
-  // `ceiling`.
+  // `ceiling`, and a shrink never takes it below `floor`.
   std::optional<double> scale(Arm& arm, std::uint32_t slot, std::uint32_t id,
                               double current, bool throttled, double unused,
                               double used_last, double unallocated,
-                              double ceiling);
+                              double ceiling, double floor);
 
   EscraConfig config_;
   DistributedContainer& app_;
@@ -155,6 +154,8 @@ class ResourceAllocator {
   ContainerIndex index_;
   Arm cpu_;
   Arm bw_;
+  // Admitted RT floors in cores, slot-indexed; 0 = best-effort.
+  std::vector<double> rt_floor_;
   std::uint64_t mem_grants_ = 0;
   std::uint64_t mem_denies_ = 0;
 };

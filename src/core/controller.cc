@@ -37,9 +37,6 @@ constexpr sim::Duration kQuarantineGrace = sim::seconds(2);
 // Settle sweeps a credit-exhausted container must stay above fair share
 // before its CPU limit is decayed toward the static fair share.
 constexpr int kCreditDecayGrace = 3;
-// Fraction of a node's NIC rate RT bandwidth reservations may claim (the
-// bw arm's admission bound, applied when a reservation carries bw_bps).
-constexpr double kRtBwBound = 0.5;
 }  // namespace
 
 Controller::Controller(sim::Simulation& sim, net::Network& network,
@@ -134,8 +131,7 @@ void Controller::register_container(cluster::Container& container,
 void Controller::register_impl(cluster::Container& container,
                                cluster::Node& node, double cores,
                                memcg::Bytes mem, RegisterMode mode,
-                               double bw_want, const cfs::RtSpec* rt,
-                               double rt_bw) {
+                               double bw_want, const cfs::RtSpec* rt) {
   if (crashed_) {
     // Vacant seat: queue the admission (see deferred_registrations_). The
     // container runs against its creation-time cgroup limits meanwhile —
@@ -278,11 +274,9 @@ void Controller::register_impl(cluster::Container& container,
   // record a restarted seat can actually reach. Neither path re-runs the
   // admission test: the reservation was admitted once, by a live leader.
   if (mode == RegisterMode::kTakeover && rt != nullptr && rt->valid()) {
-    install_rt(container.id(), *rt, rt_bw, /*fresh=*/false);
+    install_rt(container.id(), *rt, /*fresh=*/false);
   } else if (mode == RegisterMode::kResync && container.rt().valid()) {
-    // The bandwidth arm of the reservation is controller soft state with no
-    // node-side mirror; a plain restart conservatively re-admits CPU only.
-    install_rt(container.id(), container.rt(), 0.0, /*fresh=*/false);
+    install_rt(container.id(), container.rt(), /*fresh=*/false);
   }
 }
 
@@ -1115,7 +1109,7 @@ ReplicaState Controller::image() const {
   out.credit_minted = credits_.minted_micro();
   out.credit_burned = credits_.burned_micro();
   for (const auto& [id, info] : rt_) {
-    out.rt[id] = ReplicaState::RtState{info.spec, info.bw_bps};
+    out.rt[id] = info.spec;
   }
   return out;
 }
@@ -1168,10 +1162,8 @@ void Controller::takeover(std::uint64_t epoch, const ReplicaState& replica,
       continue;
     }
     const auto rt = replica.rt.find(id);
-    const bool has_rt = rt != replica.rt.end();
     register_impl(*container, *node, c.cores, c.mem, RegisterMode::kTakeover,
-                  c.bw_bps, has_rt ? &rt->second.spec : nullptr,
-                  has_rt ? rt->second.bw_bps : 0.0);
+                  c.bw_bps, rt != replica.rt.end() ? &rt->second : nullptr);
   }
 
   // Replay every still-open desired-state slot with a fresh epoch-packed
@@ -1430,15 +1422,14 @@ double Controller::rt_floor_of(cluster::ContainerId id) const {
 }
 
 double Controller::node_rt_reserved(cluster::NodeId node,
-                                    cluster::ContainerId except,
-                                    double RtInfo::*field) const {
+                                    cluster::ContainerId except) const {
   double sum = 0.0;
   for (const auto& [id, info] : rt_) {
     if (id == except) continue;
     const std::uint32_t slot = index_.find(id);
     if (slot == ContainerIndex::kInvalid) continue;
     const Entry& e = registry_[slot];
-    if (e.agent != nullptr && e.agent->node().id() == node) sum += info.*field;
+    if (e.agent != nullptr && e.agent->node().id() == node) sum += info.floor;
   }
   return sum;
 }
@@ -1451,11 +1442,10 @@ void Controller::record_rt_rejected(cluster::ContainerId id, double floor,
 }
 
 Controller::RtAdmit Controller::admit_rt(cluster::ContainerId id,
-                                         const cfs::RtSpec& spec,
-                                         double bw_bps) {
+                                         const cfs::RtSpec& spec) {
   const double floor = spec.valid() ? spec.floor_cores() : 0.0;
   Entry* entry = find_entry(id);
-  if (crashed_ || !spec.valid() || bw_bps < 0.0 || entry == nullptr ||
+  if (crashed_ || !spec.valid() || entry == nullptr ||
       entry->agent == nullptr || rt_.count(id) != 0 ||
       node_dead(entry->agent->node().id())) {
     record_rt_rejected(id, floor, 3);
@@ -1466,7 +1456,7 @@ Controller::RtAdmit Controller::admit_rt(cluster::ContainerId id,
   // reservations only while their density sum stays under the bound — the
   // slack above it is what absorbs CFS quantization and best-effort floors.
   const double node_cores = entry->agent->node().config().cores;
-  if (node_rt_reserved(node, id, &RtInfo::floor) + floor >
+  if (node_rt_reserved(node, id) + floor >
       kRtUtilBound * node_cores + kCpuLimitEpsilon) {
     record_rt_rejected(id, floor, 0);
     return RtAdmit::kRejectedNode;
@@ -1479,29 +1469,18 @@ Controller::RtAdmit Controller::admit_rt(cluster::ContainerId id,
     record_rt_rejected(id, floor, 1);
     return RtAdmit::kRejectedPool;
   }
-  // Bandwidth arm: a reservation with a rate rides the same admission
-  // decision, bounded against the node NIC (the bw plane's scarce link).
-  if (bw_bps > 0.0) {
-    const double nic =
-        bw_shaper_ != nullptr ? bw_shaper_->node_nic_bps(node) : 0.0;
-    if (nic <= 0.0 || node_rt_reserved(node, id, &RtInfo::bw_bps) + bw_bps >
-                          kRtBwBound * nic + 0.5) {
-      record_rt_rejected(id, floor, 2);
-      return RtAdmit::kRejectedBw;
-    }
-  }
-  install_rt(id, spec, bw_bps, /*fresh=*/true);
+  install_rt(id, spec, /*fresh=*/true);
   return RtAdmit::kAdmitted;
 }
 
 void Controller::install_rt(cluster::ContainerId id, const cfs::RtSpec& spec,
-                            double bw_bps, bool fresh) {
+                            bool fresh) {
   Entry* entry = find_entry(id);
   if (entry == nullptr || entry->container == nullptr) return;
   const double floor = spec.floor_cores();
-  rt_[id] = RtInfo{spec, floor, bw_bps};
+  rt_[id] = RtInfo{spec, floor};
   rt_reserved_cores_ += floor;
-  allocator_.set_rt_floor(id, floor, bw_bps);
+  allocator_.set_rt_floor(id, floor);
   cluster::Container& c = *entry->container;
   // Recovery re-installation finds the node-side periodic-job model still
   // running (fail static); re-arming it would reset the job phase.
@@ -1558,10 +1537,7 @@ void Controller::emit_rt(cluster::ContainerId id, bool removed) {
   rev.kind = ReplicationEvent::Kind::kRt;
   rev.container = id;
   const auto it = rt_.find(id);
-  if (it != rt_.end()) {
-    rev.bw_bps = it->second.bw_bps;
-    rev.rt = it->second.spec;
-  }
+  if (it != rt_.end()) rev.rt = it->second.spec;
   rev.rt_removed = removed;
   emit_repl(rev);
 }

@@ -202,23 +202,21 @@ class Controller {
   //
   // An RT reservation is a (runtime, deadline, period) triple; its CPU
   // floor is runtime / min(deadline, period) cores. Admission is a
-  // utilization-bound test at three scopes — the container's node
-  // (kRtUtilBound x node cores), the pool's non-borrowed RT capacity
-  // (kRtUtilBound x rt_capacity), and, when a bandwidth reservation
-  // rides along, the node NIC (kRtBwBound x nic_bps). Once admitted, no
-  // allocator decision — κ scale-down, credit decay, greedy throttling —
-  // may take the container below its floor, and the reservation is only
-  // ever revoked by an explicit kRtEvicted decision (release, node death),
-  // never silently.
+  // utilization-bound test at two scopes — the container's node
+  // (kRtUtilBound x node cores) and the pool's non-borrowed RT capacity
+  // (kRtUtilBound x rt_capacity). Once admitted, no allocator decision —
+  // κ scale-down, credit decay, greedy throttling — may take the container
+  // below its floor, and the reservation is only ever revoked by an
+  // explicit kRtEvicted decision (release, node death), never silently.
+  // A rejection's trace `detail` is its reason code: 0 node, 1 pool,
+  // 3 state.
   enum class RtAdmit {
     kAdmitted,
     kRejectedNode,   // node utilization bound exceeded
     kRejectedPool,   // pool RT-capacity bound exceeded
-    kRejectedBw,     // NIC bandwidth bound exceeded (or bw plane off)
     kRejectedState,  // not registered / already admitted / invalid / crashed
   };
-  RtAdmit admit_rt(cluster::ContainerId id, const cfs::RtSpec& spec,
-                   double bw_bps = 0.0);
+  RtAdmit admit_rt(cluster::ContainerId id, const cfs::RtSpec& spec);
   // Revokes an admitted reservation (trace kRtEvicted, reason: 0 released,
   // 1 node dead/quarantined, 2 operator). The container survives as
   // best-effort unless the caller also deregisters it. Returns false if the
@@ -321,13 +319,12 @@ class Controller {
   enum class RegisterMode { kBootstrap, kResync, kTakeover };
   // `bw_want` is the recovery-mode bandwidth rate to re-admit (snapshot or
   // replica value); bootstrap ignores it and derives the rate from the plan.
-  // `rt`/`rt_bw` re-install a replicated RT reservation on the takeover
-  // path (resync re-derives the reservation from node-side container state
+  // `rt` re-installs a replicated RT reservation on the takeover path
+  // (resync re-derives the reservation from node-side container state
   // instead — the node is the source of truth a restarted seat can reach).
   void register_impl(cluster::Container& container, cluster::Node& node,
                      double cores, memcg::Bytes mem, RegisterMode mode,
-                     double bw_want = 0.0, const cfs::RtSpec* rt = nullptr,
-                     double rt_bw = 0.0);
+                     double bw_want = 0.0, const cfs::RtSpec* rt = nullptr);
   // Runs the allocator on one CPU statistic and, on a decision, records the
   // grant/shrink event (linked to `cause`, the throttle that prompted it)
   // and opens the sequenced desired-state slot.
@@ -391,7 +388,7 @@ class Controller {
   // from recovery re-installation (resync/takeover), which must not
   // double-count.
   void install_rt(cluster::ContainerId id, const cfs::RtSpec& spec,
-                  double bw_bps, bool fresh);
+                  bool fresh);
   // Drops the reservation's controller-side state (floor, gauge, books);
   // the caller decides whether a kRtEvicted trace precedes it.
   // `clear_node` false leaves the node-side periodic-job model running
@@ -404,11 +401,9 @@ class Controller {
   // Raises the container's shadow limit to its floor (shedding best-effort
   // if the pool is dry) so the reservation holds from admission onward.
   void raise_to_rt_floor(cluster::ContainerId id, double floor);
-  // Sum of one reservation field (floor or bw_bps) over the node's other
-  // admitted containers.
-  struct RtInfo;
-  double node_rt_reserved(cluster::NodeId node, cluster::ContainerId except,
-                          double RtInfo::*field) const;
+  // Sum of the RT floors admitted on the node's other containers.
+  double node_rt_reserved(cluster::NodeId node,
+                          cluster::ContainerId except) const;
   void on_deadline_miss(cluster::Container& container,
                         sim::Duration remaining);
   void record_rt_rejected(cluster::ContainerId id, double floor,
@@ -537,8 +532,7 @@ class Controller {
   // deterministic across identical-seed runs.
   struct RtInfo {
     cfs::RtSpec spec;
-    double floor = 0.0;   // spec.floor_cores() at admission
-    double bw_bps = 0.0;  // bandwidth reservation; 0 = none
+    double floor = 0.0;  // spec.floor_cores() at admission
   };
   std::map<cluster::ContainerId, RtInfo> rt_;
   double rt_reserved_cores_ = 0.0;

@@ -90,8 +90,8 @@ class EscraSystem {
   // container must already be managed or adopted; see Controller::admit_rt
   // for the utilization-bound tests and the never-reclaim guarantee.
   Controller::RtAdmit admit_rt(cluster::Container& container,
-                               const cfs::RtSpec& spec, double bw_bps = 0.0) {
-    return controller_.admit_rt(container.id(), spec, bw_bps);
+                               const cfs::RtSpec& spec) {
+    return controller_.admit_rt(container.id(), spec);
   }
   bool evict_rt(cluster::Container& container, int reason = 2) {
     return controller_.evict_rt(container.id(), reason);

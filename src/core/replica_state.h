@@ -47,7 +47,7 @@ struct ReplicationEvent {
   double value = 0.0;  // kSlot: cores, bytes or bytes/s, per `resource`
   double cores = 0.0;    // kRegister
   memcg::Bytes mem = 0;  // kRegister / kMemShadow
-  double bw_bps = 0.0;   // kRegister; kRt: the bandwidth reservation
+  double bw_bps = 0.0;   // kRegister
   std::uint64_t agent_incarnation = 0;  // kNodeHealth
   bool node_dead = false;               // kNodeHealth
   // kCredit: the account's absolute balance plus the ledger's running
@@ -72,11 +72,6 @@ struct ReplicaState {
     cluster::NodeId node = 0;
     double bw_bps = 0.0;  // current shadow bandwidth rate; 0 = unshaped
     bool operator==(const ContainerState&) const = default;
-  };
-  struct RtState {
-    cfs::RtSpec spec;
-    double bw_bps = 0.0;  // bandwidth reservation; 0 = none
-    bool operator==(const RtState&) const = default;
   };
   struct SlotState {
     std::uint64_t seq = 0;
@@ -106,7 +101,7 @@ struct ReplicaState {
   std::int64_t credit_burned = 0;
   // Admitted RT reservations (absolute images; erased by an explicit
   // rt_removed record or by the container's kDeregister).
-  std::map<cluster::ContainerId, RtState> rt;
+  std::map<cluster::ContainerId, cfs::RtSpec> rt;
   std::uint64_t epoch = 0;
 
   bool operator==(const ReplicaState&) const = default;
@@ -189,7 +184,7 @@ struct ReplicaState {
         if (r.rt_removed) {
           rt.erase(r.container);
         } else {
-          rt[r.container] = RtState{r.rt, r.bw_bps};
+          rt[r.container] = r.rt;
         }
         break;
     }

@@ -32,16 +32,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return *slot;
 }
 
-DistributionMetric& MetricsRegistry::distribution(const std::string& name,
-                                                  std::int64_t max_value,
-                                                  int precision_bits) {
-  claim_name(name);
-  auto& slot = distributions_[name];
-  slot = std::unique_ptr<DistributionMetric>(
-      new DistributionMetric(name, max_value, precision_bits));
-  return *slot;
-}
-
 const Counter* MetricsRegistry::find_counter(const std::string& name) const {
   const auto it = counters_.find(name);
   return it == counters_.end() ? nullptr : it->second.get();
@@ -53,39 +43,29 @@ const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
 }
 
 bool MetricsRegistry::has(const std::string& name) const {
-  return counters_.contains(name) || gauges_.contains(name) ||
-         distributions_.contains(name);
+  return counters_.contains(name) || gauges_.contains(name);
 }
 
 std::size_t MetricsRegistry::size() const {
-  return counters_.size() + gauges_.size() + distributions_.size();
+  return counters_.size() + gauges_.size();
 }
 
 MetricsSnapshot MetricsRegistry::snapshot(sim::TimePoint now) const {
   MetricsSnapshot snap;
   snap.time = now;
   snap.values.reserve(size());
-  // Merge the three name-ordered maps into one name-ordered value list.
+  // Merge the two name-ordered maps into one name-ordered value list (a
+  // name lives in at most one of them).
   auto c = counters_.begin();
   auto g = gauges_.begin();
-  auto d = distributions_.begin();
-  while (c != counters_.end() || g != gauges_.end() ||
-         d != distributions_.end()) {
-    const std::string* cn = c != counters_.end() ? &c->first : nullptr;
-    const std::string* gn = g != gauges_.end() ? &g->first : nullptr;
-    const std::string* dn = d != distributions_.end() ? &d->first : nullptr;
-    const std::string* least = cn;
-    if (least == nullptr || (gn != nullptr && *gn < *least)) least = gn;
-    if (least == nullptr || (dn != nullptr && *dn < *least)) least = dn;
-    if (least == cn && cn != nullptr) {
-      snap.values.emplace_back(*cn, static_cast<double>(c->second->value()));
+  while (c != counters_.end() || g != gauges_.end()) {
+    if (g == gauges_.end() || (c != counters_.end() && c->first < g->first)) {
+      snap.values.emplace_back(c->first,
+                               static_cast<double>(c->second->value()));
       ++c;
-    } else if (least == gn && gn != nullptr) {
-      snap.values.emplace_back(*gn, g->second->value());
-      ++g;
     } else {
-      snap.values.emplace_back(*dn, static_cast<double>(d->second->count()));
-      ++d;
+      snap.values.emplace_back(g->first, g->second->value());
+      ++g;
     }
   }
   return snap;

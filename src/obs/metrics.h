@@ -1,14 +1,15 @@
 // Control-plane metrics registry (escra_obs).
 //
-// Named counters, gauges, and latency histograms for the Escra control
-// plane: grants/shrinks per second, pool occupancy, per-channel network
-// bytes, OOM rescues, and the per-stage control-loop latency the paper's
-// overhead evaluation (Section VI-I) reports. Instrumented modules hold raw
-// `Counter*`/`Gauge*` handles obtained at attach time, so the hot-path cost
-// when observability is off is a single null-pointer check.
+// Named counters and gauges for the Escra control plane: grants/shrinks per
+// second, pool occupancy, per-channel network bytes, OOM rescues. (The
+// per-stage control-loop latency the paper's overhead evaluation, Section
+// VI-I, reports lives in obs::LoopProfiler's own histograms.) Instrumented
+// modules hold raw `Counter*`/`Gauge*` handles obtained at attach time, so
+// the hot-path cost when observability is off is a single null-pointer
+// check.
 //
 // Registration is strict: a metric name can be registered exactly once,
-// across all three metric kinds. Re-registering throws instead of silently
+// across both metric kinds. Re-registering throws instead of silently
 // shadowing the first metric (silent shadowing would split a counter's
 // increments across two objects and under-report without any error).
 //
@@ -25,8 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/histogram.h"
-#include "sim/stats.h"
 #include "sim/time.h"
 
 namespace escra::sim {
@@ -64,33 +63,8 @@ class Gauge {
   double value_ = 0.0;
 };
 
-// Distribution metric: a log-bucketed histogram (for percentiles) plus a
-// running moment (for an exact mean). Values are integers — typically
-// simulated-time durations in microseconds.
-class DistributionMetric {
- public:
-  void record(std::int64_t value) {
-    hist_.record(value);
-    stat_.add(static_cast<double>(value));
-  }
-  const sim::Histogram& histogram() const { return hist_; }
-  const sim::RunningStat& stat() const { return stat_; }
-  std::uint64_t count() const { return hist_.count(); }
-  const std::string& name() const { return name_; }
-
- private:
-  friend class MetricsRegistry;
-  DistributionMetric(std::string name, std::int64_t max_value,
-                     int precision_bits)
-      : name_(std::move(name)), hist_(max_value, precision_bits) {}
-  std::string name_;
-  sim::Histogram hist_;
-  sim::RunningStat stat_;
-};
-
 // One captured instant: (metric name, value) pairs in name order. Counters
-// report their count, gauges their value, distributions their sample count
-// (the full distribution stays queryable on the registry itself).
+// report their count, gauges their value.
 struct MetricsSnapshot {
   sim::TimePoint time = 0;
   std::vector<std::pair<std::string, double>> values;
@@ -106,9 +80,6 @@ class MetricsRegistry {
   //     regardless of metric kind) ---
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  DistributionMetric& distribution(const std::string& name,
-                                   std::int64_t max_value = 3'600'000'000LL,
-                                   int precision_bits = 7);
 
   // --- lookup (nullptr when absent or a different kind) ---
   const Counter* find_counter(const std::string& name) const;
@@ -137,7 +108,6 @@ class MetricsRegistry {
   // CSV exports deterministic and stable across runs.
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<DistributionMetric>> distributions_;
   std::vector<MetricsSnapshot> snapshots_;
   bool periodic_started_ = false;
 };

@@ -103,8 +103,8 @@ enum class EventKind : std::uint8_t {
                          // (runtime_us << 32) | period_us)
   kRtRejected,           // admission control refused an RT reservation
                          // (after = requested floor, detail = 0 node bound,
-                         // 1 pool bound, 2 bw bound, 3 not registered /
-                         // already admitted)
+                         // 1 pool bound, 3 not registered / already
+                         // admitted; 2 is unused)
   kRtEvicted,            // an admitted RT reservation was revoked by an
                          // explicit controller decision (node death,
                          // deregistration) — never silently (before =

@@ -18,24 +18,19 @@ namespace {
 
 // --- MetricsRegistry ---
 
-TEST(MetricsRegistryTest, CountersGaugesAndDistributionsRegisterAndUpdate) {
+TEST(MetricsRegistryTest, CountersAndGaugesRegisterAndUpdate) {
   MetricsRegistry reg;
   Counter& c = reg.counter("requests");
   Gauge& g = reg.gauge("pool");
-  DistributionMetric& d = reg.distribution("latency");
 
   c.inc();
   c.inc(4);
   g.set(2.5);
   g.add(-0.5);
-  d.record(100);
-  d.record(300);
 
   EXPECT_EQ(c.value(), 5u);
   EXPECT_DOUBLE_EQ(g.value(), 2.0);
-  EXPECT_EQ(d.count(), 2u);
-  EXPECT_DOUBLE_EQ(d.stat().mean(), 200.0);
-  EXPECT_EQ(reg.size(), 3u);
+  EXPECT_EQ(reg.size(), 2u);
   EXPECT_TRUE(reg.has("requests"));
   EXPECT_EQ(reg.find_counter("requests"), &c);
   EXPECT_EQ(reg.find_counter("nope"), nullptr);
@@ -49,19 +44,17 @@ TEST(MetricsRegistryTest, DuplicateNameThrowsAcrossAllKinds) {
   reg.counter("x");
   EXPECT_THROW(reg.counter("x"), std::invalid_argument);
   EXPECT_THROW(reg.gauge("x"), std::invalid_argument);
-  EXPECT_THROW(reg.distribution("x"), std::invalid_argument);
   reg.gauge("y");
   EXPECT_THROW(reg.counter("y"), std::invalid_argument);
-  reg.distribution("z");
-  EXPECT_THROW(reg.gauge("z"), std::invalid_argument);
-  EXPECT_EQ(reg.size(), 3u);
+  EXPECT_THROW(reg.gauge("y"), std::invalid_argument);
+  EXPECT_EQ(reg.size(), 2u);
 }
 
 TEST(MetricsRegistryTest, SnapshotCapturesNameOrderedValues) {
   MetricsRegistry reg;
   reg.counter("b.count").inc(7);
   reg.gauge("a.gauge").set(1.5);
-  reg.distribution("c.dist").record(10);
+  reg.gauge("c.gauge").set(-2.0);
 
   const MetricsSnapshot snap = reg.snapshot(sim::seconds(3));
   EXPECT_EQ(snap.time, sim::seconds(3));
@@ -71,8 +64,8 @@ TEST(MetricsRegistryTest, SnapshotCapturesNameOrderedValues) {
   EXPECT_DOUBLE_EQ(snap.values[0].second, 1.5);
   EXPECT_EQ(snap.values[1].first, "b.count");
   EXPECT_DOUBLE_EQ(snap.values[1].second, 7.0);
-  EXPECT_EQ(snap.values[2].first, "c.dist");
-  EXPECT_DOUBLE_EQ(snap.values[2].second, 1.0);  // sample count
+  EXPECT_EQ(snap.values[2].first, "c.gauge");
+  EXPECT_DOUBLE_EQ(snap.values[2].second, -2.0);
 }
 
 TEST(MetricsRegistryTest, SnapshotIsPointInTime) {

@@ -1,6 +1,6 @@
 // The mixed-criticality real-time container class: the RtSpec contract, the
 // node-side deadline-scheduler model (periodic jobs, RT-first scheduling
-// tier, miss detection), controller admission control (node / pool / NIC
+// tier, miss detection), controller admission control (node and pool
 // utilization bounds), the never-reclaim floor through κ-damping and greedy
 // pressure, explicit-eviction-only revocation, and reservation recovery
 // across controller crash/resync, HA takeover, and sharded deployments.
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "bw/shaper.h"
 #include "check/invariant_checker.h"
 #include "cluster/cluster.h"
 #include "core/escra.h"
@@ -171,12 +170,10 @@ TEST(RtAdmissionTest, StateRejectionsCoverTheWholeLifecycle) {
   Controller& ctl = rig.escra.controller();
   const cluster::ContainerId id = rig.containers[0]->id();
 
-  // Unknown container / invalid spec / negative rate all reject on state.
+  // Unknown container and invalid spec both reject on state.
   EXPECT_EQ(ctl.admit_rt(9999, spec_ms(20, 50, 100)),
             Controller::RtAdmit::kRejectedState);
   EXPECT_EQ(ctl.admit_rt(id, spec_ms(60, 50, 100)),
-            Controller::RtAdmit::kRejectedState);
-  EXPECT_EQ(ctl.admit_rt(id, spec_ms(20, 50, 100), -1.0),
             Controller::RtAdmit::kRejectedState);
 
   EXPECT_EQ(rig.escra.admit_rt(*rig.containers[0], spec_ms(20, 50, 100)),
@@ -196,8 +193,8 @@ TEST(RtAdmissionTest, StateRejectionsCoverTheWholeLifecycle) {
             Controller::RtAdmit::kRejectedState);
 
   EXPECT_EQ(ctl.rt_admissions(), 1u);
-  EXPECT_EQ(ctl.rt_rejections(), 5u);
-  EXPECT_EQ(rig.observer.h.rt_rejected->value(), 5u);
+  EXPECT_EQ(ctl.rt_rejections(), 4u);
+  EXPECT_EQ(rig.observer.h.rt_rejected->value(), 4u);
 }
 
 TEST(RtAdmissionTest, NodeUtilizationBoundCapsPerNodeDensity) {
@@ -228,50 +225,6 @@ TEST(RtAdmissionTest, PoolBoundIsTheGlobalLimitNotTheNode) {
             Controller::RtAdmit::kRejectedPool)
       << "1.5 reserved cores would breach the 1.4-core pool bound";
   EXPECT_EQ(rig.escra.admit_rt(*rig.containers[1], spec_ms(30, 100, 100)),
-            Controller::RtAdmit::kAdmitted);
-}
-
-TEST(RtAdmissionTest, BandwidthArmBoundsAgainstTheNic) {
-  sim::Simulation sim;
-  net::Network network(sim);
-  cluster::Cluster k8s(sim);
-  cluster::Node& node =
-      k8s.add_node(cluster::NodeConfig{.cores = 8.0, .nic_bps = 10.0e6});
-  bw::ClusterShaper shaper(sim);
-  shaper.add_node(node.id(), 10.0e6);
-  network.set_shaper(&shaper);
-  core::EscraSystem escra(sim, network, k8s, 8.0, 4LL * kGiB);
-  obs::Observer observer;
-  escra.attach_observer(observer);
-  shaper.set_observer(&observer);
-  escra.enable_bandwidth(shaper, /*global_bw_bps=*/10.0e6);
-
-  cluster::ContainerSpec spec;
-  spec.base_memory = 16 * kMiB;
-  spec.name = "a";
-  cluster::Container& a = k8s.create_container(spec, 1.0, 64 * kMiB);
-  spec.name = "b";
-  cluster::Container& b = k8s.create_container(spec, 1.0, 64 * kMiB);
-  escra.manage({&a, &b});
-  escra.start();
-
-  // NIC arm: 0.5 x 10 MB/s = 5 MB/s reservable on the node.
-  EXPECT_EQ(escra.admit_rt(a, spec_ms(20, 100, 100), 4.0e6),
-            Controller::RtAdmit::kAdmitted);
-  EXPECT_EQ(escra.admit_rt(b, spec_ms(20, 100, 100), 1.5e6),
-            Controller::RtAdmit::kRejectedBw)
-      << "5.5 MB/s reserved would breach the 5 MB/s NIC bound";
-  EXPECT_EQ(escra.admit_rt(b, spec_ms(20, 100, 100), 0.5e6),
-            Controller::RtAdmit::kAdmitted);
-}
-
-TEST(RtAdmissionTest, BandwidthReservationNeedsTheBwPlane) {
-  RtRig rig;  // bandwidth never enabled: no shaper, no NIC budget
-  EXPECT_EQ(rig.escra.controller().admit_rt(rig.containers[0]->id(),
-                                            spec_ms(20, 100, 100), 1.0e6),
-            Controller::RtAdmit::kRejectedBw);
-  // The same admission without a rate reservation is fine.
-  EXPECT_EQ(rig.escra.admit_rt(*rig.containers[0], spec_ms(20, 100, 100)),
             Controller::RtAdmit::kAdmitted);
 }
 
@@ -475,13 +428,13 @@ TEST(RtHaTest, TakeoverRebuildsTheAdmittedSetExactlyOnce) {
   sim.run_until(seconds(1));
   ASSERT_EQ(escra.admit_rt(*containers[0], spec_ms(20, 50, 100)),
             Controller::RtAdmit::kAdmitted);
-  ASSERT_EQ(escra.admit_rt(*containers[1], spec_ms(30, 100, 100), 0.0),
+  ASSERT_EQ(escra.admit_rt(*containers[1], spec_ms(30, 100, 100)),
             Controller::RtAdmit::kAdmitted);
   sim.run_until(seconds(2));
 
   // The reservations rode the WAL: every standby's replica carries them.
   ASSERT_EQ(ha.standby_replica(0).rt.size(), 2u);
-  EXPECT_EQ(ha.standby_replica(0).rt.at(containers[0]->id()).spec.runtime,
+  EXPECT_EQ(ha.standby_replica(0).rt.at(containers[0]->id()).runtime,
             milliseconds(20));
 
   sim.schedule_at(seconds(2) + milliseconds(1), [&] { ha.kill_leader(); });

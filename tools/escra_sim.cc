@@ -6,11 +6,14 @@
 //     --workload fixed|exp|burst|alibaba   arrival process   (default exp)
 //     --trace FILE                         replay per-second req/s rates
 //                                          from FILE (overrides --workload)
-//     --rate R                             req/s for fixed/exp (default 300)
-//     --duration S                         measured seconds  (default 60)
+//     --rate R                             req/s for fixed/exp (R > 0,
+//                                          default 300)
+//     --duration S                         measured seconds (S > 0,
+//                                          default 60)
 //     --seed N                             RNG seed          (default 42)
-//     --nodes N                            worker nodes      (default 3)
-//     --cores C                            cores per node    (default 20)
+//     --nodes N                            worker nodes (N >= 1, default 3)
+//     --cores C                            cores per node (C > 0,
+//                                          default 20)
 //     --csv PATH                           per-second aggregate usage/limit
 //                                          time series as CSV
 //     --metrics-out PATH                   control-plane metrics time series
@@ -59,11 +62,14 @@
 // Escra tunables) from the YAML file, deploys it on a simulated cluster
 // under the chosen policy, drives the chosen workload, and prints the
 // summary an operator would want: throughput, latency percentiles, slack,
-// OOM/rescue counts, and (for escra) control-plane traffic. Baseline
-// policies run through the experiment harness, which profiles the
-// application first the way an operator would.
+// OOM/rescue counts, and (for escra) control-plane traffic. An escra run
+// always goes through one sharded control plane; without --shards it has
+// one shard managing the whole application as one app. Baseline policies
+// run through the experiment harness, which profiles the application first
+// the way an operator would.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -78,7 +84,7 @@
 #include "cfs/rt.h"
 #include "cluster/cluster.h"
 #include "config/app_config.h"
-#include "core/escra.h"
+#include "core/controller.h"
 #include "exp/microservice.h"
 #include "fault/fault_injector.h"
 #include "ha/ha_control_plane.h"
@@ -128,7 +134,7 @@ struct Options {
   std::vector<AgentCrashSpec> agent_crashes;
   int standbys = 0;           // --standbys: warm-standby controller pool size
   double leader_kill_s = -1.0;  // --leader-kill: permanent kill time (s)
-  int shards = 0;             // --shards: sharded control plane (0 = single)
+  int shards = 0;             // --shards: 0 = one shard, one app
   bool rt = false;            // --rt: admit one RT replica per service
   // The workload and export flags given, which only the escra run reads.
   std::vector<std::string> escra_run_flags;
@@ -157,7 +163,8 @@ void usage() {
 }
 
 // std::stod/std::stoull accept trailing garbage ("12abc" parses as 12), so
-// flag values are only accepted when the whole token converts.
+// flag values are only accepted when the whole token converts. std::stod
+// also reads "nan" and "inf", which no flag means: those are refused too.
 double parse_double(const std::string& flag, const char* text) {
   std::size_t consumed = 0;
   double value = 0.0;
@@ -166,8 +173,19 @@ double parse_double(const std::string& flag, const char* text) {
   } catch (const std::exception&) {
     consumed = 0;
   }
-  if (consumed == 0 || text[consumed] != '\0') {
-    throw std::runtime_error(flag + " expects a number, got '" +
+  if (consumed == 0 || text[consumed] != '\0' || !std::isfinite(value)) {
+    throw std::runtime_error(flag + " expects a finite number, got '" +
+                             std::string(text) + "'");
+  }
+  return value;
+}
+
+// A numeric flag whose value must be positive: --cores, --duration, --rate.
+double parse_positive(const std::string& flag, const char* text,
+                      const char* name) {
+  const double value = parse_double(flag, text);
+  if (value <= 0.0) {
+    throw std::runtime_error(flag + " expects " + name + " > 0, got '" +
                              std::string(text) + "'");
   }
   return value;
@@ -257,15 +275,18 @@ std::optional<Options> parse_args(int argc, char** argv) {
     } else if (flag == "--workload") {
       opts.workload = next();
     } else if (flag == "--rate") {
-      opts.rate = parse_double(flag, next());
+      opts.rate = parse_positive(flag, next(), "R");
     } else if (flag == "--duration") {
-      opts.duration_s = parse_double(flag, next());
+      opts.duration_s = parse_positive(flag, next(), "S");
     } else if (flag == "--seed") {
       opts.seed = parse_u64(flag, next());
     } else if (flag == "--nodes") {
       opts.nodes = static_cast<int>(parse_u64(flag, next()));
+      if (opts.nodes < 1) {
+        throw std::runtime_error("--nodes expects N >= 1");
+      }
     } else if (flag == "--cores") {
-      opts.cores = parse_double(flag, next());
+      opts.cores = parse_positive(flag, next(), "C");
     } else if (flag == "--csv") {
       opts.csv_path = next();
     } else if (flag == "--metrics-out") {
@@ -445,42 +466,31 @@ int main(int argc, char** argv) {
   app::Application application(k8s, app_config.graph, root.fork(),
                                /*initial_cores=*/1.0,
                                /*initial_mem=*/512 * memcg::kMiB);
-  // Single controller (shards == 0) or a sharded control plane: exactly one
-  // of the two is built. Per-shard observers are declared before the plane
-  // (they must outlive it).
-  std::vector<std::unique_ptr<obs::Observer>> shard_observers;
-  std::optional<core::EscraSystem> escra_opt;
-  std::optional<shard::ShardedControlPlane> plane;
-  if (opts.shards > 0) {
-    shard::ShardPlaneConfig pcfg;
-    pcfg.shards = opts.shards;
-    pcfg.escra = app_config.escra;
-    plane.emplace(simulation, network, k8s, app_config.global_cpu_cores,
-                  app_config.global_mem, pcfg);
-  } else {
-    escra_opt.emplace(simulation, network, k8s, app_config.global_cpu_cores,
-                      app_config.global_mem, app_config.escra);
-  }
+  // Every escra run has one control plane: a sharded plane of
+  // max(1, --shards) shards. A one-shard plane is decision-stream-identical
+  // to a bare EscraSystem (no advertise tick, the default standby endpoint
+  // band, an RT capacity equal to the pool). Observers are declared before
+  // the plane (they must outlive it).
+  const bool sharded = opts.shards > 0;
+  std::vector<std::unique_ptr<obs::Observer>> observers;
+  shard::ShardPlaneConfig pcfg;
+  pcfg.shards = std::max(1, opts.shards);
+  pcfg.escra = app_config.escra;
+  shard::ShardedControlPlane plane(simulation, network, k8s,
+                                   app_config.global_cpu_cores,
+                                   app_config.global_mem, pcfg);
   // Control-plane observability is opt-in: without the flags nothing is
-  // attached and the run is hook-free. Sharded runs attach one observer per
-  // shard (the merged-trace sources); the metrics snapshots and network
-  // counters land on shard 0's registry.
-  std::optional<obs::Observer> observer;
+  // attached and the run is hook-free. Each shard gets its own observer
+  // (the merged-trace sources); the metrics snapshots and network counters
+  // land on shard 0's registry.
   if (!opts.metrics_path.empty() || !opts.trace_path_out.empty()) {
-    if (plane.has_value()) {
-      for (int s = 0; s < opts.shards; ++s) {
-        shard_observers.push_back(std::make_unique<obs::Observer>());
-        plane->attach_observer(s, *shard_observers.back());
-      }
-      network.attach_metrics(shard_observers.front()->metrics());
-      shard_observers.front()->metrics().start_periodic_snapshots(simulation,
-                                                                  sim::kSecond);
-    } else {
-      observer.emplace();
-      escra_opt->attach_observer(*observer);
-      network.attach_metrics(observer->metrics());
-      observer->metrics().start_periodic_snapshots(simulation, sim::kSecond);
+    for (int s = 0; s < plane.shard_count(); ++s) {
+      observers.push_back(std::make_unique<obs::Observer>());
+      plane.attach_observer(s, *observers.back());
     }
+    network.attach_metrics(observers.front()->metrics());
+    observers.front()->metrics().start_periodic_snapshots(simulation,
+                                                          sim::kSecond);
   }
 
   if (opts.leader_kill_s >= 0.0 && opts.standbys < 1) {
@@ -490,46 +500,37 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (plane.has_value()) {
+  const auto& services = app_config.graph.services;
+  if (sharded) {
     // Each service is its own application: the router pins it to one shard,
     // so app-level aggregate limits never straddle shards.
-    const auto& services = app_config.graph.services;
     for (std::size_t s = 0; s < services.size(); ++s) {
-      plane->manage(services[s].name, application.service_containers(s));
+      plane.manage(services[s].name, application.service_containers(s));
     }
-    plane->start();
+  } else {
+    plane.manage(app_config.name, application.containers());
+  }
+  plane.start();
+  if (sharded) {
     std::vector<int> apps_per_shard(static_cast<std::size_t>(opts.shards), 0);
     for (const auto& svc : services) {
       ++apps_per_shard[static_cast<std::size_t>(
-          plane->shard_of_app(svc.name))];
+          plane.shard_of_app(svc.name))];
     }
     std::printf("shards: %d controller shard(s); services per shard:",
                 opts.shards);
     for (int n : apps_per_shard) std::printf(" %d", n);
     std::printf("\n");
-  } else {
-    escra_opt->manage(application.containers());
-    escra_opt->start();
   }
 
-  // Warm-standby replicated controller: constructed after manage() so the
-  // bootstrap snapshot covers every registered container, destroyed before
-  // the system (it detaches its replication hook). Sharded runs arm one
-  // standby group per shard on disjoint endpoint bands.
-  std::optional<ha::HaControlPlane> ha;
+  // Warm-standby replicated controllers: armed after manage() so the
+  // bootstrap snapshot covers every registered container, one standby group
+  // per shard on disjoint endpoint bands.
   if (opts.standbys > 0) {
-    if (plane.has_value()) {
-      plane->enable_ha(opts.standbys);
-      std::printf("ha: %d warm standby(ies) per shard, lease %.0f ms\n",
-                  opts.standbys, sim::to_seconds(ha::kLeaseTimeout) * 1e3);
-    } else {
-      ha::HaConfig ha_cfg;
-      ha_cfg.standbys = opts.standbys;
-      ha.emplace(*escra_opt, network, ha_cfg);
-      ha->start();
-      std::printf("ha: %d warm standby(ies), lease %.0f ms\n", opts.standbys,
-                  sim::to_seconds(ha::kLeaseTimeout) * 1e3);
-    }
+    plane.enable_ha(opts.standbys);
+    std::printf("ha: %d warm standby(ies)%s, lease %.0f ms\n", opts.standbys,
+                sharded ? " per shard" : "",
+                sim::to_seconds(ha::kLeaseTimeout) * 1e3);
   }
 
   // Mixed criticality (--rt): the first replica of every service runs in
@@ -544,18 +545,12 @@ int main(int argc, char** argv) {
     rt_spec.runtime = sim::milliseconds(20);
     rt_spec.deadline = sim::milliseconds(100);
     rt_spec.period = sim::milliseconds(100);
-    for (std::size_t s = 0; s < app_config.graph.services.size(); ++s) {
+    for (std::size_t s = 0; s < services.size(); ++s) {
       const auto members = application.service_containers(s);
       if (!members.empty()) rt_ids.push_back(members.front()->id());
     }
     simulation.schedule_at(sim::seconds(5), [&, rt_spec] {
-      for (const cluster::ContainerId id : rt_ids) {
-        if (plane.has_value()) {
-          plane->admit_rt(id, rt_spec);
-        } else {
-          escra_opt->controller().admit_rt(id, rt_spec);
-        }
-      }
+      for (const cluster::ContainerId id : rt_ids) plane.admit_rt(id, rt_spec);
     });
     std::printf("rt: admitting %zu reservation(s) at 5 s "
                 "(20 ms runtime / 100 ms period, 0.2-core floor each)\n",
@@ -587,8 +582,7 @@ int main(int argc, char** argv) {
     } else {
       network.set_fault_rng(fault_net_rng);
     }
-    injector.emplace(simulation, network,
-                     plane.has_value() ? plane->shard(0) : *escra_opt);
+    injector.emplace(simulation, network, plane.shard(0));
     for (const auto& p : opts.partitions) {
       injector->inject_partition(p.node, sim::seconds_f(p.start_s),
                                  sim::seconds_f(p.duration_s));
@@ -674,20 +668,20 @@ int main(int argc, char** argv) {
               mem_slack_mib.percentile(50), mem_slack_mib.percentile(99));
   std::uint64_t ctrl_stats = 0, ctrl_updates = 0, ctrl_ooms = 0,
                 ctrl_rescues = 0, ctrl_retransmits = 0, ctrl_resyncs = 0;
-  const auto sum_controller = [&](const core::Controller& c) {
+  std::uint64_t rt_admitted = 0, rt_rejected = 0, rt_misses = 0;
+  double rt_reserved = 0.0;
+  for (int s = 0; s < plane.shard_count(); ++s) {
+    const core::Controller& c = plane.shard(s).controller();
     ctrl_stats += c.stats_received();
     ctrl_updates += c.limit_updates_sent();
     ctrl_ooms += c.oom_events();
     ctrl_rescues += c.oom_rescues();
     ctrl_retransmits += c.retransmits();
     ctrl_resyncs += c.resyncs();
-  };
-  if (plane.has_value()) {
-    for (int s = 0; s < opts.shards; ++s) {
-      sum_controller(plane->shard(s).controller());
-    }
-  } else {
-    sum_controller(escra_opt->controller());
+    rt_admitted += c.rt_admissions();
+    rt_rejected += c.rt_rejections();
+    rt_misses += c.deadline_misses();
+    rt_reserved += c.rt_reserved_cores();
   }
   std::printf("  controller     %llu stats, %llu limit updates, "
               "%llu oom events, %llu rescues\n",
@@ -696,37 +690,22 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ctrl_ooms),
               static_cast<unsigned long long>(ctrl_rescues));
   if (opts.rt) {
-    std::uint64_t rt_admitted = 0, rt_rejected = 0, rt_misses = 0;
-    double rt_reserved = 0.0;
-    const auto sum_rt = [&](const core::Controller& c) {
-      rt_admitted += c.rt_admissions();
-      rt_rejected += c.rt_rejections();
-      rt_misses += c.deadline_misses();
-      rt_reserved += c.rt_reserved_cores();
-    };
-    if (plane.has_value()) {
-      for (int s = 0; s < opts.shards; ++s) {
-        sum_rt(plane->shard(s).controller());
-      }
-    } else {
-      sum_rt(escra_opt->controller());
-    }
     std::printf("  rt             %llu admitted (%.1f cores reserved), "
                 "%llu rejected, %llu deadline miss(es)\n",
                 static_cast<unsigned long long>(rt_admitted), rt_reserved,
                 static_cast<unsigned long long>(rt_rejected),
                 static_cast<unsigned long long>(rt_misses));
   }
-  if (plane.has_value()) {
+  if (sharded) {
     std::printf("  shards         %llu advert(s), %llu borrow(s) requested, "
                 "%llu granted, %llu returned, %llu retransmit(s), "
                 "%llu pool resize(s)\n",
-                static_cast<unsigned long long>(plane->adverts_sent()),
-                static_cast<unsigned long long>(plane->borrows_requested()),
-                static_cast<unsigned long long>(plane->borrows_granted()),
-                static_cast<unsigned long long>(plane->borrows_returned()),
-                static_cast<unsigned long long>(plane->borrow_retransmits()),
-                static_cast<unsigned long long>(plane->pool_resizes()));
+                static_cast<unsigned long long>(plane.adverts_sent()),
+                static_cast<unsigned long long>(plane.borrows_requested()),
+                static_cast<unsigned long long>(plane.borrows_granted()),
+                static_cast<unsigned long long>(plane.borrows_returned()),
+                static_cast<unsigned long long>(plane.borrow_retransmits()),
+                static_cast<unsigned long long>(plane.pool_resizes()));
   }
   std::printf("  network        peak %.2f Mbps, mean %.2f Mbps\n",
               network.peak_mbps(), network.mean_mbps());
@@ -738,91 +717,71 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(ctrl_retransmits),
                 static_cast<unsigned long long>(ctrl_resyncs));
   }
-  if (ha.has_value()) {
-    std::printf("  ha             epoch %llu, %llu failover(s), "
-                "%llu WAL appends, %d standby(ies) warm\n",
-                static_cast<unsigned long long>(ha->epoch()),
-                static_cast<unsigned long long>(ha->failovers()),
-                static_cast<unsigned long long>(ha->wal_appends()),
-                ha->standby_count());
-  } else if (plane.has_value() && plane->ha_enabled()) {
+  if (plane.ha_enabled()) {
     std::uint64_t failovers = 0, wal_appends = 0, max_epoch = 0;
     int standbys_warm = 0;
-    for (int s = 0; s < opts.shards; ++s) {
-      failovers += plane->ha(s).failovers();
-      wal_appends += plane->ha(s).wal_appends();
-      max_epoch = std::max<std::uint64_t>(max_epoch, plane->ha(s).epoch());
-      standbys_warm += plane->ha(s).standby_count();
+    for (int s = 0; s < plane.shard_count(); ++s) {
+      failovers += plane.ha(s).failovers();
+      wal_appends += plane.ha(s).wal_appends();
+      max_epoch = std::max<std::uint64_t>(max_epoch, plane.ha(s).epoch());
+      standbys_warm += plane.ha(s).standby_count();
     }
-    std::printf("  ha             max epoch %llu, %llu failover(s), "
-                "%llu WAL appends, %d standby(ies) warm across shards\n",
+    std::printf("  ha             %sepoch %llu, %llu failover(s), "
+                "%llu WAL appends, %d standby(ies) warm%s\n",
+                sharded ? "max " : "",
                 static_cast<unsigned long long>(max_epoch),
                 static_cast<unsigned long long>(failovers),
-                static_cast<unsigned long long>(wal_appends), standbys_warm);
+                static_cast<unsigned long long>(wal_appends), standbys_warm,
+                sharded ? " across shards" : "");
   }
   if (!opts.csv_path.empty()) {
     std::printf("  time series    %s\n", opts.csv_path.c_str());
   }
-  if (observer.has_value()) {
+  if (observers.empty()) return 0;
+  if (!sharded) {
+    const obs::LoopProfiler& profiler = observers.front()->profiler();
     std::printf("\ncontrol-loop latency (%llu loops):\n%s",
-                static_cast<unsigned long long>(
-                    observer->profiler().loops_completed()),
-                observer->profiler().table().c_str());
-    if (!opts.metrics_path.empty()) {
-      std::ofstream out(opts.metrics_path);
-      if (!out) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     opts.metrics_path.c_str());
-        return 1;
-      }
-      observer->metrics().export_csv(out, simulation.now());
-      std::printf("  metrics        %s\n", opts.metrics_path.c_str());
+                static_cast<unsigned long long>(profiler.loops_completed()),
+                profiler.table().c_str());
+  }
+  if (!opts.metrics_path.empty()) {
+    // Control-plane metrics registries are per shard; the CSV carries
+    // shard 0's (which also holds the global network counters).
+    std::ofstream out(opts.metrics_path);
+    if (!out) {
+      std::fprintf(stderr, "error: cannot write %s\n",
+                   opts.metrics_path.c_str());
+      return 1;
     }
-    if (!opts.trace_path_out.empty()) {
-      std::ofstream out(opts.trace_path_out);
-      if (!out) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     opts.trace_path_out.c_str());
-        return 1;
-      }
-      observer->trace().export_jsonl(out);
-      std::printf("  trace          %s (%llu events, %llu evicted)\n",
-                  opts.trace_path_out.c_str(),
-                  static_cast<unsigned long long>(observer->trace().recorded()),
-                  static_cast<unsigned long long>(observer->trace().evicted()));
+    observers.front()->metrics().export_csv(out, simulation.now());
+    std::printf("  metrics        %s%s\n", opts.metrics_path.c_str(),
+                sharded ? " (shard 0)" : "");
+  }
+  if (!opts.trace_path_out.empty()) {
+    std::ofstream out(opts.trace_path_out);
+    if (!out) {
+      std::fprintf(stderr, "error: cannot write %s\n",
+                   opts.trace_path_out.c_str());
+      return 1;
     }
-  } else if (!shard_observers.empty()) {
-    if (!opts.metrics_path.empty()) {
-      // Control-plane metrics registries are per shard; the CSV carries
-      // shard 0's (which also holds the global network counters).
-      std::ofstream out(opts.metrics_path);
-      if (!out) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     opts.metrics_path.c_str());
-        return 1;
-      }
-      shard_observers.front()->metrics().export_csv(out, simulation.now());
-      std::printf("  metrics        %s (shard 0)\n", opts.metrics_path.c_str());
+    // An unsharded trace carries no shard stamps: the merged export would
+    // add them.
+    if (sharded) {
+      plane.export_merged_trace(out);
+    } else {
+      observers.front()->trace().export_jsonl(out);
     }
-    if (!opts.trace_path_out.empty()) {
-      std::ofstream out(opts.trace_path_out);
-      if (!out) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     opts.trace_path_out.c_str());
-        return 1;
-      }
-      plane->export_merged_trace(out);
-      std::uint64_t recorded = 0, evicted = 0;
-      for (const auto& obs : shard_observers) {
-        recorded += obs->trace().recorded();
-        evicted += obs->trace().evicted();
-      }
-      std::printf("  trace          %s (%llu events, %llu evicted, "
-                  "%d shards merged)\n",
-                  opts.trace_path_out.c_str(),
-                  static_cast<unsigned long long>(recorded),
-                  static_cast<unsigned long long>(evicted), opts.shards);
+    std::uint64_t recorded = 0, evicted = 0;
+    for (const auto& obs : observers) {
+      recorded += obs->trace().recorded();
+      evicted += obs->trace().evicted();
     }
+    std::printf("  trace          %s (%llu events, %llu evicted",
+                opts.trace_path_out.c_str(),
+                static_cast<unsigned long long>(recorded),
+                static_cast<unsigned long long>(evicted));
+    if (sharded) std::printf(", %d shards merged", opts.shards);
+    std::printf(")\n");
   }
   return 0;
 }

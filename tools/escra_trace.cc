@@ -200,7 +200,6 @@ void format_limits(const obs::TraceEvent& ev, char* buf, std::size_t len) {
       std::snprintf(buf, len, "floor %.3f cores rejected (%s)", ev.after,
                     ev.detail == 0   ? "node bound"
                     : ev.detail == 1 ? "pool bound"
-                    : ev.detail == 2 ? "bw bound"
                                      : "state");
       break;
     case obs::EventKind::kRtEvicted:
